@@ -15,9 +15,10 @@ the ordinary POMDP recursion, and the weighting interpolates between
 worst-case (alpha = 1) and best-case (alpha = 0) planning.
 
 Values are stored at quantized representatives: ``value(t, b)`` returns the
-value of the grid point nearest ``b`` under largest-remainder rounding, and
-queries off the solved tree are answered by lazily expanding the missing
-subtree (counted against the same node budget).
+value of the grid point nearest ``b`` under largest-remainder rounding.  Each
+level is stored once, as the sorted byte view of its keys that deduplication
+and lookups share.  Queries off the solved tree lazily expand the missing
+subtree; only the solve is held to the node budget (see ``RobustSolution``).
 """
 
 from __future__ import annotations
@@ -112,6 +113,17 @@ def _row_order_view(keys: np.ndarray) -> np.ndarray:
     return be.view(f"V{4 * keys.shape[1]}").ravel()
 
 
+def _view_rows(view: np.ndarray) -> np.ndarray:
+    """The (k, S) big-endian int32 rows behind a ``_row_order_view``."""
+    return view.view(">i4").reshape(len(view), view.dtype.itemsize // 4)
+
+
+def _unique_rows(keys: np.ndarray) -> np.ndarray:
+    """Distinct rows of ``keys`` as a sorted ``_row_order_view``; decoded with
+    ``_view_rows`` they equal ``np.unique(keys, axis=0)``."""
+    return np.unique(_row_order_view(keys))
+
+
 # ---------------------------------------------------------------------------
 # belief-tree engine
 
@@ -132,8 +144,11 @@ class RobustSolution:
     ``value(t, belief)`` evaluates the quantized representative of ``belief``
     at period ``t``; ``action(t, belief)`` is a one-step lookahead at the exact
     belief against the stored next-level values.  Beliefs outside the solved
-    tree are handled by lazily solving the missing subtree, subject to the
-    same node budget as the main solve.
+    tree are handled by lazily solving the missing subtree.  Only the solve
+    is held to ``node_budget``; lazily built nodes still count in
+    ``node_count``, and their cache is emptied at the start of a query once it
+    holds more than ``node_budget`` entries (a node's value depends only on
+    its period and key, so answers do not change).
     """
 
     def __init__(self, models: list[KernelPair], reward: np.ndarray,
@@ -150,8 +165,8 @@ class RobustSolution:
         self.num_states = reward.shape[0]
         self.num_actions = reward.shape[1]
         self.num_obs = models[0].observation.shape[2]
-        # per period t (index t-1): sorted key table (k, S) int32 and values (k,)
-        self._keys: list[np.ndarray] = []
+        # per period t (index t-1): sorted _row_order_view of its keys, values
+        self._levels: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
         # lazily added off-tree nodes: per period dict key-bytes -> value
         self._extra: list[dict[bytes, float]] = [dict() for _ in range(horizon)]
@@ -161,11 +176,13 @@ class RobustSolution:
 
     # -- construction -------------------------------------------------------
 
-    def _charge_budget(self, amount: int):
-        self.node_count += int(amount)
-        if self.node_count > self.config.node_budget:
+    def _check_budget(self, nodes: int):
+        if nodes > self.config.node_budget:
             raise BudgetExceeded(
                 f"belief tree exceeds node budget {self.config.node_budget}")
+
+    def _beliefs(self, view: np.ndarray) -> np.ndarray:
+        return _view_rows(view).astype(np.float64) / self.ticks
 
     def _expand_chunk(self, beliefs: np.ndarray):
         """Children of a batch of beliefs for every (action, model, obs).
@@ -196,117 +213,110 @@ class RobustSolution:
 
     def _solve(self):
         cfg = self.config
-        root = quantize_batch(self.initial_dist[None, :], self.ticks)
-        self._charge_budget(1)
-        levels = [root]
+        self.node_count = 1
+        self._check_budget(self.node_count)
+        levels = [_unique_rows(quantize_batch(self.initial_dist[None, :], self.ticks))]
         # forward pass: discover the distinct quantized beliefs of each period
         for _ in range(1, self.horizon):
-            parents = levels[-1].astype(np.float64) / self.ticks
+            parents = self._beliefs(levels[-1])
             pending: list[np.ndarray] = []
             pending_rows = 0
             for start in range(0, parents.shape[0], cfg.expansion_chunk):
-                chunk = parents[start:start + cfg.expansion_chunk]
-                keys, weights = self._expand_chunk(chunk)
-                rows = keys[weights > 0.0]
-                pending.append(np.unique(rows, axis=0))
+                keys, weights = self._expand_chunk(
+                    parents[start:start + cfg.expansion_chunk])
+                pending.append(_unique_rows(keys[weights > 0.0]))
                 pending_rows += len(pending[-1])
                 if pending_rows > 4_000_000:
-                    merged = np.unique(np.vstack(pending), axis=0)
-                    pending, pending_rows = [merged], len(merged)
-                    if self.node_count + len(merged) > cfg.node_budget:
-                        raise BudgetExceeded(
-                            f"belief tree exceeds node budget {cfg.node_budget}")
-            nxt = np.unique(np.vstack(pending), axis=0)
-            self._charge_budget(len(nxt))
-            levels.append(nxt)
-        # sort each level so membership queries can use binary search
-        for keys in levels:
-            view = _row_order_view(keys)
-            order = np.argsort(view)
-            self._keys.append(np.ascontiguousarray(keys[order]))
-        self.level_sizes = [len(k) for k in self._keys]
-        # backward pass: terminal period is a one-step reward maximization
-        beliefs = self._keys[-1].astype(np.float64) / self.ticks
+                    pending = [np.unique(np.concatenate(pending))]
+                    pending_rows = len(pending[0])
+                    self._check_budget(self.node_count + pending_rows)
+            levels.append(np.unique(np.concatenate(pending)))
+            self.node_count += len(levels[-1])
+            self._check_budget(self.node_count)
+        self._levels = levels
+        self.level_sizes = [len(v) for v in levels]
+        # backward pass
         self._values = [None] * self.horizon
-        self._values[-1] = (beliefs @ self.reward).max(axis=1)
-        for t in range(self.horizon - 2, -1, -1):
-            parents = self._keys[t].astype(np.float64) / self.ticks
-            vals = np.empty(parents.shape[0])
-            for start in range(0, parents.shape[0], cfg.expansion_chunk):
-                chunk = parents[start:start + cfg.expansion_chunk]
-                vals[start:start + chunk.shape[0]] = self._chunk_values(t, chunk)
-            self._values[t] = vals
+        for t in range(self.horizon - 1, -1, -1):
+            self._values[t] = self._node_values(t, self._beliefs(levels[t]), lazy=False)
 
-    def _chunk_values(self, t: int, beliefs: np.ndarray) -> np.ndarray:
-        """Robust one-step backup for a batch of period-(t+1) beliefs (0-based t)."""
+    def _node_values(self, t: int, beliefs: np.ndarray, lazy: bool) -> np.ndarray:
+        """Values of a batch of beliefs at 0-based period t, backed up one
+        chunk at a time; the terminal period expands nothing and is one batch."""
+        step = len(beliefs) if t == self.horizon - 1 else self.config.expansion_chunk
+        return np.concatenate([self._backup(t, beliefs[start:start + step], lazy)
+                               .max(axis=1) for start in range(0, len(beliefs), step)])
+
+    def _backup(self, t: int, beliefs: np.ndarray, lazy: bool) -> np.ndarray:
+        """Action values (c, A) of a batch of beliefs at 0-based period t.
+
+        With ``lazy`` the children missing from the tree are built on demand,
+        and the immediate reward is taken one row at a time: BLAS rounds a
+        one-row product (gemv) differently from a batch (gemm), and a lazily
+        built node's value must not depend on which nodes share its batch.
+        """
+        if lazy:
+            now = np.array([b @ self.reward for b in beliefs])
+        else:
+            now = beliefs @ self.reward
+        if t == self.horizon - 1:
+            return now
         keys, weights = self._expand_chunk(beliefs)
         c, A, M, O, S = keys.shape
-        flat = keys.reshape(-1, S)
-        idx = self._lookup(t + 1, flat).reshape(c, A, M, O)
-        child_vals = self._values[t + 1][idx]
-        h = (weights * child_vals).sum(axis=3)                     # (c, A, M)
+        child_vals = self._values_at(t + 1, keys.reshape(-1, S), lazy)
+        h = (weights * child_vals.reshape(c, A, M, O)).sum(axis=3)  # (c, A, M)
         robust = self.alpha * h.min(axis=2) + (1.0 - self.alpha) * h.max(axis=2)
-        u = beliefs @ self.reward + self.discount * robust
-        return u.max(axis=1)
+        return now + self.discount * robust
 
-    def _lookup(self, t: int, flat_keys: np.ndarray) -> np.ndarray:
-        """Row indices of ``flat_keys`` in the level table at 0-based index t.
+    def _values_at(self, t: int, keys: np.ndarray, lazy: bool) -> np.ndarray:
+        """Values of quantized ``keys`` (n, S) at 0-based period t.
 
-        Every queried key must exist (children found in the forward pass);
-        pruned all-zero keys resolve to row 0 and only ever meet weight 0.
+        Pruned all-zero keys read row 0 and only ever meet weight 0.  Keys
+        missing from the tree raise during the solve (every child was found
+        in the forward pass); with ``lazy`` they are read from the off-tree
+        cache, and the rest are deduplicated and built together, so that the
+        missing subtree is expanded one level (not one node) at a time.
         """
-        table = _row_order_view(self._keys[t])
-        query = _row_order_view(flat_keys)
-        pos = np.searchsorted(table, query).clip(0, len(table) - 1)
-        found = table[pos] == query
-        zero = ~flat_keys.any(axis=1)
-        if not np.all(found | zero):
+        table = self._levels[t]
+        view = _row_order_view(keys)
+        pos = np.searchsorted(table, view).clip(0, len(table) - 1)
+        vals = self._values[t][pos]
+        missing = (table[pos] != view) & keys.any(axis=1)
+        if not missing.any():
+            return vals
+        if not lazy:
             raise AssertionError("belief-tree child missing from forward pass")
-        return pos
+        cache = self._extra[t]
+        uniq, inverse = np.unique(view[missing], return_inverse=True)
+        names = uniq.tolist()
+        found = [cache.get(name) for name in names]
+        new = [i for i, v in enumerate(found) if v is None]
+        if new:
+            self.node_count += len(new)
+            built = self._node_values(t, self._beliefs(uniq[new]), lazy=True)
+            for i, v in zip(new, built.tolist()):
+                cache[names[i]] = found[i] = v
+        vals[missing] = np.array(found)[inverse]
+        return vals
 
     # -- queries -------------------------------------------------------------
 
+    def _start_query(self, t: int):
+        if not (1 <= t <= self.horizon):
+            raise ValueError(f"t must lie in 1..{self.horizon}")
+        if sum(map(len, self._extra)) > self.config.node_budget:
+            for cache in self._extra:
+                cache.clear()
+
     @property
     def root_value(self) -> float:
-        return float(self._values[0][0]) if self.level_sizes[0] == 1 else \
-            self.value(1, Belief(self.initial_dist))
+        return float(self._values[0][0])  # period 1 holds only the root
 
     def value(self, t: int, belief: Belief) -> float:
         """Value of the quantized representative of ``belief`` at period t."""
-        if not (1 <= t <= self.horizon):
-            raise ValueError(f"t must lie in 1..{self.horizon}")
-        key = quantize_batch(belief.probs[None, :], self.ticks)[0]
-        return self._node_value(t - 1, key)
-
-    def _node_value(self, t: int, key: np.ndarray) -> float:
-        table = _row_order_view(self._keys[t])
-        query = _row_order_view(key[None, :])[0]
-        pos = int(np.searchsorted(table, query))
-        if pos < len(table) and table[pos] == query:
-            return float(self._values[t][pos])
-        kb = key.tobytes()
-        cached = self._extra[t].get(kb)
-        if cached is not None:
-            return cached
-        # off-tree belief: solve the missing subtree, charging the same budget
-        self._charge_budget(1)
-        b = (key.astype(np.float64) / self.ticks)[None, :]
-        if t == self.horizon - 1:
-            val = float((b @ self.reward).max())
-        else:
-            keys, weights = self._expand_chunk(b)
-            _, A, M, O, S = keys.shape
-            child_vals = np.zeros((A, M, O))
-            for a in range(A):
-                for m in range(M):
-                    for o in range(O):
-                        if weights[0, a, m, o] > 0.0:
-                            child_vals[a, m, o] = self._node_value(t + 1, keys[0, a, m, o])
-            h = (weights[0] * child_vals).sum(axis=2)
-            robust = self.alpha * h.min(axis=1) + (1.0 - self.alpha) * h.max(axis=1)
-            val = float((b[0] @ self.reward + self.discount * robust).max())
-        self._extra[t][kb] = val
-        return val
+        self._start_query(t)
+        key = quantize_batch(belief.probs[None, :], self.ticks)
+        return float(self._values_at(t - 1, key, lazy=True)[0])
 
     def action(self, t: int, belief: Belief) -> int:
         """Greedy action at the exact belief via one-step lookahead.
@@ -314,23 +324,9 @@ class RobustSolution:
         Ties break toward the lowest action index, so truly redundant actions
         resolve identically on every platform.
         """
-        if not (1 <= t <= self.horizon):
-            raise ValueError(f"t must lie in 1..{self.horizon}")
+        self._start_query(t)
         b = np.asarray(belief.probs, dtype=np.float64)[None, :]
-        if t == self.horizon:
-            return int((b[0] @ self.reward).argmax())
-        keys, weights = self._expand_chunk(b)
-        _, A, M, O, S = keys.shape
-        child_vals = np.zeros((A, M, O))
-        for a in range(A):
-            for m in range(M):
-                for o in range(O):
-                    if weights[0, a, m, o] > 0.0:
-                        child_vals[a, m, o] = self._node_value(t, keys[0, a, m, o])
-        h = (weights[0] * child_vals).sum(axis=2)
-        robust = self.alpha * h.min(axis=1) + (1.0 - self.alpha) * h.max(axis=1)
-        u = b[0] @ self.reward + self.discount * robust
-        return int(u.argmax())
+        return int(self._backup(t - 1, b, lazy=True)[0].argmax())
 
     def to_summary(self) -> dict:
         return {

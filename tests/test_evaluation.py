@@ -23,7 +23,7 @@ from decisionlab.evaluation import (
     _t_interval,
 )
 from decisionlab.rollout import PolicyHandle
-from decisionlab.solvers import BeliefSolverConfig, solve_mdp
+from decisionlab.solvers import BeliefSolverConfig, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, uniform_policy_value
 
@@ -153,6 +153,26 @@ def test_reference_policy_falls_back_to_qmdp_on_budget():
     from decisionlab.solvers import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         reference_policy(task, tight, allow_fallback=False)
+
+
+def test_oracle_queries_do_not_spend_the_solve_budget():
+    tasks = generate_tasks("pomdp", 2, EnergyParams(energy_cap=3, horizon=4),
+                           AmbiguityConfig(), Rng(3))
+    tight = BeliefSolverConfig(node_budget=max(solve_pomdp(t).node_count
+                                               for t in tasks))
+
+    def gap(config, jobs):
+        oracles = [reference_policy(t, config, allow_fallback=False)[0]
+                   for t in tasks]
+        report = optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(1),
+                                rollouts_per_task=60, jobs=jobs)
+        return report, [o.solution.node_count for o in oracles]
+
+    serial, counts = gap(tight, 1)
+    # lazily built nodes took every solution past the budget its solve fit in
+    assert min(counts) > tight.node_budget
+    assert gap(tight, 2)[0] == serial
+    assert gap(BeliefSolverConfig(), 1)[0] == serial
 
 
 def test_evaluation_policy_kinds():

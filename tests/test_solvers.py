@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from decisionlab.core import (
     AmbiguousPOMDP,
@@ -24,6 +25,7 @@ from decisionlab.envs import (
     gen_energy_apomdp,
     noisy_level_observation,
 )
+from decisionlab.evaluation import generate_tasks
 from decisionlab.solvers import (
     BeliefSolverConfig,
     BudgetExceeded,
@@ -33,6 +35,8 @@ from decisionlab.solvers import (
     solve_apomdp,
     solve_mdp,
     solve_pomdp,
+    _unique_rows,
+    _view_rows,
 )
 
 from conftest import (
@@ -119,6 +123,19 @@ def test_quantize_sums_and_error_bound(seed, n):
     assert np.all(err <= n / ticks + 1e-12)
     # idempotent: grid points map to themselves
     np.testing.assert_array_equal(quantize_batch(keys / ticks, ticks), keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
+                  elements=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1))),
+       st.integers(0, 24))
+def test_byte_view_dedupe_matches_row_unique(rows, cut):
+    want = np.unique(rows, axis=0)
+    np.testing.assert_array_equal(_view_rows(_unique_rows(rows)), want)
+    # merging deduplicated parts, as the forward pass does, gives the same table
+    merged = np.unique(np.concatenate([_unique_rows(rows[:cut]),
+                                       _unique_rows(rows[cut:])]))
+    np.testing.assert_array_equal(_view_rows(merged), want)
 
 
 def test_quantize_belief_roundtrip():
@@ -288,6 +305,51 @@ def test_off_tree_query_expands_lazily_within_budget():
     count = sol.node_count
     sol.value(2, Belief([0.9, 0.05, 0.05]))
     assert sol.node_count == count
+
+
+@pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
+def test_off_tree_answers_do_not_depend_on_query_order(setting):
+    task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
+                          AmbiguityConfig(num_models=2), Rng(8))[0]
+    solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+    model = (KernelPair(task.mdp.transition, task.observation)
+             if setting == "pomdp" else task.models[0])
+    T, P, Q = task.horizon, model.transition, model.observation
+    rng = np.random.default_rng(12)
+    queries = [(int(rng.integers(1, T + 1)), Belief(rng.dirichlet(np.full(6, 0.4))))
+               for _ in range(12)]
+    # an off-tree parent after its children: forward order builds each child
+    # alone, reverse order builds them all in the parent's batch
+    parent = quantize_belief(Belief(rng.dirichlet(np.full(6, 0.4))), 1e-3)
+    for a in range(task.num_actions):
+        pred = belief_predictive(parent, a, P, Q)
+        queries += [(T, belief_update(parent, a, o, P, Q))
+                    for o in range(task.num_obs) if pred[o] > 1e-12]
+    queries.append((T - 1, parent))
+
+    def ask(order, config=BeliefSolverConfig()):
+        sol = solve(task, config)
+        before = sol.node_count
+        answers = {}
+        for i in order:
+            t, b = queries[i]
+            answers[i] = (sol.value(t, b), sol.action(t, b))
+        return sol, sol.node_count - before, answers
+
+    fwd, grown, answers = ask(range(len(queries)))
+    rev, grown_rev, answers_rev = ask(reversed(range(len(queries))))
+    assert answers_rev == answers
+    # every distinct off-tree key was built, and counted, exactly once
+    distinct = sum(map(len, fwd._extra))
+    assert grown == grown_rev == distinct > 0
+    for t in range(task.horizon):
+        assert rev._extra[t].keys() == fwd._extra[t].keys()
+        assert set(fwd._levels[t].tolist()).isdisjoint(fwd._extra[t])
+    # a lazy cache emptied whenever it outgrows the budget gives the same answers
+    tight = BeliefSolverConfig(node_budget=fwd.node_count - grown)
+    small, grown_small, answers_small = ask(range(len(queries)), tight)
+    assert answers_small == answers
+    assert grown_small > grown
 
 
 def test_budget_exceeded_raises():
