@@ -20,7 +20,8 @@ from .solvers import (BeliefSolverConfig, BudgetExceeded, MdpSolution, QmdpPolic
 from .rollout import (ExternalPolicyClient, FewShotContext, InvalidAction,
                       PolicyHandle, ProtocolError, RolloutResult, rollout)
 from .dataset import (ParseError, build_context, build_dpt_dataset,
-                      build_sft_corpus, decode, encode, read_jsonl, write_jsonl)
+                      build_sft_corpus, decode, encode, read_jsonl, write_csv,
+                      write_jsonl)
 from .theory import (Diverged, E2Config, IllConditioned, LinearTask,
                      LinearTaskFamily, LsaLayer, LsaPredictor, Prompt, TrainResult,
                      evaluate_lsa, gamma_matrix, gap_bound, lsa_predict,

@@ -26,16 +26,15 @@ from pathlib import Path
 from . import __version__
 from .core import Rng
 from .dataset import (build_dpt_dataset, build_sft_corpus, corpus_manifest,
-                      save_corpus)
+                      save_corpus, write_csv)
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, all_darkroom_goals,
                    load_task, save_task, split_goals)
-from .evaluation import (DegenerateOptimum, GridSpec, darkroom_eval,
-                         darkroom_rows_to_csv, evaluation_policy, generate_tasks,
-                         grid_rows_to_csv, optimality_gap, reference_policy,
-                         run_experiment_grid)
+from .evaluation import (DARKROOM_CSV_COLUMNS, GRID_CSV_COLUMNS, DegenerateOptimum,
+                         GridSpec, darkroom_eval, evaluation_policy, generate_tasks,
+                         optimality_gap, reference_policy, run_experiment_grid)
 from .rollout import ExternalPolicyClient
 from .solvers import BeliefSolverConfig, MdpSolution
-from .theory import E2Config, e2_rows_to_csv, run_e2_simulation
+from .theory import E2_CSV_COLUMNS, E2Config, run_e2_simulation
 
 # stream indices hung off the root generator, one per pipeline stage
 STREAM_TASKS, STREAM_EVAL, STREAM_CORPUS, STREAM_THEORY, STREAM_DARKROOM = range(5)
@@ -109,33 +108,47 @@ def _validate_config(cfg: dict):
         if not cond:
             raise ConfigError(f"field {field!r}: {why}")
 
+    def number(value, kind=(int, float)):  # bools are ints to Python, not here
+        return isinstance(value, kind) and not isinstance(value, bool)
+
     require(cfg["setting"] in _SETTINGS, "setting", f"must be one of {_SETTINGS}")
-    require(isinstance(cfg["seed"], int), "seed", "must be an integer")
-    require(isinstance(cfg["num_tasks"], int) and cfg["num_tasks"] >= 1,
+    require(number(cfg["seed"], int), "seed", "must be an integer")
+    require(number(cfg["num_tasks"], int) and cfg["num_tasks"] >= 1,
             "num_tasks", "must be a positive integer")
     env = cfg["env"]
-    require(env["energy_cap"] >= 1, "env.energy_cap", "must be >= 1")
-    require(env["horizon"] >= 1, "env.horizon", "must be >= 1")
-    require(0.0 < env["discount"] <= 1.0, "env.discount", "must lie in (0, 1]")
-    require(0.0 < env["obs_prob"] <= 1.0, "env.obs_prob", "must lie in (0, 1]")
-    lo, hi = env["p_range"]
-    require(0.0 < lo <= hi <= 1.0, "env.p_range", "must satisfy 0 < lo <= hi <= 1")
+    require(number(env["energy_cap"], int) and env["energy_cap"] >= 1,
+            "env.energy_cap", "must be an integer >= 1")
+    require(number(env["horizon"], int) and env["horizon"] >= 1,
+            "env.horizon", "must be an integer >= 1")
+    require(number(env["discount"]) and 0.0 < env["discount"] <= 1.0,
+            "env.discount", "must be a number in (0, 1]")
+    require(number(env["obs_prob"]) and 0.0 < env["obs_prob"] <= 1.0,
+            "env.obs_prob", "must be a number in (0, 1]")
+    p_range = env["p_range"]
+    require(isinstance(p_range, (list, tuple)) and len(p_range) == 2
+            and all(map(number, p_range)) and 0.0 < p_range[0] <= p_range[1] <= 1.0,
+            "env.p_range", "must be numbers [lo, hi] with 0 < lo <= hi <= 1")
     amb = cfg["ambiguity"]
-    require(amb["num_models"] >= 1, "ambiguity.num_models", "must be >= 1")
-    require(amb["kl_radius"] > 0.0, "ambiguity.kl_radius", "must be positive")
-    require(0.0 <= amb["alpha"] <= 1.0, "ambiguity.alpha", "must lie in [0, 1]")
+    require(number(amb["num_models"], int) and amb["num_models"] >= 1,
+            "ambiguity.num_models", "must be an integer >= 1")
+    require(number(amb["kl_radius"]) and amb["kl_radius"] > 0.0,
+            "ambiguity.kl_radius", "must be a positive number")
+    require(number(amb["alpha"]) and 0.0 <= amb["alpha"] <= 1.0,
+            "ambiguity.alpha", "must be a number in [0, 1]")
     sol = cfg["solver"]
-    require(0.0 < sol["quantization"] <= 0.5, "solver.quantization",
-            "must lie in (0, 0.5]")
-    require(sol["node_budget"] >= 1, "solver.node_budget", "must be >= 1")
+    require(number(sol["quantization"]) and 0.0 < sol["quantization"] <= 0.5,
+            "solver.quantization", "must be a number in (0, 0.5]")
+    require(number(sol["node_budget"]) and sol["node_budget"] >= 1,
+            "solver.node_budget", "must be a number >= 1")
     ds = cfg["dataset"]
     require(ds["format"] in ("sft", "dpt"), "dataset.format", "must be sft or dpt")
-    require(ds["trajectories_per_task"] >= 1, "dataset.trajectories_per_task",
-            "must be >= 1")
+    require(number(ds["trajectories_per_task"], int) and ds["trajectories_per_task"] >= 1,
+            "dataset.trajectories_per_task", "must be an integer >= 1")
     ev = cfg["eval"]
     require(ev["policy"] in _POLICIES, "eval.policy", f"must be one of {_POLICIES}")
-    if ev["rollouts_per_task"] is not None:
-        require(ev["rollouts_per_task"] >= 1, "eval.rollouts_per_task", "must be >= 1")
+    rollouts = ev["rollouts_per_task"]
+    require(rollouts is None or (number(rollouts, int) and rollouts >= 1),
+            "eval.rollouts_per_task", "must be null or an integer >= 1")
     require(ev["external"]["transport"] in ("tcp", "child"),
             "eval.external.transport", "must be tcp or child")
     dk = cfg["darkroom"]
@@ -170,26 +183,15 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _energy_params(cfg: dict) -> EnergyParams:
-    env = cfg["env"]
-    return EnergyParams(
-        energy_cap=env["energy_cap"], charge_cost=env["charge_cost"],
-        success_prob=env["success_prob"], p_range=tuple(env["p_range"]),
-        obs_prob=env["obs_prob"], horizon=env["horizon"], discount=env["discount"])
+    return EnergyParams(**dict(cfg["env"], p_range=tuple(cfg["env"]["p_range"])))
 
 
 def _ambiguity(cfg: dict) -> AmbiguityConfig:
-    amb = cfg["ambiguity"]
-    return AmbiguityConfig(
-        num_models=amb["num_models"], kl_radius=amb["kl_radius"],
-        concentration=amb["concentration"], max_attempts=amb["max_attempts"],
-        alpha=amb["alpha"])
+    return AmbiguityConfig(**cfg["ambiguity"])
 
 
 def _solver(cfg: dict) -> BeliefSolverConfig:
-    sol = cfg["solver"]
-    return BeliefSolverConfig(
-        quantization=sol["quantization"], node_budget=sol["node_budget"],
-        obs_prune=sol["obs_prune"], expansion_chunk=sol["expansion_chunk"])
+    return BeliefSolverConfig(**cfg["solver"])
 
 
 def _darkroom_goals(cfg: dict) -> list[tuple[int, int]]:
@@ -358,7 +360,7 @@ def cmd_eval(cfg: dict, args) -> int:
                         ambiguity=_ambiguity(cfg), solver=_solver(cfg))
         rows = run_experiment_grid(spec, rng, jobs=jobs)
         path = reports / "grid.csv"
-        grid_rows_to_csv(rows, path)
+        write_csv(rows, GRID_CSV_COLUMNS, path)
         _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
         print(f"eval: wrote {len(rows)} grid row(s) to {path}")
         return 0
@@ -378,8 +380,8 @@ def cmd_eval(cfg: dict, args) -> int:
             jobs = 1
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]
-        rollouts = cfg["eval"]["rollouts_per_task"] or \
-            (90 if cfg["setting"] == "apomdp" else 30)
+        rollouts = cfg["eval"]["rollouts_per_task"] or (
+            GridSpec.rollouts_apomdp if cfg["setting"] == "apomdp" else GridSpec.rollouts_mdp)
         reference = "exact" if all(r == "exact" for r in refs) else "qmdp-fallback"
         report = optimality_gap(tasks, oracles, handles, rng, rollouts,
                                 reference=reference, jobs=jobs)
@@ -422,7 +424,7 @@ def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng) -> int:
         if client is not None:
             client.close()
     csv_path = reports / "darkroom.csv"
-    darkroom_rows_to_csv(summary["rows"], csv_path)
+    write_csv(summary["rows"], DARKROOM_CSV_COLUMNS, csv_path)
     json_path = reports / "darkroom.json"
     json_path.write_text(json.dumps(
         {k: v for k, v in summary.items() if k != "rows"},
@@ -457,7 +459,7 @@ def cmd_theory_sim(cfg: dict, args) -> int:
                   seed=cfg["seed"])
     rows = run_e2_simulation(e2, jobs=args.jobs or 1)
     path = reports / "theory_e2.csv"
-    e2_rows_to_csv(rows, path)
+    write_csv(rows, E2_CSV_COLUMNS, path)
     _write_manifest(out, "theory-sim", cfg, [str(path.relative_to(out))])
     violations = sum(1 for r in rows if r["violated"])
     print(f"theory-sim: {len(rows)} cell(s), {violations} bound violation(s) -> {path}")

@@ -201,6 +201,21 @@ def write_jsonl(path, records: list[dict]):
             fh.write("\n")
 
 
+def write_csv(rows: list[dict], columns, path):
+    """Fixed-column CSV: None empty, bools 1/0, floats via repr for stable bytes."""
+    def cell(val):
+        if val is None:
+            return ""
+        if isinstance(val, bool):
+            return "1" if val else "0"
+        return repr(val) if isinstance(val, float) else str(val)
+
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(row[col]) for col in columns) + "\n")
+
+
 def read_jsonl(path) -> list[dict]:
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]

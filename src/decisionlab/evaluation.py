@@ -18,7 +18,7 @@ used, since a fallback reference makes "gap" relative to an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -155,6 +155,11 @@ def generate_tasks(setting: str, num_tasks: int, params: EnergyParams,
     return [gens[setting](rng.split(i)) for i in range(num_tasks)]
 
 
+def _nominal_pomdp(task) -> TabularPOMDP:
+    """The POMDP a belief task is simulated under (an ambiguous task's first model)."""
+    return task.base_pomdp() if isinstance(task, AmbiguousPOMDP) else task
+
+
 def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
                      allow_fallback: bool = True) -> tuple[PolicyHandle, str]:
     """Best available reference decision-maker for a task.
@@ -167,35 +172,29 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
         return PolicyHandle.oracle(solve_mdp(task)), "exact"
     if isinstance(task, DarkroomTask):
         return PolicyHandle.oracle(task), "exact"
-    if isinstance(task, TabularPOMDP):
-        try:
+    if not isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
+        raise TypeError(f"unsupported task type {type(task).__name__}")
+    try:
+        if isinstance(task, TabularPOMDP):
             return PolicyHandle.oracle(solve_pomdp(task, solver_config)), "exact"
-        except BudgetExceeded:
-            if not allow_fallback:
-                raise
-            return PolicyHandle.qmdp(qmdp_policy(task)), "qmdp-fallback"
-    if isinstance(task, AmbiguousPOMDP):
-        try:
-            return PolicyHandle.oracle(solve_apomdp(task, solver_config)), "exact"
-        except BudgetExceeded:
-            if not allow_fallback:
-                raise
-            return PolicyHandle.qmdp(qmdp_policy(task.base_pomdp())), "qmdp-fallback"
-    raise TypeError(f"unsupported task type {type(task).__name__}")
+        return PolicyHandle.oracle(solve_apomdp(task, solver_config)), "exact"
+    except BudgetExceeded:
+        if not allow_fallback:
+            raise
+        return PolicyHandle.qmdp(qmdp_policy(_nominal_pomdp(task))), "qmdp-fallback"
 
 
 def evaluation_policy(kind: str, task, reference: PolicyHandle,
                       client: ExternalPolicyClient | None = None) -> PolicyHandle:
+    """The handle of policy ``kind`` on ``task``; ``reference`` is its oracle."""
     if kind == "oracle":
         return reference
     if kind == "random":
         return PolicyHandle.random()
     if kind == "qmdp":
-        if isinstance(task, TabularPOMDP):
-            return PolicyHandle.qmdp(qmdp_policy(task))
-        if isinstance(task, AmbiguousPOMDP):
-            return PolicyHandle.qmdp(qmdp_policy(task.base_pomdp()))
-        raise ValueError("qmdp evaluation requires a belief task")
+        if not isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
+            raise ValueError("qmdp evaluation requires a belief task")
+        return PolicyHandle.qmdp(qmdp_policy(_nominal_pomdp(task)))
     if kind == "external":
         if client is None:
             raise ValueError("external evaluation requires a client")
@@ -258,16 +257,11 @@ def run_experiment_grid(spec: GridSpec, rng: Rng,
     rows = []
     for cell_index, cell in enumerate(_grid_cells(spec)):
         setting, policy_kind, T, q, nm, alpha = cell
-        params = EnergyParams(
-            energy_cap=spec.params.energy_cap, charge_cost=spec.params.charge_cost,
-            success_prob=spec.params.success_prob, p_range=spec.params.p_range,
-            obs_prob=(q if q is not None else spec.params.obs_prob),
-            horizon=T, discount=spec.params.discount)
-        ambiguity = AmbiguityConfig(
+        params = replace(spec.params, horizon=T,
+                         obs_prob=(q if q is not None else spec.params.obs_prob))
+        ambiguity = replace(
+            spec.ambiguity,
             num_models=(nm if nm is not None else spec.ambiguity.num_models),
-            kl_radius=spec.ambiguity.kl_radius,
-            concentration=spec.ambiguity.concentration,
-            max_attempts=spec.ambiguity.max_attempts,
             alpha=(alpha if alpha is not None else spec.ambiguity.alpha))
         cell_rng = rng.split(cell_index)
         tasks = generate_tasks(setting, spec.num_tasks, params, ambiguity,
@@ -298,22 +292,6 @@ def run_experiment_grid(spec: GridSpec, rng: Rng,
     return rows
 
 
-def grid_rows_to_csv(rows: list[dict], path):
-    with open(path, "w") as fh:
-        fh.write(",".join(GRID_CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in GRID_CSV_COLUMNS:
-                val = row[col]
-                if val is None:
-                    cells.append("")
-                elif isinstance(val, float):
-                    cells.append(repr(val))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # darkroom
 
@@ -334,16 +312,7 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
     per_goal = []
     for i, goal in enumerate(goals):
         task = DarkroomTask(goal, size, horizon)
-        if policy_kind == "oracle":
-            handle = PolicyHandle.oracle(task)
-        elif policy_kind == "random":
-            handle = PolicyHandle.random()
-        elif policy_kind == "external":
-            if client is None:
-                raise ValueError("external evaluation requires a client")
-            handle = PolicyHandle.external(client)
-        else:
-            raise ValueError(f"unknown policy kind {policy_kind!r}")
+        handle = evaluation_policy(policy_kind, task, PolicyHandle.oracle(task), client)
         goal_rng = rng.split(i)
         returns = [rollout(task, handle, goal_rng.split(j),
                            task_id=f"darkroom_{goal[0]}_{goal[1]}").online_return
@@ -359,12 +328,3 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
     return {"rows": rows, "mean_return": float(arr.mean()),
             "ci_low": lo, "ci_high": hi, "policy": policy_kind,
             "num_goals": len(goals)}
-
-
-def darkroom_rows_to_csv(rows: list[dict], path):
-    with open(path, "w") as fh:
-        fh.write(",".join(DARKROOM_CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = [repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                     for c in DARKROOM_CSV_COLUMNS]
-            fh.write(",".join(cells) + "\n")

@@ -19,6 +19,7 @@ mapped to action 0; malformed replies and timeouts abort the episode.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import selectors
@@ -27,12 +28,13 @@ import subprocess
 import threading
 from dataclasses import dataclass
 
-from .core import (AmbiguousPOMDP, Belief, Rng, Step, TabularMDP, TabularPOMDP,
-                   Trajectory, belief_update)
+from .core import (AmbiguousPOMDP, Belief, Rng, TabularMDP, TabularPOMDP, Trajectory,
+                   belief_update)
 from .envs import DarkroomTask
 from .solvers import MdpSolution, QmdpPolicy, RobustSolution
 
 DEFAULT_TIMEOUT = 60.0
+CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
 
 
 class ProtocolError(RuntimeError):
@@ -157,12 +159,17 @@ class ExternalPolicyClient:
         if self._sock is not None:
             self._sock.close()
             self._sock = None
-        if self._proc is not None:
-            if self._proc.stdin:
-                self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5.0)
-            self._proc = None
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            with contextlib.suppress(BrokenPipeError):  # bytes left for a dead child
+                proc.stdin.close()
+            proc.terminate()
+            try:
+                proc.wait(timeout=CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -177,12 +184,12 @@ class ExternalPolicyClient:
 
 @dataclass
 class PolicyHandle:
-    """A policy the rollout loop can drive.
+    """A policy kind and what it acts through; ``rollout`` makes it an action function.
 
     kind "oracle" wraps a solved task (MdpSolution, RobustSolution, or a
     DarkroomTask for its closed-form policy); "qmdp" wraps a QmdpPolicy;
-    "random" draws uniform actions from the policy stream; "external" defers
-    to a wire-protocol client.
+    "random" draws uniform actions from the episode's policy stream;
+    "external" sends one wire request per period through its client.
     """
 
     kind: str
@@ -206,34 +213,19 @@ class PolicyHandle:
         return cls("external", client=client)
 
 
-def _task_spaces(task) -> tuple[int, int]:
-    if isinstance(task, (TabularMDP, DarkroomTask)):
-        return task.num_states, task.num_actions
-    if isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
-        return task.num_states, task.num_actions
-    raise TypeError(f"unsupported task type {type(task).__name__}")
+_ORACLE_TYPES = {TabularMDP: MdpSolution, TabularPOMDP: RobustSolution,
+                 AmbiguousPOMDP: RobustSolution, DarkroomTask: DarkroomTask}
 
 
 def _check_oracle_matches(task, solution):
-    S, A = _task_spaces(task)
-    if isinstance(task, TabularMDP):
-        if not isinstance(solution, MdpSolution):
-            raise TypeError("oracle for an MDP must be an MdpSolution")
-        ok = solution.task.num_states == S and solution.task.num_actions == A \
-            and solution.task.horizon == task.horizon
-    elif isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
-        if not isinstance(solution, RobustSolution):
-            raise TypeError("oracle for a belief task must be a RobustSolution")
-        ok = solution.num_states == S and solution.num_actions == A \
-            and solution.horizon == task.horizon
-    elif isinstance(task, DarkroomTask):
-        if not isinstance(solution, DarkroomTask):
-            raise TypeError("oracle for a Darkroom task is the task itself")
-        ok = solution.goal == task.goal and solution.size == task.size \
-            and solution.horizon == task.horizon
-    else:
-        ok = False
-    if not ok:
+    expected = _ORACLE_TYPES[type(task)]
+    if not isinstance(solution, expected):
+        raise TypeError(f"oracle for a {type(task).__name__} must be a {expected.__name__}")
+
+    def shape(x):  # a Darkroom oracle must also share the goal
+        return x.num_states, x.num_actions, x.horizon, getattr(x, "goal", None)
+
+    if shape(solution.task if isinstance(solution, MdpSolution) else solution) != shape(task):
         raise ValueError("oracle solution does not match the task's dimensions")
 
 
@@ -249,96 +241,46 @@ class RolloutResult:
     invalid_actions: int = 0
 
 
-class _Stepper:
-    """Chooses actions; implementations are stateless between calls."""
+def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
+               context: FewShotContext | None, task_id: str):
+    """The action function ``act(t, obs, belief, history)`` of a policy handle.
 
-    def act(self, t: int, obs: int, belief: Belief | None,
-            history: list[Step]) -> int:
-        raise NotImplementedError
-
-
-class _RandomStepper(_Stepper):
-    def __init__(self, num_actions: int, rng: Rng):
-        self.num_actions = num_actions
-        self.rng = rng
-
-    def act(self, t, obs, belief, history):
-        return int(self.rng.integers(0, self.num_actions))
-
-
-class _MdpOracleStepper(_Stepper):
-    def __init__(self, solution: MdpSolution):
-        self.solution = solution
-
-    def act(self, t, obs, belief, history):
-        return self.solution.action(t, obs)
-
-
-class _BeliefOracleStepper(_Stepper):
-    def __init__(self, solution: RobustSolution):
-        self.solution = solution
-
-    def act(self, t, obs, belief, history):
-        return self.solution.action(t, belief)
-
-
-class _QmdpStepper(_Stepper):
-    def __init__(self, policy: QmdpPolicy):
-        self.policy = policy
-
-    def act(self, t, obs, belief, history):
-        return self.policy.action(t, belief)
-
-
-class _DarkroomOracleStepper(_Stepper):
-    def __init__(self, task: DarkroomTask):
-        self.task = task
-
-    def act(self, t, obs, belief, history):
-        return self.task.oracle_action(obs)
-
-
-class _ExternalStepper(_Stepper):
-    def __init__(self, client: ExternalPolicyClient, task_id: str,
-                 context: FewShotContext | None, num_actions: int):
-        self.client = client
-        self.task_id = task_id
-        self.context = context.encoded if context is not None else ""
-        self.num_actions = num_actions
-
-    def act(self, t, obs, belief, history):
-        request = {
-            "task_id": self.task_id,
-            "step": t,
-            "context": self.context,
-            "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
-                        for s in history],
-            "current_obs": int(obs),
-            "num_actions": self.num_actions,
-        }
-        return self.client.query(request, self.num_actions)
-
-
-def _make_stepper(task, policy: PolicyHandle, policy_rng: Rng,
-                  context: FewShotContext | None, task_id: str) -> _Stepper:
-    S, A = _task_spaces(task)
+    ``obs`` is the state for fully observed tasks; ``belief`` is the nominal
+    Bayes belief for belief tasks and None otherwise.
+    """
+    num_actions = task.num_actions
+    solution = policy.solution
     if policy.kind == "random":
-        return _RandomStepper(A, policy_rng)
+        return lambda t, obs, belief, history: int(policy_rng.integers(0, num_actions))
     if policy.kind == "oracle":
-        _check_oracle_matches(task, policy.solution)
-        if isinstance(task, TabularMDP):
-            return _MdpOracleStepper(policy.solution)
+        _check_oracle_matches(task, solution)
         if isinstance(task, DarkroomTask):
-            return _DarkroomOracleStepper(policy.solution)
-        return _BeliefOracleStepper(policy.solution)
+            return lambda t, obs, belief, history: solution.oracle_action(obs)
+        if isinstance(task, TabularMDP):
+            return lambda t, obs, belief, history: solution.action(t, obs)
+        return lambda t, obs, belief, history: solution.action(t, belief)
     if policy.kind == "qmdp":
-        if not isinstance(policy.solution, QmdpPolicy):
+        if not isinstance(solution, QmdpPolicy):
             raise TypeError("qmdp handle must wrap a QmdpPolicy")
-        return _QmdpStepper(policy.solution)
+        return lambda t, obs, belief, history: solution.action(t, belief)
     if policy.kind == "external":
         if policy.client is None:
             raise ValueError("external handle must carry a client")
-        return _ExternalStepper(policy.client, task_id, context, A)
+        encoded = context.encoded if context is not None else ""
+
+        def act(t, obs, belief, history):
+            request = {
+                "task_id": task_id,
+                "step": t,
+                "context": encoded,
+                "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
+                            for s in history],
+                "current_obs": int(obs),
+                "num_actions": num_actions,
+            }
+            return policy.client.query(request, num_actions)
+
+        return act
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
@@ -347,91 +289,60 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
             task_id: str = "") -> RolloutResult:
     """Simulate one episode; the environment stream is independent of the policy.
 
-    The trajectory records one (obs, action, reward) step per period.  For
-    belief tasks the result carries the per-period Bayes beliefs (under the
-    nominal model) as a side channel; invalid external actions are mapped to
-    action 0 and counted.
+    The trajectory records one (obs, action, reward) step per period; an MDP's
+    observation is its state.  Belief tasks draw each observation after the
+    state and carry the per-period Bayes beliefs (under the nominal model) as
+    a side channel; Darkroom is deterministic and makes no draws.  Invalid
+    external actions are mapped to action 0 and counted.
     """
+    if type(task) not in _ORACLE_TYPES:
+        raise TypeError(f"unsupported task type {type(task).__name__}")
     env_rng = rng.split(0)
-    stepper = _make_stepper(task, policy, rng.split(1), context, task_id)
-    if isinstance(task, TabularMDP):
-        return _run_mdp(task, stepper, env_rng, task_id)
-    if isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
-        return _run_belief_task(task, stepper, env_rng, task_id)
-    if isinstance(task, DarkroomTask):
-        return _run_darkroom(task, stepper, task_id)
-    raise TypeError(f"unsupported task type {type(task).__name__}")
-
-
-def _choose(stepper: _Stepper, t: int, obs: int, belief: Belief | None,
-            history: list[Step]) -> tuple[int, int]:
-    """Action plus how many invalid replies were coerced to action 0."""
-    try:
-        return stepper.act(t, obs, belief, history), 0
-    except InvalidAction:
-        return 0, 1
-
-
-def _run_mdp(task: TabularMDP, stepper: _Stepper, env_rng: Rng,
-             task_id: str) -> RolloutResult:
+    act = _policy_fn(task, policy, rng.split(1), context, task_id)
     traj = Trajectory(task_id)
     total, weight, invalid = 0.0, 1.0, 0
-    state = env_rng.draw_index(task.initial_dist)
-    for t in range(1, task.horizon + 1):
-        action, bad = _choose(stepper, t, state, None, traj.steps)
-        invalid += bad
-        reward = float(task.reward[state, action])
-        traj.append(state, action, reward)
-        total += weight * reward
-        weight *= task.discount
-        if t < task.horizon:
-            state = env_rng.draw_index(task.transition[state, action])
-    return RolloutResult(traj, total, None, invalid)
-
-
-def _run_belief_task(task, stepper: _Stepper, env_rng: Rng,
-                     task_id: str) -> RolloutResult:
-    if isinstance(task, AmbiguousPOMDP):
-        transition = task.models[0].transition
-        observation = task.models[0].observation
+    if isinstance(task, DarkroomTask):
+        state = task.state_index(0, 0)
+        for t in range(1, task.horizon + 1):
+            try:
+                action = act(t, state, None, traj.steps)
+            except InvalidAction:
+                action, invalid = 0, invalid + 1
+            next_state, reward = task.step(state, action)
+            traj.append(state, action, reward)
+            total += reward
+            state = next_state
+        return RolloutResult(traj, total, None, invalid)
+    if isinstance(task, TabularMDP):
+        transition, observation = task.transition, None
         reward, initial = task.reward, task.initial_dist
-        horizon, discount = task.horizon, task.discount
-    else:
+    elif isinstance(task, TabularPOMDP):
         transition, observation = task.mdp.transition, task.observation
         reward, initial = task.mdp.reward, task.mdp.initial_dist
-        horizon, discount = task.horizon, task.discount
-    traj = Trajectory(task_id)
-    total, weight, invalid = 0.0, 1.0, 0
+    else:  # ambiguous tasks are simulated under their nominal (first) model
+        transition, observation = task.models[0].transition, task.models[0].observation
+        reward, initial = task.reward, task.initial_dist
     state = env_rng.draw_index(initial)
-    # the first observation is emitted before any action (kernel slot 0)
-    obs = env_rng.draw_index(observation[state, 0])
-    belief = Belief(initial)
-    beliefs = [belief]
-    for t in range(1, horizon + 1):
-        action, bad = _choose(stepper, t, obs, belief, traj.steps)
-        invalid += bad
+    obs, belief, beliefs = state, None, None
+    if observation is not None:
+        # the first observation is emitted before any action (kernel slot 0)
+        obs = env_rng.draw_index(observation[state, 0])
+        belief = Belief(initial)
+        beliefs = [belief]
+    for t in range(1, task.horizon + 1):
+        try:
+            action = act(t, obs, belief, traj.steps)
+        except InvalidAction:
+            action, invalid = 0, invalid + 1
         r = float(reward[state, action])
         traj.append(obs, action, r)
         total += weight * r
-        weight *= discount
-        if t < horizon:
+        weight *= task.discount
+        if t < task.horizon:
             state = env_rng.draw_index(transition[state, action])
-            obs = env_rng.draw_index(observation[state, action])
-            belief = belief_update(belief, action, obs, transition, observation)
-            beliefs.append(belief)
+            obs = state
+            if observation is not None:
+                obs = env_rng.draw_index(observation[state, action])
+                belief = belief_update(belief, action, obs, transition, observation)
+                beliefs.append(belief)
     return RolloutResult(traj, total, beliefs, invalid)
-
-
-def _run_darkroom(task: DarkroomTask, stepper: _Stepper,
-                  task_id: str) -> RolloutResult:
-    traj = Trajectory(task_id)
-    total, invalid = 0.0, 0
-    state = task.state_index(0, 0)
-    for t in range(1, task.horizon + 1):
-        action, bad = _choose(stepper, t, state, None, traj.steps)
-        invalid += bad
-        next_state, reward = task.step(state, action)
-        traj.append(state, action, reward)
-        total += reward
-        state = next_state
-    return RolloutResult(traj, total, None, invalid)

@@ -498,20 +498,3 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
     else:
         rows = [_e2_cell(t) for t in tasks]
     return rows
-
-
-def e2_rows_to_csv(rows: list[dict], path):
-    """Fixed-column CSV; floats via repr for stable, round-trippable bytes."""
-    with open(path, "w") as fh:
-        fh.write(",".join(E2_CSV_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in E2_CSV_COLUMNS:
-                val = row[col]
-                if isinstance(val, bool):
-                    cells.append("1" if val else "0")
-                elif isinstance(val, float):
-                    cells.append(repr(val))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")

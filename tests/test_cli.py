@@ -89,6 +89,26 @@ def test_invalid_config_value(tmp_path, capsys):
     assert "setting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"ambiguity": {"num_models": "3"}}, "ambiguity.num_models"),
+    ({"env": {"horizon": "5"}}, "env.horizon"),
+    ({"env": {"horizon": 5.0}}, "env.horizon"),
+    ({"env": {"discount": True}}, "env.discount"),
+    ({"env": {"p_range": ["0.5", 1.0]}}, "env.p_range"),
+    ({"env": {"p_range": 0.5}}, "env.p_range"),
+    ({"num_tasks": True}, "num_tasks"),
+    ({"solver": {"node_budget": None}}, "solver.node_budget"),
+    ({"eval": {"rollouts_per_task": "30"}}, "eval.rollouts_per_task"),
+])
+def test_wrong_typed_config_value_names_field(tmp_path, capsys, override, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(override))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert repr(field) in err
+
+
 def test_config_file_missing_or_malformed(tmp_path, capsys):
     assert main(["gen", "--config", str(tmp_path / "absent.json")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from decisionlab.dataset import (
     encode,
     read_jsonl,
     save_corpus,
+    write_csv,
     write_jsonl,
 )
 from decisionlab.rollout import PolicyHandle, rollout
@@ -211,6 +212,14 @@ def test_jsonl_roundtrip_and_byte_stability(tmp_path):
     assert read_jsonl(p1) == records
     # keys are sorted, separators compact
     assert p1.read_text().splitlines()[0].startswith('{"a":[1,2],"b":1,')
+
+
+def test_write_csv_cell_rules(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [{"a": None, "b": True, "c": 0.1, "d": 3, "e": "x", "unused": 1},
+            {"a": 1.0, "b": False, "c": 1e-20, "d": -2, "e": ""}]
+    write_csv(rows, ("e", "a", "b", "c", "d"), path)
+    assert path.read_text() == "e,a,b,c,d\nx,,1,0.1,3\n,1.0,0,1e-20,-2\n"
 
 
 def test_save_corpus_writes_manifest(tmp_path):

@@ -7,16 +7,16 @@ import pytest
 from scipy import stats
 
 from decisionlab.core import Rng, TabularMDP
+from decisionlab.dataset import write_csv
 from decisionlab.envs import AmbiguityConfig, EnergyParams
 from decisionlab.evaluation import (
+    DARKROOM_CSV_COLUMNS,
     DegenerateOptimum,
     GRID_CSV_COLUMNS,
     GridSpec,
     darkroom_eval,
-    darkroom_rows_to_csv,
     evaluation_policy,
     generate_tasks,
-    grid_rows_to_csv,
     optimality_gap,
     reference_policy,
     run_experiment_grid,
@@ -205,7 +205,7 @@ def test_run_experiment_grid_minimal(tmp_path):
     assert 0.0 < row["mean_gap"] < 1.0
     assert row["reference"] == "exact"
     path = tmp_path / "grid.csv"
-    grid_rows_to_csv(rows, path)
+    write_csv(rows, GRID_CSV_COLUMNS, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(GRID_CSV_COLUMNS)
     # inapplicable axes serialize as empty cells
@@ -249,7 +249,7 @@ def test_darkroom_eval_random_is_poor_and_reproducible(tmp_path):
     assert a == b
     assert a["mean_return"] < 10.0
     path = tmp_path / "dark.csv"
-    darkroom_rows_to_csv(a["rows"], path)
+    write_csv(a["rows"], DARKROOM_CSV_COLUMNS, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("goal_row,goal_col")

@@ -1,6 +1,9 @@
 """Episode simulation, paired env streams, and the external-policy protocol."""
 
+import hashlib
+import importlib
 import json
+import signal
 import socket
 import sys
 import threading
@@ -10,7 +13,9 @@ import numpy as np
 import pytest
 
 from decisionlab.core import Belief, Rng, TabularPOMDP, belief_update
-from decisionlab.envs import DarkroomTask, EnergyParams, gen_energy_apomdp, gen_energy_pomdp, noisy_level_observation
+from decisionlab.dataset import encode
+from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen_energy_mdp,
+                             gen_energy_pomdp, noisy_level_observation)
 from decisionlab.envs import AmbiguityConfig
 from decisionlab.rollout import (
     ExternalPolicyClient,
@@ -20,6 +25,7 @@ from decisionlab.rollout import (
     ProtocolError,
     rollout,
 )
+from decisionlab.evaluation import evaluation_policy, reference_policy
 from decisionlab.solvers import BeliefSolverConfig, qmdp_policy, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, tiny_energy_pomdp
@@ -308,3 +314,92 @@ def test_external_child_process_exit_detected():
         time.sleep(0.3)
         with pytest.raises(ProtocolError):
             client.query({"x": 1}, num_actions=2)
+
+
+IGNORES_SIGTERM = r"""
+import signal, sys, time
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+for line in sys.stdin:
+    sys.stdout.write('{"action": 0}\n')
+    sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+def test_close_kills_a_child_that_ignores_sigterm(monkeypatch):
+    # the package re-exports the ``rollout`` function under the module's name
+    monkeypatch.setattr(importlib.import_module("decisionlab.rollout"), "CLOSE_GRACE_S", 0.2)
+    client = ExternalPolicyClient.child_process(
+        [sys.executable, "-c", IGNORES_SIGTERM], timeout=10.0)
+    assert client.query({"x": 1}, num_actions=2) == 0  # SIGTERM is ignored by now
+    proc = client._proc
+    start = time.monotonic()
+    client.close()
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == -signal.SIGKILL
+    with pytest.raises(ProtocolError):
+        client.query({"x": 1}, num_actions=2)
+    client.close()  # a second close is a no-op
+
+
+# ---------------------------------------------------------------------------
+# golden digests
+
+
+# SHA-256 over 8 episodes per (task, policy kind): encoded trajectory,
+# repr(online_return), invalid-action count and the raw bytes of every belief.
+# Reruns only prove determinism within one version; these fixed values pin
+# the rollout loop's output bytes across versions.
+GOLDEN_ROLLOUT_DIGESTS = {
+    "mdp/random":
+        "3f15f02e7a9a6d294adf8529508fab6aaa250e56f6adf7c71a991ae2fece3c50",
+    "mdp/oracle":
+        "3af99e2c12445364f09a264d0355cfd6aa8f85d44a240f499525027a0093feb9",
+    "pomdp/random":
+        "df0e75b3399b8913fecafae717eb61a351b65f889830a20dedf48034c92c8e4d",
+    "pomdp/oracle":
+        "91f5c2d4c825a1f70123b0e013eb143746d5aa1779234574a36da99c5ad8a8d9",
+    "pomdp/qmdp":
+        "03be933a9db436e2bc698ec4f6eaefb204d81fc49714014a76b600c764207738",
+    "apomdp/random":
+        "67c6dd8fee7ec3f2c2501092b6135173e1734878db94d0e025712fd731175ad7",
+    "apomdp/oracle":
+        "c86355078d4edc9d60c7e398a7f7100fa4b836bd3dd79dea9c4afe30f6bd47a4",
+    "apomdp/qmdp":
+        "89c05b60a759d44b533bf86a9e2a1b7b0ac4644d1af9286c44872248cde4595c",
+    "darkroom/random":
+        "98f5a9f882b56eb1cef064491ce2c007555eb561cc30f428945a2f045f80d8f9",
+    "darkroom/oracle":
+        "b15d8703b15d36076c6f1e67e65acd342f643ff45249453da164c4a9b0b6fb6f",
+}
+
+
+def _golden_tasks():
+    return {
+        "mdp": gen_energy_mdp(EnergyParams(energy_cap=3, horizon=6), Rng(101)),
+        # noisy enough that the oracle and QMDP disagree on some episodes
+        "pomdp": gen_energy_pomdp(EnergyParams(energy_cap=3, obs_prob=0.6, horizon=6),
+                                  Rng(106)),
+        "apomdp": gen_energy_apomdp(EnergyParams(energy_cap=3, obs_prob=0.6, horizon=5),
+                                    AmbiguityConfig(num_models=3), Rng(108)),
+        "darkroom": DarkroomTask(goal=(3, 7), size=8, horizon=24),
+    }
+
+
+def test_rollout_golden_digests():
+    digests = {}
+    for setting, task in _golden_tasks().items():
+        reference, label = reference_policy(task)
+        assert label == "exact"
+        kinds = ["random", "oracle"] + (["qmdp"] if setting in ("pomdp", "apomdp") else [])
+        for kind in kinds:
+            handle = evaluation_policy(kind, task, reference)
+            h = hashlib.sha256()
+            for j in range(8):
+                res = rollout(task, handle, Rng(2026).split(j), task_id=f"{setting}-{kind}")
+                h.update(encode(res.trajectory).encode() + b"\n")
+                h.update(f"{res.online_return!r} {res.invalid_actions}\n".encode())
+                for belief in res.beliefs or ():
+                    h.update(belief.probs.tobytes())
+            digests[f"{setting}/{kind}"] = h.hexdigest()
+    assert digests == GOLDEN_ROLLOUT_DIGESTS

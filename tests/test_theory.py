@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decisionlab.core import Rng
+from decisionlab.dataset import write_csv
 from decisionlab.theory import (
     Diverged,
     E2Config,
@@ -16,7 +17,6 @@ from decisionlab.theory import (
     LsaPredictor,
     Prompt,
     covariance_condition,
-    e2_rows_to_csv,
     evaluate_lsa,
     gamma_matrix,
     gap_bound,
@@ -320,7 +320,7 @@ def test_e2_parallel_equals_serial():
 def test_e2_csv_roundtrip(tmp_path):
     rows = run_e2_simulation(TINY_E2)
     path = tmp_path / "grid.csv"
-    e2_rows_to_csv(rows, path)
+    write_csv(rows, E2_CSV_COLUMNS, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(E2_CSV_COLUMNS)
     assert len(lines) == 1 + len(rows)
@@ -330,5 +330,5 @@ def test_e2_csv_roundtrip(tmp_path):
         assert cells[-1] == ("1" if row["violated"] else "0")
     # rerun writes identical bytes
     path2 = tmp_path / "grid2.csv"
-    e2_rows_to_csv(run_e2_simulation(TINY_E2), path2)
+    write_csv(run_e2_simulation(TINY_E2), E2_CSV_COLUMNS, path2)
     assert path2.read_bytes() == path.read_bytes()
