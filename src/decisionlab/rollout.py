@@ -292,8 +292,8 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
     The trajectory records one (obs, action, reward) step per period; an MDP's
     observation is its state.  Belief tasks draw each observation after the
     state and carry the per-period Bayes beliefs (under the nominal model) as
-    a side channel; Darkroom is deterministic and makes no draws.  Invalid
-    external actions are mapped to action 0 and counted.
+    a side channel; Darkroom is deterministic and makes no environment
+    draws.  Invalid external actions are mapped to action 0 and counted.
     """
     if type(task) not in _ORACLE_TYPES:
         raise TypeError(f"unsupported task type {type(task).__name__}")
