@@ -7,9 +7,8 @@ the in-context learning theory for linear self-attention.
 
 __version__ = "0.1.0"
 
-from .core import (AmbiguousPOMDP, Belief, KernelPair, Rng, Step, TabularMDP,
-                   TabularPOMDP, Trajectory, Unsupported, ZeroLikelihood,
-                   belief_predictive, belief_update, kl_divergence)
+from .core import (Belief, KernelPair, Rng, Step, TabularTask, Trajectory, Unsupported,
+                   ZeroLikelihood, belief_predictive, belief_update, kl_divergence)
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, SamplingExhausted,
                    all_darkroom_goals, gen_energy_apomdp, gen_energy_mdp,
                    gen_energy_pomdp, load_task, sample_ambiguity_set, save_task,

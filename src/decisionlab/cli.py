@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -44,23 +45,26 @@ class ConfigError(Exception):
     pass
 
 
+def _section(cls, *skip: str) -> dict:
+    """The defaults of dataclass ``cls`` as a config section, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+def _from_section(cls, section: dict, **extra):
+    """``cls`` built from a config section, lists as tuples, plus ``extra``."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()},
+               **extra)
+
+
 DEFAULT_CONFIG = {
     "setting": "mdp",
     "seed": 0,
     "out": "runs/default",
     "num_tasks": 20,
-    "env": {
-        "energy_cap": 9, "charge_cost": -0.02, "success_prob": None,
-        "p_range": [0.5, 1.0], "obs_prob": 0.8, "horizon": 10, "discount": 0.95,
-    },
-    "ambiguity": {
-        "num_models": 3, "kl_radius": 0.2, "concentration": 50.0,
-        "max_attempts": 10000, "alpha": 0.5,
-    },
-    "solver": {
-        "quantization": 1e-3, "node_budget": 5_000_000, "obs_prune": 1e-12,
-        "expansion_chunk": 4096,
-    },
+    "env": _section(EnergyParams),
+    "ambiguity": _section(AmbiguityConfig),
+    "solver": _section(BeliefSolverConfig),
     "dataset": {
         "format": "sft", "trajectories_per_task": 15, "records_per_task": 15,
         "context_trajectories": 2,
@@ -70,17 +74,9 @@ DEFAULT_CONFIG = {
         "external": {"transport": "tcp", "host": "127.0.0.1", "port": 0,
                      "argv": [], "timeout": 60.0},
     },
-    "grid": {
-        "settings": ["mdp"], "horizons": [5, 10, 15],
-        "obs_probs": [0.5, 0.8, 1.0], "model_counts": [1, 3, 5],
-        "alphas": [0.5], "policies": ["random"], "num_tasks": 20,
-    },
-    "theory": {
-        "dim": 10, "num_actions": 5, "horizon": 10, "discount": 0.95,
-        "prompt_lengths": [10, 20, 50, 100, 200, 500, 1000],
-        "train_lengths": [100, 1000, 10000], "condition_numbers": [1, 5, 25],
-        "tasks_per_cell": 500, "coverage": 1.0,
-    },
+    "grid": _section(GridSpec, "params", "ambiguity", "solver", "rollouts_mdp",
+                     "rollouts_apomdp"),
+    "theory": _section(E2Config, "seed"),
     "darkroom": {
         "size": 10, "horizon": 100, "subset": "test", "train_fraction": 0.8,
         "rollouts_per_goal": 5,
@@ -91,15 +87,27 @@ _SETTINGS = ("mdp", "pomdp", "apomdp", "darkroom")
 _POLICIES = ("oracle", "random", "qmdp", "external")
 
 
+# default's type -> (accepted value types, description); a bool is rejected
+# everywhere, since no field is boolean and Python counts bools as ints
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"),
+            type(None): ((int, float, type(None)), "null or a number"),
+            str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
+
+
 def _merge_section(base: dict, override: dict, path: str) -> dict:
+    """``base`` updated from ``override``, each value checked against the
+    type of its default (``_ACCEPTS``)."""
     out = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown field {path}{key!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge_section(base[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
+            continue
+        allowed, what = _ACCEPTS[type(base[key])]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"field {path + key!r}: must be {what}")
+        out[key] = value
     return out
 
 
@@ -108,46 +116,36 @@ def _validate_config(cfg: dict):
         if not cond:
             raise ConfigError(f"field {field!r}: {why}")
 
-    def number(value, kind=(int, float)):  # bools are ints to Python, not here
-        return isinstance(value, kind) and not isinstance(value, bool)
+    def number(value):  # bools are ints to Python, not here
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     require(cfg["setting"] in _SETTINGS, "setting", f"must be one of {_SETTINGS}")
-    require(number(cfg["seed"], int), "seed", "must be an integer")
-    require(number(cfg["num_tasks"], int) and cfg["num_tasks"] >= 1,
-            "num_tasks", "must be a positive integer")
+    require(cfg["num_tasks"] >= 1, "num_tasks", "must be a positive integer")
     env = cfg["env"]
-    require(number(env["energy_cap"], int) and env["energy_cap"] >= 1,
-            "env.energy_cap", "must be an integer >= 1")
-    require(number(env["horizon"], int) and env["horizon"] >= 1,
-            "env.horizon", "must be an integer >= 1")
-    require(number(env["discount"]) and 0.0 < env["discount"] <= 1.0,
-            "env.discount", "must be a number in (0, 1]")
-    require(number(env["obs_prob"]) and 0.0 < env["obs_prob"] <= 1.0,
-            "env.obs_prob", "must be a number in (0, 1]")
+    require(env["energy_cap"] >= 1, "env.energy_cap", "must be an integer >= 1")
+    require(env["horizon"] >= 1, "env.horizon", "must be an integer >= 1")
+    require(0.0 < env["discount"] <= 1.0, "env.discount", "must be a number in (0, 1]")
+    require(0.0 < env["obs_prob"] <= 1.0, "env.obs_prob", "must be a number in (0, 1]")
     p_range = env["p_range"]
-    require(isinstance(p_range, (list, tuple)) and len(p_range) == 2
-            and all(map(number, p_range)) and 0.0 < p_range[0] <= p_range[1] <= 1.0,
+    require(len(p_range) == 2 and all(map(number, p_range))
+            and 0.0 < p_range[0] <= p_range[1] <= 1.0,
             "env.p_range", "must be numbers [lo, hi] with 0 < lo <= hi <= 1")
     amb = cfg["ambiguity"]
-    require(number(amb["num_models"], int) and amb["num_models"] >= 1,
-            "ambiguity.num_models", "must be an integer >= 1")
-    require(number(amb["kl_radius"]) and amb["kl_radius"] > 0.0,
-            "ambiguity.kl_radius", "must be a positive number")
-    require(number(amb["alpha"]) and 0.0 <= amb["alpha"] <= 1.0,
-            "ambiguity.alpha", "must be a number in [0, 1]")
+    require(amb["num_models"] >= 1, "ambiguity.num_models", "must be an integer >= 1")
+    require(amb["kl_radius"] > 0.0, "ambiguity.kl_radius", "must be a positive number")
+    require(0.0 <= amb["alpha"] <= 1.0, "ambiguity.alpha", "must be a number in [0, 1]")
     sol = cfg["solver"]
-    require(number(sol["quantization"]) and 0.0 < sol["quantization"] <= 0.5,
+    require(0.0 < sol["quantization"] <= 0.5,
             "solver.quantization", "must be a number in (0, 0.5]")
-    require(number(sol["node_budget"]) and sol["node_budget"] >= 1,
-            "solver.node_budget", "must be a number >= 1")
+    require(sol["node_budget"] >= 1, "solver.node_budget", "must be an integer >= 1")
     ds = cfg["dataset"]
     require(ds["format"] in ("sft", "dpt"), "dataset.format", "must be sft or dpt")
-    require(number(ds["trajectories_per_task"], int) and ds["trajectories_per_task"] >= 1,
+    require(ds["trajectories_per_task"] >= 1,
             "dataset.trajectories_per_task", "must be an integer >= 1")
     ev = cfg["eval"]
     require(ev["policy"] in _POLICIES, "eval.policy", f"must be one of {_POLICIES}")
     rollouts = ev["rollouts_per_task"]
-    require(rollouts is None or (number(rollouts, int) and rollouts >= 1),
+    require(rollouts is None or (isinstance(rollouts, int) and rollouts >= 1),
             "eval.rollouts_per_task", "must be null or an integer >= 1")
     require(ev["external"]["transport"] in ("tcp", "child"),
             "eval.external.transport", "must be tcp or child")
@@ -183,15 +181,15 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _energy_params(cfg: dict) -> EnergyParams:
-    return EnergyParams(**dict(cfg["env"], p_range=tuple(cfg["env"]["p_range"])))
+    return _from_section(EnergyParams, cfg["env"])
 
 
 def _ambiguity(cfg: dict) -> AmbiguityConfig:
-    return AmbiguityConfig(**cfg["ambiguity"])
+    return _from_section(AmbiguityConfig, cfg["ambiguity"])
 
 
 def _solver(cfg: dict) -> BeliefSolverConfig:
-    return BeliefSolverConfig(**cfg["solver"])
+    return _from_section(BeliefSolverConfig, cfg["solver"])
 
 
 def _darkroom_goals(cfg: dict) -> list[tuple[int, int]]:
@@ -217,11 +215,8 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
     metas = []
     for i, task in enumerate(tasks):
         child = rng.split(i)
-        meta = {"setting": cfg["setting"], "stream": [child.seed, child.stream]}
-        tr = task.models[0].transition if cfg["setting"] == "apomdp" \
-            else (task.transition if cfg["setting"] == "mdp" else task.mdp.transition)
-        meta["success_prob"] = float(tr[0, 0, 1])
-        metas.append(meta)
+        metas.append({"setting": cfg["setting"], "stream": [child.seed, child.stream],
+                      "success_prob": float(task.models[0].transition[0, 0, 1])})
     return tasks, metas
 
 
@@ -351,13 +346,8 @@ def cmd_eval(cfg: dict, args) -> int:
     rng = Rng(cfg["seed"]).split(STREAM_EVAL)
     jobs = args.jobs or 1
     if args.grid:
-        g = cfg["grid"]
-        spec = GridSpec(settings=tuple(g["settings"]), horizons=tuple(g["horizons"]),
-                        obs_probs=tuple(g["obs_probs"]),
-                        model_counts=tuple(g["model_counts"]),
-                        alphas=tuple(g["alphas"]), policies=tuple(g["policies"]),
-                        num_tasks=g["num_tasks"], params=_energy_params(cfg),
-                        ambiguity=_ambiguity(cfg), solver=_solver(cfg))
+        spec = _from_section(GridSpec, cfg["grid"], params=_energy_params(cfg),
+                             ambiguity=_ambiguity(cfg), solver=_solver(cfg))
         rows = run_experiment_grid(spec, rng, jobs=jobs)
         path = reports / "grid.csv"
         write_csv(rows, GRID_CSV_COLUMNS, path)
@@ -450,13 +440,7 @@ def cmd_theory_sim(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     reports = out / "reports"
     reports.mkdir(parents=True, exist_ok=True)
-    t = cfg["theory"]
-    e2 = E2Config(dim=t["dim"], num_actions=t["num_actions"], horizon=t["horizon"],
-                  discount=t["discount"], prompt_lengths=tuple(t["prompt_lengths"]),
-                  train_lengths=tuple(t["train_lengths"]),
-                  condition_numbers=tuple(t["condition_numbers"]),
-                  tasks_per_cell=t["tasks_per_cell"], coverage=t["coverage"],
-                  seed=cfg["seed"])
+    e2 = _from_section(E2Config, cfg["theory"], seed=cfg["seed"])
     rows = run_e2_simulation(e2, jobs=args.jobs or 1)
     path = reports / "theory_e2.csv"
     write_csv(rows, E2_CSV_COLUMNS, path)

@@ -1,4 +1,4 @@
-"""Shared domain types: seeded randomness, tabular decision processes, belief algebra.
+"""Shared domain types: seeded randomness, the tabular task type, belief algebra.
 
 Conventions used throughout the package:
 
@@ -127,122 +127,77 @@ def _validated_probs(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# decision-process containers
-
-
-@dataclass
-class TabularMDP:
-    """Finite-horizon tabular MDP.
-
-    ``transition`` has shape (S, A, S), ``reward`` (S, A), ``initial_dist`` (S,).
-    ``discount`` weights period t by discount**(t-1) in returns.
-    """
-
-    num_states: int
-    num_actions: int
-    transition: np.ndarray
-    reward: np.ndarray
-    initial_dist: np.ndarray
-    horizon: int
-    discount: float = 1.0
-
-    def __post_init__(self):
-        S, A = self.num_states, self.num_actions
-        self.transition = _validated_probs(
-            np.asarray(self.transition, dtype=np.float64).reshape(S, A, S), "transition")
-        self.reward = np.asarray(self.reward, dtype=np.float64).reshape(S, A).copy()
-        if not np.all(np.isfinite(self.reward)):
-            raise ValueError("reward: non-finite entries")
-        self.reward.flags.writeable = False
-        self.initial_dist = _validated_probs(
-            np.asarray(self.initial_dist, dtype=np.float64).reshape(S), "initial_dist")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not (0.0 < self.discount <= 1.0):
-            raise ValueError("discount must lie in (0, 1]")
-
-
-@dataclass
-class TabularPOMDP:
-    """Tabular MDP plus an observation kernel of shape (S, A, O).
-
-    ``observation[s, a, o]`` is the probability of emitting ``o`` from state
-    ``s`` when the most recent action was ``a``; the initial observation (before
-    any action) uses action index 0.
-    """
-
-    mdp: TabularMDP
-    num_obs: int
-    observation: np.ndarray
-
-    def __post_init__(self):
-        S, A = self.mdp.num_states, self.mdp.num_actions
-        self.observation = _validated_probs(
-            np.asarray(self.observation, dtype=np.float64).reshape(S, A, self.num_obs),
-            "observation")
-
-    @property
-    def num_states(self) -> int:
-        return self.mdp.num_states
-
-    @property
-    def num_actions(self) -> int:
-        return self.mdp.num_actions
-
-    @property
-    def horizon(self) -> int:
-        return self.mdp.horizon
-
-    @property
-    def discount(self) -> float:
-        return self.mdp.discount
+# tabular tasks
 
 
 @dataclass
 class KernelPair:
-    """One candidate model of an ambiguous POMDP: (transition, observation)."""
+    """One candidate model: transition (S, A, S) and observation (S, A, O).
+
+    ``observation[s, a, o]`` is the probability of emitting ``o`` from state
+    ``s`` when the most recent action was ``a``; the initial observation
+    (before any action) uses action index 0.  A fully observed task has no
+    observation kernel (None): its observation is its state.
+    """
 
     transition: np.ndarray
-    observation: np.ndarray
+    observation: np.ndarray | None = None
 
 
 @dataclass
-class AmbiguousPOMDP:
-    """POMDP whose dynamics are only known up to a finite set of candidate models.
+class TabularTask:
+    """Finite-horizon tabular task: an MDP, a POMDP or an ambiguous POMDP.
 
-    ``models[0]`` is the nominal (base) model used for simulation unless stated
-    otherwise; ``alpha`` in [0, 1] weights worst-case against best-case model
-    evaluation when planning (1 = fully pessimistic).
+    ``kind`` is "mdp" (the state is observed), "pomdp" or "apomdp" (dynamics
+    known only up to the candidate models).  ``models[0]`` is the nominal
+    model, which the task is simulated under; an MDP or POMDP has exactly one
+    model.  ``reward`` has shape (S, A) and ``initial_dist`` (S,); the sizes
+    are read from the arrays.  ``discount`` weights period t by
+    discount**(t-1) in returns; ``alpha`` in [0, 1] weights worst-case
+    against best-case model evaluation when planning (1 = fully pessimistic).
     """
 
-    num_states: int
-    num_actions: int
-    num_obs: int
+    kind: str
     models: list[KernelPair]
     reward: np.ndarray
     initial_dist: np.ndarray
     horizon: int
     discount: float = 1.0
-    alpha: float = 0.5
+    alpha: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in ("mdp", "pomdp", "apomdp"):
+            raise ValueError(f"kind must be mdp, pomdp or apomdp, got {self.kind!r}")
         if not self.models:
             raise ValueError("models must be non-empty")
-        S, A, O = self.num_states, self.num_actions, self.num_obs
+        if self.kind != "apomdp" and len(self.models) != 1:
+            raise ValueError(f"a {self.kind} task has exactly one model")
+        self.reward = np.array(self.reward, dtype=np.float64)
+        if self.reward.ndim != 2 or not np.all(np.isfinite(self.reward)):
+            raise ValueError("reward: must be a finite (S, A) array")
+        self.reward.flags.writeable = False
+        S, A = self.reward.shape
+        self.initial_dist = _validated_probs(self.initial_dist, "initial_dist")
+        if self.initial_dist.shape != (S,):
+            raise ValueError(f"initial_dist: shape {self.initial_dist.shape}, expected {(S,)}")
         fixed = []
         for i, m in enumerate(self.models):
-            P = _validated_probs(np.asarray(m.transition, dtype=np.float64).reshape(S, A, S),
-                                 f"models[{i}].transition")
-            Q = _validated_probs(np.asarray(m.observation, dtype=np.float64).reshape(S, A, O),
-                                 f"models[{i}].observation")
+            P = _validated_probs(m.transition, f"models[{i}].transition")
+            if P.shape != (S, A, S):
+                raise ValueError(f"models[{i}].transition: shape {P.shape}, "
+                                 f"expected {(S, A, S)}")
+            if (m.observation is None) != (self.kind == "mdp"):
+                raise ValueError(f"models[{i}].observation: required for a belief "
+                                 "task, absent for an mdp")
+            Q = m.observation
+            if Q is not None:
+                Q = _validated_probs(Q, f"models[{i}].observation")
+                want = fixed[0].observation.shape if fixed else (S, A, Q.shape[-1])
+                if Q.shape != want:
+                    raise ValueError(f"models[{i}].observation: shape {Q.shape}, "
+                                     f"expected {want}")
             fixed.append(KernelPair(P, Q))
         self.models = fixed
-        self.reward = np.asarray(self.reward, dtype=np.float64).reshape(S, A).copy()
-        if not np.all(np.isfinite(self.reward)):
-            raise ValueError("reward: non-finite entries")
-        self.reward.flags.writeable = False
-        self.initial_dist = _validated_probs(
-            np.asarray(self.initial_dist, dtype=np.float64).reshape(S), "initial_dist")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not (0.0 < self.discount <= 1.0):
@@ -250,12 +205,19 @@ class AmbiguousPOMDP:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
 
-    def base_pomdp(self) -> TabularPOMDP:
-        """The nominal model as an ordinary POMDP (used for simulation/fallbacks)."""
-        base = self.models[0]
-        mdp = TabularMDP(self.num_states, self.num_actions, base.transition,
-                         self.reward, self.initial_dist, self.horizon, self.discount)
-        return TabularPOMDP(mdp, self.num_obs, base.observation)
+    @property
+    def num_states(self) -> int:
+        return self.reward.shape[0]
+
+    @property
+    def num_actions(self) -> int:
+        return self.reward.shape[1]
+
+    @property
+    def num_obs(self) -> int:
+        """Observation count; an MDP observes its state."""
+        observation = self.models[0].observation
+        return self.num_states if observation is None else observation.shape[2]
 
 
 # ---------------------------------------------------------------------------

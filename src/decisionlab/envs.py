@@ -16,13 +16,12 @@ Darkroom: a 10x10 grid with an unknown goal cell; reward 1 only for executing
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import (AmbiguousPOMDP, KernelPair, Rng, TabularMDP, TabularPOMDP,
-                   kl_divergence)
+from .core import KernelPair, Rng, TabularTask, kl_divergence
 
 SCHEMA_VERSION = 1
 
@@ -88,12 +87,13 @@ def _resolve_success_prob(params: EnergyParams, rng: Rng) -> float:
     return p
 
 
-def gen_energy_mdp(params: EnergyParams, rng: Rng) -> TabularMDP:
+def gen_energy_mdp(params: EnergyParams, rng: Rng) -> TabularTask:
     """Sample one fully observed energy task (uniform initial level)."""
     p = _resolve_success_prob(params, rng)
     P, R = energy_kernels(params.energy_cap, params.charge_cost, p)
     S = params.energy_cap + 1
-    return TabularMDP(S, 3, P, R, np.full(S, 1.0 / S), params.horizon, params.discount)
+    return TabularTask("mdp", [KernelPair(P)], R, np.full(S, 1.0 / S), params.horizon,
+                       params.discount)
 
 
 def noisy_level_observation(num_states: int, num_actions: int, obs_prob: float) -> np.ndarray:
@@ -107,11 +107,11 @@ def noisy_level_observation(num_states: int, num_actions: int, obs_prob: float) 
     return np.repeat(Q[:, None, :], num_actions, axis=1)
 
 
-def gen_energy_pomdp(params: EnergyParams, rng: Rng) -> TabularPOMDP:
+def gen_energy_pomdp(params: EnergyParams, rng: Rng) -> TabularTask:
     """Sample one partially observed energy task."""
     mdp = gen_energy_mdp(params, rng)
     obs = noisy_level_observation(mdp.num_states, mdp.num_actions, params.obs_prob)
-    return TabularPOMDP(mdp, mdp.num_states, obs)
+    return replace(mdp, kind="pomdp", models=[KernelPair(mdp.models[0].transition, obs)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +196,12 @@ def sample_ambiguity_set(transition: np.ndarray, observation: np.ndarray,
 
 
 def gen_energy_apomdp(params: EnergyParams, config: AmbiguityConfig,
-                      rng: Rng) -> AmbiguousPOMDP:
+                      rng: Rng) -> TabularTask:
     """Sample one ambiguous energy task: base kernels plus a KL-ball model set."""
     pomdp = gen_energy_pomdp(params, rng)
-    models = sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation, config, rng)
-    return AmbiguousPOMDP(
-        num_states=pomdp.num_states, num_actions=pomdp.num_actions,
-        num_obs=pomdp.num_obs, models=models, reward=pomdp.mdp.reward,
-        initial_dist=pomdp.mdp.initial_dist, horizon=pomdp.horizon,
-        discount=pomdp.discount, alpha=config.alpha)
+    base = pomdp.models[0]
+    models = sample_ambiguity_set(base.transition, base.observation, config, rng)
+    return replace(pomdp, kind="apomdp", models=models, alpha=config.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ class DarkroomTask:
         gr, gc = self.goal
         return float(self.horizon - (gr + gc))
 
-    def to_mdp(self) -> TabularMDP:
+    def to_mdp(self) -> TabularTask:
         """Tabular encoding (deterministic kernels, start fixed at cell 0)."""
         S, A = self.num_states, self.num_actions
         P = np.zeros((S, A, S))
@@ -288,7 +285,7 @@ class DarkroomTask:
                 R[s, a] = rew
         rho = np.zeros(S)
         rho[self.state_index(0, 0)] = 1.0
-        return TabularMDP(S, A, P, R, rho, self.horizon, 1.0)
+        return TabularTask("mdp", [KernelPair(P)], R, rho, self.horizon, 1.0)
 
 
 def all_darkroom_goals(size: int = 10) -> list[tuple[int, int]]:
@@ -314,31 +311,27 @@ def split_goals(rng: Rng, size: int = 10,
 
 
 def task_to_dict(task, meta: dict | None = None) -> dict:
-    if isinstance(task, TabularMDP):
-        body = {
-            "kind": "mdp",
-            "num_states": task.num_states, "num_actions": task.num_actions,
-            "horizon": task.horizon, "discount": task.discount,
-            "transition": task.transition.tolist(), "reward": task.reward.tolist(),
-            "initial_dist": task.initial_dist.tolist(),
-        }
-    elif isinstance(task, TabularPOMDP):
-        body = task_to_dict(task.mdp)
-        body.update(kind="pomdp", num_obs=task.num_obs,
-                    observation=task.observation.tolist())
-    elif isinstance(task, AmbiguousPOMDP):
-        body = {
-            "kind": "apomdp",
-            "num_states": task.num_states, "num_actions": task.num_actions,
-            "num_obs": task.num_obs, "horizon": task.horizon,
-            "discount": task.discount, "alpha": task.alpha,
-            "reward": task.reward.tolist(), "initial_dist": task.initial_dist.tolist(),
-            "models": [{"transition": m.transition.tolist(),
-                        "observation": m.observation.tolist()} for m in task.models],
-        }
-    elif isinstance(task, DarkroomTask):
+    if isinstance(task, DarkroomTask):
         body = {"kind": "darkroom", "goal": list(task.goal), "size": task.size,
                 "horizon": task.horizon}
+    elif isinstance(task, TabularTask):
+        body = {
+            "kind": task.kind,
+            "num_states": task.num_states, "num_actions": task.num_actions,
+            "horizon": task.horizon, "discount": task.discount,
+            "reward": task.reward.tolist(), "initial_dist": task.initial_dist.tolist(),
+        }
+        nominal = task.models[0]
+        if task.kind == "apomdp":
+            body.update(alpha=task.alpha, models=[
+                {"transition": m.transition.tolist(), "observation": m.observation.tolist()}
+                for m in task.models])
+        else:  # the one model's kernels sit at the top level
+            body["transition"] = nominal.transition.tolist()
+        if task.kind == "pomdp":
+            body["observation"] = nominal.observation.tolist()
+        if task.kind != "mdp":
+            body["num_obs"] = task.num_obs
     else:
         raise TypeError(f"cannot serialize task of type {type(task).__name__}")
     body["schema_version"] = SCHEMA_VERSION
@@ -348,29 +341,24 @@ def task_to_dict(task, meta: dict | None = None) -> dict:
 
 
 def task_from_dict(data: dict):
+    """Inverse of ``task_to_dict``; declared sizes must match the arrays."""
     kind = data.get("kind")
-    if kind == "mdp":
-        return TabularMDP(data["num_states"], data["num_actions"],
-                          np.array(data["transition"]), np.array(data["reward"]),
-                          np.array(data["initial_dist"]), data["horizon"],
-                          data["discount"])
-    if kind == "pomdp":
-        mdp = TabularMDP(data["num_states"], data["num_actions"],
-                         np.array(data["transition"]), np.array(data["reward"]),
-                         np.array(data["initial_dist"]), data["horizon"],
-                         data["discount"])
-        return TabularPOMDP(mdp, data["num_obs"], np.array(data["observation"]))
-    if kind == "apomdp":
-        models = [KernelPair(np.array(m["transition"]), np.array(m["observation"]))
-                  for m in data["models"]]
-        return AmbiguousPOMDP(
-            num_states=data["num_states"], num_actions=data["num_actions"],
-            num_obs=data["num_obs"], models=models, reward=np.array(data["reward"]),
-            initial_dist=np.array(data["initial_dist"]), horizon=data["horizon"],
-            discount=data["discount"], alpha=data["alpha"])
     if kind == "darkroom":
         return DarkroomTask(tuple(data["goal"]), data["size"], data["horizon"])
-    raise ValueError(f"unknown task kind: {kind!r}")
+    if kind not in ("mdp", "pomdp", "apomdp"):
+        raise ValueError(f"unknown task kind: {kind!r}")
+    models = [KernelPair(np.array(m["transition"]),
+                         None if kind == "mdp" else np.array(m["observation"]))
+              for m in (data["models"] if kind == "apomdp" else [data])]
+    task = TabularTask(kind, models, np.array(data["reward"]),
+                       np.array(data["initial_dist"]), data["horizon"], data["discount"],
+                       data["alpha"] if kind == "apomdp" else 1.0)
+    declared = (data["num_states"], data["num_actions"],
+                data["num_obs"] if kind != "mdp" else data["num_states"])
+    if declared != (task.num_states, task.num_actions, task.num_obs):
+        raise ValueError(f"declared sizes {declared} disagree with the arrays' "
+                         f"{(task.num_states, task.num_actions, task.num_obs)}")
+    return task
 
 
 def save_task(path, task, meta: dict | None = None):

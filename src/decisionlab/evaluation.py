@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .core import AmbiguousPOMDP, Rng, TabularMDP, TabularPOMDP
+from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
 from .rollout import ExternalPolicyClient, FewShotContext, PolicyHandle, rollout
@@ -155,11 +155,6 @@ def generate_tasks(setting: str, num_tasks: int, params: EnergyParams,
     return [gens[setting](rng.split(i)) for i in range(num_tasks)]
 
 
-def _nominal_pomdp(task) -> TabularPOMDP:
-    """The POMDP a belief task is simulated under (an ambiguous task's first model)."""
-    return task.base_pomdp() if isinstance(task, AmbiguousPOMDP) else task
-
-
 def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
                      allow_fallback: bool = True) -> tuple[PolicyHandle, str]:
     """Best available reference decision-maker for a task.
@@ -168,20 +163,17 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
     exceeds the node budget, the QMDP policy on the (nominal) model if
     ``allow_fallback`` else the BudgetExceeded propagates.
     """
-    if isinstance(task, TabularMDP):
-        return PolicyHandle.oracle(solve_mdp(task)), "exact"
     if isinstance(task, DarkroomTask):
         return PolicyHandle.oracle(task), "exact"
-    if not isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
-        raise TypeError(f"unsupported task type {type(task).__name__}")
+    if task.kind == "mdp":
+        return PolicyHandle.oracle(solve_mdp(task)), "exact"
     try:
-        if isinstance(task, TabularPOMDP):
-            return PolicyHandle.oracle(solve_pomdp(task, solver_config)), "exact"
-        return PolicyHandle.oracle(solve_apomdp(task, solver_config)), "exact"
+        solve = solve_pomdp if task.kind == "pomdp" else solve_apomdp
+        return PolicyHandle.oracle(solve(task, solver_config)), "exact"
     except BudgetExceeded:
         if not allow_fallback:
             raise
-        return PolicyHandle.qmdp(qmdp_policy(_nominal_pomdp(task))), "qmdp-fallback"
+        return PolicyHandle.qmdp(qmdp_policy(task)), "qmdp-fallback"
 
 
 def evaluation_policy(kind: str, task, reference: PolicyHandle,
@@ -192,9 +184,9 @@ def evaluation_policy(kind: str, task, reference: PolicyHandle,
     if kind == "random":
         return PolicyHandle.random()
     if kind == "qmdp":
-        if not isinstance(task, (TabularPOMDP, AmbiguousPOMDP)):
+        if isinstance(task, DarkroomTask) or task.kind == "mdp":
             raise ValueError("qmdp evaluation requires a belief task")
-        return PolicyHandle.qmdp(qmdp_policy(_nominal_pomdp(task)))
+        return PolicyHandle.qmdp(qmdp_policy(task))
     if kind == "external":
         if client is None:
             raise ValueError("external evaluation requires a client")
@@ -216,7 +208,7 @@ class GridSpec:
     of 30 evaluation rollouts per task, tripled for ambiguous tasks.
     """
 
-    settings: tuple = ("mdp", "pomdp", "apomdp")
+    settings: tuple = ("mdp",)
     horizons: tuple = (5, 10, 15)
     obs_probs: tuple = (0.5, 0.8, 1.0)
     model_counts: tuple = (1, 3, 5)

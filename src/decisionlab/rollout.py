@@ -20,21 +20,23 @@ mapped to action 0; malformed replies and timeouts abort the episode.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import selectors
 import socket
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 
-from .core import (AmbiguousPOMDP, Belief, Rng, TabularMDP, TabularPOMDP, Trajectory,
-                   belief_update)
+from .core import Belief, Rng, TabularTask, Trajectory, belief_update
 from .envs import DarkroomTask
 from .solvers import MdpSolution, QmdpPolicy, RobustSolution
 
 DEFAULT_TIMEOUT = 60.0
 CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
+MAX_REPLY_BYTES = 1 << 20  # a reply is one small JSON object; a longer line is malformed
 
 
 class ProtocolError(RuntimeError):
@@ -61,41 +63,29 @@ class FewShotContext:
 # external-policy client
 
 
-def _recv_line_tcp(sock: socket.socket, buf: bytearray, timeout: float) -> bytes:
-    sock.settimeout(timeout)
-    while True:
-        nl = buf.find(b"\n")
-        if nl >= 0:
-            line = bytes(buf[:nl])
-            del buf[:nl + 1]
-            return line
-        try:
-            chunk = sock.recv(65536)
-        except socket.timeout:
-            raise TimeoutError("external policy did not reply within the timeout")
-        if not chunk:
-            raise ProtocolError("external policy closed the connection")
-        buf.extend(chunk)
+def _recv_line(fileobj, read, buf: bytearray, timeout: float) -> bytes:
+    """The next newline-terminated reply from ``fileobj`` (socket or pipe fd).
 
-
-def _recv_line_fd(fd: int, buf: bytearray, timeout: float) -> bytes:
-    sel = selectors.DefaultSelector()
-    sel.register(fd, selectors.EVENT_READ)
-    try:
-        while True:
-            nl = buf.find(b"\n")
-            if nl >= 0:
-                line = bytes(buf[:nl])
-                del buf[:nl + 1]
-                return line
-            if not sel.select(timeout):
+    ``read(n)`` returns up to n bytes, b"" at end of stream.  The whole reply
+    must arrive within ``timeout`` seconds, however it is split, and its line
+    may hold at most ``MAX_REPLY_BYTES`` bytes.
+    """
+    deadline = time.monotonic() + timeout
+    with selectors.DefaultSelector() as sel:
+        sel.register(fileobj, selectors.EVENT_READ)
+        while (nl := buf.find(b"\n", 0, MAX_REPLY_BYTES + 1)) < 0:
+            if len(buf) > MAX_REPLY_BYTES:
+                raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 or not sel.select(remaining):
                 raise TimeoutError("external policy did not reply within the timeout")
-            chunk = os.read(fd, 65536)
+            chunk = read(65536)
             if not chunk:
                 raise ProtocolError("external policy closed its output")
             buf.extend(chunk)
-    finally:
-        sel.close()
+    line = bytes(buf[:nl])
+    del buf[:nl + 1]
+    return line
 
 
 class ExternalPolicyClient:
@@ -133,13 +123,14 @@ class ExternalPolicyClient:
         with self._lock:
             if self._sock is not None:
                 self._sock.sendall(line)
-                raw = _recv_line_tcp(self._sock, self._buf, self.timeout)
+                raw = _recv_line(self._sock, self._sock.recv, self._buf, self.timeout)
             elif self._proc is not None:
                 if self._proc.poll() is not None:
                     raise ProtocolError("external policy process has exited")
                 self._proc.stdin.write(line)
                 self._proc.stdin.flush()
-                raw = _recv_line_fd(self._proc.stdout.fileno(), self._buf, self.timeout)
+                fd = self._proc.stdout.fileno()
+                raw = _recv_line(fd, functools.partial(os.read, fd), self._buf, self.timeout)
             else:
                 raise ProtocolError("client has no transport (already closed?)")
         try:
@@ -213,14 +204,11 @@ class PolicyHandle:
         return cls("external", client=client)
 
 
-_ORACLE_TYPES = {TabularMDP: MdpSolution, TabularPOMDP: RobustSolution,
-                 AmbiguousPOMDP: RobustSolution, DarkroomTask: DarkroomTask}
-
-
 def _check_oracle_matches(task, solution):
-    expected = _ORACLE_TYPES[type(task)]
+    expected = (DarkroomTask if isinstance(task, DarkroomTask)
+                else MdpSolution if task.kind == "mdp" else RobustSolution)
     if not isinstance(solution, expected):
-        raise TypeError(f"oracle for a {type(task).__name__} must be a {expected.__name__}")
+        raise TypeError(f"this task's oracle must be a {expected.__name__}")
 
     def shape(x):  # a Darkroom oracle must also share the goal
         return x.num_states, x.num_actions, x.horizon, getattr(x, "goal", None)
@@ -256,7 +244,7 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
         _check_oracle_matches(task, solution)
         if isinstance(task, DarkroomTask):
             return lambda t, obs, belief, history: solution.oracle_action(obs)
-        if isinstance(task, TabularMDP):
+        if task.kind == "mdp":
             return lambda t, obs, belief, history: solution.action(t, obs)
         return lambda t, obs, belief, history: solution.action(t, belief)
     if policy.kind == "qmdp":
@@ -295,7 +283,7 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
     a side channel; Darkroom is deterministic and makes no environment
     draws.  Invalid external actions are mapped to action 0 and counted.
     """
-    if type(task) not in _ORACLE_TYPES:
+    if not isinstance(task, (TabularTask, DarkroomTask)):
         raise TypeError(f"unsupported task type {type(task).__name__}")
     env_rng = rng.split(0)
     act = _policy_fn(task, policy, rng.split(1), context, task_id)
@@ -313,21 +301,14 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
             total += reward
             state = next_state
         return RolloutResult(traj, total, None, invalid)
-    if isinstance(task, TabularMDP):
-        transition, observation = task.transition, None
-        reward, initial = task.reward, task.initial_dist
-    elif isinstance(task, TabularPOMDP):
-        transition, observation = task.mdp.transition, task.observation
-        reward, initial = task.mdp.reward, task.mdp.initial_dist
-    else:  # ambiguous tasks are simulated under their nominal (first) model
-        transition, observation = task.models[0].transition, task.models[0].observation
-        reward, initial = task.reward, task.initial_dist
-    state = env_rng.draw_index(initial)
+    nominal = task.models[0]  # an ambiguous task is simulated under its first model
+    transition, observation, reward = nominal.transition, nominal.observation, task.reward
+    state = env_rng.draw_index(task.initial_dist)
     obs, belief, beliefs = state, None, None
     if observation is not None:
         # the first observation is emitted before any action (kernel slot 0)
         obs = env_rng.draw_index(observation[state, 0])
-        belief = Belief(initial)
+        belief = Belief(task.initial_dist)
         beliefs = [belief]
     for t in range(1, task.horizon + 1):
         try:

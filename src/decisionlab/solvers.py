@@ -1,7 +1,8 @@
-"""Exact and robust oracles.
+"""Exact and robust oracles for ``TabularTask``.
 
-``solve_mdp`` is plain finite-horizon backward induction.  ``solve_pomdp`` and
-``solve_apomdp`` share one belief-tree engine: beliefs reachable from the
+``solve_mdp`` is plain finite-horizon backward induction under a task's
+nominal transition kernel.  ``solve_pomdp`` (the nominal model alone) and
+``solve_apomdp`` (every candidate model) share one belief-tree engine: beliefs reachable from the
 initial distribution are enumerated level by level (one level per period),
 quantized onto a simplex grid so that recurring beliefs are merged, and values
 are computed by backward induction over the levels.  The robust recursion
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AmbiguousPOMDP, Belief, KernelPair, TabularMDP, TabularPOMDP
+from .core import Belief, KernelPair, TabularTask
 
 
 class BudgetExceeded(RuntimeError):
@@ -42,7 +43,7 @@ class BudgetExceeded(RuntimeError):
 class MdpSolution:
     """Backward-induction tables; row i holds period t = i + 1 (1-based time)."""
 
-    task: TabularMDP
+    task: TabularTask
     values: np.ndarray   # (T + 1, S); final row is the zero terminal value
     policy: np.ndarray   # (T, S) greedy actions, ties broken toward index 0
 
@@ -55,7 +56,7 @@ class MdpSolution:
     def q_values(self, t: int) -> np.ndarray:
         """State-action values at period t, shape (S, A)."""
         m = self.task
-        future = m.transition @ self.values[t]  # (S, A) of E[V_{t+1}]
+        future = m.models[0].transition @ self.values[t]  # (S, A) of E[V_{t+1}]
         return m.reward + m.discount * future
 
     def expected_return(self) -> float:
@@ -63,16 +64,18 @@ class MdpSolution:
         return float(self.task.initial_dist @ self.values[0])
 
 
-def solve_mdp(mdp: TabularMDP) -> MdpSolution:
-    """Exact finite-horizon backward induction."""
-    T, S = mdp.horizon, mdp.num_states
+def solve_mdp(task: TabularTask) -> MdpSolution:
+    """Exact finite-horizon backward induction under the nominal transition
+    kernel, as if the state were observed."""
+    T, S = task.horizon, task.num_states
+    transition = task.models[0].transition
     values = np.zeros((T + 1, S))
     policy = np.zeros((T, S), dtype=np.int64)
     for t in range(T - 1, -1, -1):
-        q = mdp.reward + mdp.discount * (mdp.transition @ values[t + 1])
+        q = task.reward + task.discount * (transition @ values[t + 1])
         values[t] = q.max(axis=1)
         policy[t] = q.argmax(axis=1)
-    return MdpSolution(mdp, values, policy)
+    return MdpSolution(task, values, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +344,15 @@ class RobustSolution:
         }
 
 
-def solve_pomdp(pomdp: TabularPOMDP,
+def solve_pomdp(task: TabularTask,
                 config: BeliefSolverConfig | None = None) -> RobustSolution:
-    """Belief-tree backward induction for an ordinary POMDP."""
+    """Belief-tree backward induction under the nominal model alone."""
     config = config or BeliefSolverConfig()
-    models = [KernelPair(pomdp.mdp.transition, pomdp.observation)]
-    return RobustSolution(models, pomdp.mdp.reward, pomdp.mdp.initial_dist,
-                          pomdp.horizon, pomdp.discount, alpha=1.0, config=config)
+    return RobustSolution(task.models[:1], task.reward, task.initial_dist,
+                          task.horizon, task.discount, alpha=1.0, config=config)
 
 
-def solve_apomdp(task: AmbiguousPOMDP,
+def solve_apomdp(task: TabularTask,
                  config: BeliefSolverConfig | None = None) -> RobustSolution:
     """Robust belief-tree backward induction over the candidate-model set."""
     config = config or BeliefSolverConfig()
@@ -371,14 +373,14 @@ class QmdpPolicy:
     information-gathering actions.
     """
 
-    def __init__(self, pomdp: TabularPOMDP):
-        self.pomdp = pomdp
-        self.mdp_solution = solve_mdp(pomdp.mdp)
+    def __init__(self, task: TabularTask):
+        self.mdp_solution = solve_mdp(task)
 
     def action(self, t: int, belief: Belief) -> int:
         scores = belief.probs @ self.mdp_solution.q_values(t)
         return int(scores.argmax())
 
 
-def qmdp_policy(pomdp: TabularPOMDP) -> QmdpPolicy:
-    return QmdpPolicy(pomdp)
+def qmdp_policy(task: TabularTask) -> QmdpPolicy:
+    """QMDP on a belief task's nominal model."""
+    return QmdpPolicy(task)

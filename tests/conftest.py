@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decisionlab.core import TabularMDP, TabularPOMDP
+from decisionlab.core import KernelPair, TabularTask
 from decisionlab.envs import energy_kernels, noisy_level_observation
 
 ACCEPTANCE_LINES: list[str] = []
@@ -30,24 +30,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # tiny task builders
 
 
-def tiny_energy_mdp(p=0.8, horizon=3, energy_cap=2, discount=0.95) -> TabularMDP:
+def tiny_energy_mdp(p=0.8, horizon=3, energy_cap=2, discount=0.95) -> TabularTask:
     P, R = energy_kernels(energy_cap, -0.02, p)
     S = energy_cap + 1
-    return TabularMDP(S, 3, P, R, np.full(S, 1.0 / S), horizon, discount)
+    return TabularTask("mdp", [KernelPair(P)], R, np.full(S, 1.0 / S), horizon, discount)
 
 
 def tiny_energy_pomdp(p=0.8, obs_prob=0.8, horizon=3, energy_cap=2,
-                      discount=0.95) -> TabularPOMDP:
+                      discount=0.95) -> TabularTask:
     mdp = tiny_energy_mdp(p, horizon, energy_cap, discount)
     obs = noisy_level_observation(mdp.num_states, mdp.num_actions, obs_prob)
-    return TabularPOMDP(mdp, mdp.num_states, obs)
+    return TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
+                       mdp.initial_dist, horizon, discount)
 
 
 # ---------------------------------------------------------------------------
 # brute-force references
 
 
-def enumerate_mdp_value(mdp: TabularMDP) -> float:
+def enumerate_mdp_value(mdp: TabularTask) -> float:
     """Best expected return over ALL deterministic Markov policies.
 
     Evaluates every (T x S -> A) table by exact backward policy evaluation;
@@ -62,23 +63,23 @@ def enumerate_mdp_value(mdp: TabularMDP) -> float:
             acts = np.array(choice[t])
             idx = np.arange(S)
             v = mdp.reward[idx, acts] + mdp.discount * np.einsum(
-                "sp,p->s", mdp.transition[idx, acts], v)
+                "sp,p->s", mdp.models[0].transition[idx, acts], v)
         best = max(best, float(mdp.initial_dist @ v))
     return best
 
 
-def uniform_policy_value(mdp: TabularMDP) -> float:
+def uniform_policy_value(mdp: TabularTask) -> float:
     """Exact expected return of the uniform-random policy."""
     v = np.zeros(mdp.num_states)
     for _ in range(mdp.horizon):
-        q = mdp.reward + mdp.discount * (mdp.transition @ v)
+        q = mdp.reward + mdp.discount * (mdp.models[0].transition @ v)
         v = q.mean(axis=1)
     return float(mdp.initial_dist @ v)
 
 
-def expectimax_pomdp_value(pomdp: TabularPOMDP) -> float:
+def expectimax_pomdp_value(pomdp: TabularTask) -> float:
     """Unmemoized exact expectimax over the (action, observation) tree."""
-    P, Q, R = pomdp.mdp.transition, pomdp.observation, pomdp.mdp.reward
+    P, Q, R = pomdp.models[0].transition, pomdp.models[0].observation, pomdp.reward
     gamma, T = pomdp.discount, pomdp.horizon
 
     def value(t, b):
@@ -100,7 +101,7 @@ def expectimax_pomdp_value(pomdp: TabularPOMDP) -> float:
             best = max(best, u)
         return best
 
-    return value(1, pomdp.mdp.initial_dist.copy())
+    return value(1, pomdp.initial_dist.copy())
 
 
 def robust_value(models, reward, rho, horizon, discount, alpha,

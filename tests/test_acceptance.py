@@ -18,7 +18,7 @@ import numpy as np
 from conftest import (ACCEPTANCE_LINES, enumerate_mdp_value,
                       expectimax_pomdp_value, robust_value, tiny_energy_mdp,
                       tiny_energy_pomdp, uniform_policy_value)
-from decisionlab.core import (AmbiguousPOMDP, Belief, KernelPair, Rng,
+from decisionlab.core import (Belief, KernelPair, Rng, TabularTask,
                               Trajectory, kl_divergence)
 from decisionlab.dataset import decode, encode
 from decisionlab.envs import (AmbiguityConfig, DarkroomTask, EnergyParams,
@@ -170,9 +170,8 @@ def test_solvers_match_brute_force_references():
         P1, R = energy_kernels(2, -0.02, 0.7)
         P2, _ = energy_kernels(2, -0.02, 0.55)
         Q = noisy_level_observation(3, 3, 1.0)
-        task = AmbiguousPOMDP(
-            num_states=3, num_actions=3, num_obs=3,
-            models=[KernelPair(P1, Q), KernelPair(P2, Q)],
+        task = TabularTask(
+            "apomdp", models=[KernelPair(P1, Q), KernelPair(P2, Q)],
             reward=R, initial_dist=np.array([1.0, 0.0, 0.0]),
             horizon=2, discount=0.95, alpha=0.4)
         want = robust_value([(m.transition, m.observation) for m in task.models],
@@ -209,7 +208,7 @@ def test_setting_collapses_are_consistent():
                                 EnergyParams(energy_cap=3, horizon=3),
                                 AmbiguityConfig(num_models=1), Rng(21))[0]
         ssol = solve_apomdp(single)
-        bsol = solve_pomdp(single.base_pomdp())
+        bsol = solve_pomdp(single)
         root = Belief(single.initial_dist)
         singleton_exact = (ssol.root_value == bsol.root_value
                            and ssol.action(1, root) == bsol.action(1, root))

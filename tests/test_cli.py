@@ -99,6 +99,10 @@ def test_invalid_config_value(tmp_path, capsys):
     ({"num_tasks": True}, "num_tasks"),
     ({"solver": {"node_budget": None}}, "solver.node_budget"),
     ({"eval": {"rollouts_per_task": "30"}}, "eval.rollouts_per_task"),
+    ({"setting": "darkroom", "darkroom": {"size": "10"}}, "darkroom.size"),
+    ({"solver": {"expansion_chunk": 10.5}}, "solver.expansion_chunk"),
+    ({"dataset": {"format": "dpt", "records_per_task": "4"}}, "dataset.records_per_task"),
+    ({"theory": {"tasks_per_cell": "5"}}, "theory.tasks_per_cell"),
 ])
 def test_wrong_typed_config_value_names_field(tmp_path, capsys, override, field):
     cfg = tmp_path / "bad.json"

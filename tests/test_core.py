@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from decisionlab.core import (
     Belief,
+    KernelPair,
     Rng,
-    TabularMDP,
+    TabularTask,
     Trajectory,
     Unsupported,
     ZeroLikelihood,
@@ -132,11 +133,11 @@ def test_tabular_mdp_validates_inputs():
     P[:, 0, 0] = 1.0
     R = np.zeros((2, 1))
     with pytest.raises(ValueError):
-        TabularMDP(2, 1, P, R, [0.7, 0.2], horizon=3)  # initial dist off
+        TabularTask("mdp", [KernelPair(P)], R, [0.7, 0.2], horizon=3)  # initial dist off
     with pytest.raises(ValueError):
-        TabularMDP(2, 1, P, R, [0.5, 0.5], horizon=0)
+        TabularTask("mdp", [KernelPair(P)], R, [0.5, 0.5], horizon=0)
     with pytest.raises(ValueError):
-        TabularMDP(2, 1, P, R, [0.5, 0.5], horizon=3, discount=1.5)
+        TabularTask("mdp", [KernelPair(P)], R, [0.5, 0.5], horizon=3, discount=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from decisionlab.core import Rng, TabularPOMDP, AmbiguousPOMDP, kl_divergence
+from decisionlab.core import Rng, kl_divergence
 from decisionlab.envs import (
     AmbiguityConfig,
     DarkroomTask,
@@ -58,12 +58,12 @@ def test_energy_rows_are_distributions():
 def test_gen_energy_mdp_fixed_and_sampled_p():
     params = EnergyParams(success_prob=0.75)
     mdp = gen_energy_mdp(params, Rng(0))
-    assert mdp.transition[0, 0, 1] == 0.75
+    assert mdp.models[0].transition[0, 0, 1] == 0.75
     assert mdp.num_states == 10 and mdp.num_actions == 3
     np.testing.assert_allclose(mdp.initial_dist, 0.1)
 
     sampled = EnergyParams()  # p ~ U[0.5, 1)
-    ps = [gen_energy_mdp(sampled, Rng(0).split(i)).transition[0, 0, 1] for i in range(40)]
+    ps = [gen_energy_mdp(sampled, Rng(0).split(i)).models[0].transition[0, 0, 1] for i in range(40)]
     assert all(0.5 <= p < 1.0 for p in ps)
     assert len(set(ps)) > 30  # actually varies across tasks
 
@@ -71,7 +71,7 @@ def test_gen_energy_mdp_fixed_and_sampled_p():
 def test_gen_energy_mdp_reproducible():
     a = gen_energy_mdp(EnergyParams(), Rng(7, 3))
     b = gen_energy_mdp(EnergyParams(), Rng(7, 3))
-    np.testing.assert_array_equal(a.transition, b.transition)
+    np.testing.assert_array_equal(a.models[0].transition, b.models[0].transition)
 
 
 def test_noisy_level_observation_shape_and_values():
@@ -92,10 +92,10 @@ def test_noisy_level_observation_perfect_sensor():
 
 def test_gen_energy_pomdp_wires_mdp_and_sensor():
     task = gen_energy_pomdp(EnergyParams(obs_prob=0.9, horizon=4), Rng(1))
-    assert isinstance(task, TabularPOMDP)
+    assert task.kind == "pomdp"
     assert task.num_obs == task.num_states
     assert task.horizon == 4
-    assert task.observation[3, 0, 3] == pytest.approx(0.9, abs=1e-12)
+    assert task.models[0].observation[3, 0, 3] == pytest.approx(0.9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +104,19 @@ def test_gen_energy_pomdp_wires_mdp_and_sensor():
 
 def test_ambiguity_set_base_is_element_zero():
     pomdp = gen_energy_pomdp(EnergyParams(), Rng(2))
-    models = sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation,
+    models = sample_ambiguity_set(pomdp.models[0].transition, pomdp.models[0].observation,
                                   AmbiguityConfig(num_models=3), Rng(2, 9))
     assert len(models) == 3
-    np.testing.assert_array_equal(models[0].transition, pomdp.mdp.transition)
-    np.testing.assert_array_equal(models[0].observation, pomdp.observation)
+    np.testing.assert_array_equal(models[0].transition, pomdp.models[0].transition)
+    np.testing.assert_array_equal(models[0].observation, pomdp.models[0].observation)
 
 
 def test_ambiguity_set_rows_inside_kl_ball_and_support_preserved():
     pomdp = gen_energy_pomdp(EnergyParams(), Rng(3))
     config = AmbiguityConfig(num_models=4, kl_radius=0.2)
-    models = sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation,
+    models = sample_ambiguity_set(pomdp.models[0].transition, pomdp.models[0].observation,
                                   config, Rng(3, 1))
-    base_P, base_Q = pomdp.mdp.transition, pomdp.observation
+    base_P, base_Q = pomdp.models[0].transition, pomdp.models[0].observation
     for m in models[1:]:
         for kernel, base in ((m.transition, base_P), (m.observation, base_Q)):
             S, A, _ = kernel.shape
@@ -130,7 +130,7 @@ def test_ambiguity_set_rows_inside_kl_ball_and_support_preserved():
 
 def test_ambiguity_set_charge_rows_share_one_perturbation():
     pomdp = gen_energy_pomdp(EnergyParams(), Rng(4))
-    models = sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation,
+    models = sample_ambiguity_set(pomdp.models[0].transition, pomdp.models[0].observation,
                                   AmbiguityConfig(num_models=3), Rng(4, 1))
     for m in models[1:]:
         np.testing.assert_array_equal(m.transition[:, 0, :], m.transition[:, 2, :])
@@ -142,10 +142,10 @@ def test_ambiguity_set_charge_rows_share_one_perturbation():
 
 def test_ambiguity_singleton_returns_base_only():
     pomdp = gen_energy_pomdp(EnergyParams(), Rng(5))
-    models = sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation,
+    models = sample_ambiguity_set(pomdp.models[0].transition, pomdp.models[0].observation,
                                   AmbiguityConfig(num_models=1), Rng(5, 1))
     assert len(models) == 1
-    np.testing.assert_array_equal(models[0].transition, pomdp.mdp.transition)
+    np.testing.assert_array_equal(models[0].transition, pomdp.models[0].transition)
 
 
 def test_ambiguity_sampler_exhaustion():
@@ -154,18 +154,18 @@ def test_ambiguity_sampler_exhaustion():
     config = AmbiguityConfig(num_models=2, kl_radius=1e-14, concentration=0.5,
                              max_attempts=25)
     with pytest.raises(SamplingExhausted):
-        sample_ambiguity_set(pomdp.mdp.transition, pomdp.observation, config, Rng(6, 1))
+        sample_ambiguity_set(pomdp.models[0].transition, pomdp.models[0].observation, config, Rng(6, 1))
 
 
 def test_gen_energy_apomdp_end_to_end():
     task = gen_energy_apomdp(EnergyParams(horizon=3), AmbiguityConfig(num_models=3),
                              Rng(8))
-    assert isinstance(task, AmbiguousPOMDP)
+    assert task.kind == "apomdp"
     assert len(task.models) == 3
     assert task.alpha == 0.5
     # simulation model is the base
-    base = task.base_pomdp()
-    np.testing.assert_array_equal(base.mdp.transition, task.models[0].transition)
+    base = gen_energy_pomdp(EnergyParams(horizon=3), Rng(8))
+    np.testing.assert_array_equal(base.models[0].transition, task.models[0].transition)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_darkroom_to_mdp_consistent_with_step():
     for s in range(task.num_states):
         for a in range(task.num_actions):
             ns, r = task.step(s, a)
-            assert mdp.transition[s, a, ns] == 1.0
+            assert mdp.models[0].transition[s, a, ns] == 1.0
             assert mdp.reward[s, a] == r
     assert mdp.initial_dist[0] == 1.0
 
@@ -273,11 +273,9 @@ def test_task_roundtrip_bit_exact(tmp_path, kind):
             np.testing.assert_array_equal(got.observation, want.observation)
         assert loaded.alpha == task.alpha
     else:
-        mdp_got = loaded.mdp if kind == "pomdp" else loaded
-        mdp_want = task.mdp if kind == "pomdp" else task
-        np.testing.assert_array_equal(mdp_got.transition, mdp_want.transition)
-        np.testing.assert_array_equal(mdp_got.reward, mdp_want.reward)
-        assert mdp_got.discount == mdp_want.discount
+        np.testing.assert_array_equal(loaded.models[0].transition, task.models[0].transition)
+        np.testing.assert_array_equal(loaded.reward, task.reward)
+        assert loaded.discount == task.discount
 
     # save -> load -> save is byte-identical
     first = path.read_bytes()
@@ -291,3 +289,20 @@ def test_task_dict_rejects_unknown_kind():
         task_from_dict({"kind": "markov-chain"})
     with pytest.raises(TypeError):
         task_to_dict(object())
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("mdp", "num_states"), ("mdp", "num_actions"), ("pomdp", "num_states"),
+    ("pomdp", "num_obs"), ("apomdp", "num_actions"), ("apomdp", "num_obs"),
+])
+def test_task_dict_sizes_must_match_arrays(kind, field):
+    params = EnergyParams(energy_cap=2, horizon=3)
+    task = {"mdp": lambda: gen_energy_mdp(params, Rng(9)),
+            "pomdp": lambda: gen_energy_pomdp(params, Rng(9)),
+            "apomdp": lambda: gen_energy_apomdp(params, AmbiguityConfig(num_models=2),
+                                                Rng(9))}[kind]()
+    data = task_to_dict(task)
+    task_from_dict(data)  # the sizes as written load
+    data[field] += 1
+    with pytest.raises(ValueError):
+        task_from_dict(data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from decisionlab.core import Rng, TabularMDP
+from decisionlab.core import KernelPair, Rng, TabularTask
 from decisionlab.dataset import write_csv
 from decisionlab.envs import AmbiguityConfig, EnergyParams
 from decisionlab.evaluation import (
@@ -76,7 +76,7 @@ def test_degenerate_tasks_are_excluded_and_counted():
     # a zero-reward task has OPT = 0 and must be excluded from the mean
     P = np.zeros((2, 2, 2))
     P[:, :, 0] = 1.0
-    dead = TabularMDP(2, 2, P, np.zeros((2, 2)), [1.0, 0.0], horizon=3)
+    dead = TabularTask("mdp", [KernelPair(P)], np.zeros((2, 2)), [1.0, 0.0], horizon=3)
     live = tiny_energy_mdp(horizon=3)
     tasks = [dead, live]
     oracles = [PolicyHandle.oracle(solve_mdp(t)) for t in tasks]
@@ -120,15 +120,14 @@ def test_t_interval_matches_direct_formula():
 
 def test_generate_tasks_settings_and_determinism():
     params = EnergyParams(energy_cap=2, horizon=3)
-    for setting, kind in (("mdp", "TabularMDP"), ("pomdp", "TabularPOMDP"),
-                          ("apomdp", "AmbiguousPOMDP")):
+    for setting in ("mdp", "pomdp", "apomdp"):
         tasks = generate_tasks(setting, 3, params, AmbiguityConfig(num_models=2),
                                Rng(4))
         assert len(tasks) == 3
-        assert all(type(t).__name__ == kind for t in tasks)
+        assert all(t.kind == setting for t in tasks)
     again = generate_tasks("mdp", 3, params, AmbiguityConfig(), Rng(4))
     first = generate_tasks("mdp", 3, params, AmbiguityConfig(), Rng(4))
-    np.testing.assert_array_equal(again[1].transition, first[1].transition)
+    np.testing.assert_array_equal(again[1].models[0].transition, first[1].models[0].transition)
     with pytest.raises(ValueError):
         generate_tasks("bandit", 1, params, AmbiguityConfig(), Rng(0))
 

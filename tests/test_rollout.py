@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from decisionlab.core import Belief, Rng, TabularPOMDP, belief_update
+from decisionlab.core import Belief, KernelPair, Rng, TabularTask, belief_update
 from decisionlab.dataset import encode
 from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen_energy_mdp,
                              gen_energy_pomdp, noisy_level_observation)
@@ -114,12 +114,12 @@ def test_belief_side_channel_replays_bayes_updates():
     task = gen_energy_pomdp(EnergyParams(energy_cap=3, horizon=5), Rng(4))
     res = rollout(task, PolicyHandle.random(), Rng(4, 2))
     assert len(res.beliefs) == task.horizon
-    np.testing.assert_array_equal(res.beliefs[0].probs, task.mdp.initial_dist)
-    b = Belief(task.mdp.initial_dist)
+    np.testing.assert_array_equal(res.beliefs[0].probs, task.initial_dist)
+    b = Belief(task.initial_dist)
     for t in range(1, task.horizon):
         step_t, step_next = res.trajectory.steps[t - 1], res.trajectory.steps[t]
         b = belief_update(b, step_t.action, step_next.obs,
-                          task.mdp.transition, task.observation)
+                          task.models[0].transition, task.models[0].observation)
         np.testing.assert_array_equal(res.beliefs[t].probs, b.probs)
 
 
@@ -127,8 +127,9 @@ def test_first_observation_emitted_before_any_action():
     # with a perfect sensor the first recorded obs is the sampled start state,
     # while the planner belief still starts at the unconditioned prior
     mdp = tiny_energy_mdp(horizon=3)
-    pomdp = TabularPOMDP(mdp, mdp.num_states,
-                         noisy_level_observation(mdp.num_states, mdp.num_actions, 1.0))
+    obs = noisy_level_observation(mdp.num_states, mdp.num_actions, 1.0)
+    pomdp = TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
+                        mdp.initial_dist, mdp.horizon, mdp.discount)
     res = rollout(pomdp, PolicyHandle.random(), Rng(6))
     start = Rng(6).split(0).draw_index(mdp.initial_dist)
     assert res.trajectory.steps[0].obs == start
@@ -141,7 +142,8 @@ def test_apomdp_simulated_under_nominal_model():
     res = rollout(task, PolicyHandle.random(), Rng(7, 1))
     # replaying the episode on the base model with the same generator gives
     # the identical trajectory
-    base = task.base_pomdp()
+    base = TabularTask("pomdp", task.models[:1], task.reward, task.initial_dist,
+                       task.horizon, task.discount)
     res2 = rollout(base, PolicyHandle.random(), Rng(7, 1))
     assert res.trajectory.steps == res2.trajectory.steps
 
@@ -260,6 +262,53 @@ def test_external_timeout_raises():
     with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=0.2) as client:
         with pytest.raises(TimeoutError):
             rollout(task, PolicyHandle.external(client), Rng(1))
+
+
+def test_external_reply_deadline_covers_a_drip_feeding_peer():
+    # every recv returns within the timeout, but the reply line never ends
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    stop = threading.Event()
+
+    def drip():
+        conn, _ = srv.accept()
+        with conn:
+            conn.recv(65536)
+            for _ in range(30):  # 3 s, then close
+                if stop.wait(0.1):
+                    break
+                conn.sendall(b" ")
+        srv.close()
+
+    threading.Thread(target=drip, daemon=True).start()
+    try:
+        with ExternalPolicyClient.tcp("127.0.0.1", srv.getsockname()[1],
+                                      timeout=0.3) as client:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.query({"x": 1}, num_actions=2)
+            assert time.monotonic() - start < 1.5
+    finally:
+        stop.set()
+
+
+OVERSIZE_CHILD = r"""
+import sys
+sys.stdin.readline()
+sys.stdout.write(" " * int(sys.argv[1]) + '{"action": 1}\n')
+sys.stdout.flush()
+sys.stdin.read()
+"""
+
+
+def test_external_oversize_reply_line_raises_protocol_error():
+    # leading blanks keep the line valid JSON, so only the length is at fault
+    limit = importlib.import_module("decisionlab.rollout").MAX_REPLY_BYTES
+    with ExternalPolicyClient.child_process(
+            [sys.executable, "-c", OVERSIZE_CHILD, str(limit)], timeout=10.0) as client:
+        with pytest.raises(ProtocolError, match="exceeds"):
+            client.query({"x": 1}, num_actions=2)
 
 
 def test_external_eof_raises_protocol_error():

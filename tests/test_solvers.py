@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from decisionlab.core import (
-    AmbiguousPOMDP,
     Belief,
     KernelPair,
-    TabularPOMDP,
+    TabularTask,
     belief_predictive,
     belief_update,
 )
@@ -169,13 +168,14 @@ def test_solve_pomdp_uninformative_sensor_equals_open_loop():
     mdp = tiny_energy_mdp(p=0.75, horizon=3)
     S = mdp.num_states
     obs = noisy_level_observation(S, mdp.num_actions, 1.0 / S)
-    pomdp = TabularPOMDP(mdp, S, obs)
+    pomdp = TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
+                        mdp.initial_dist, mdp.horizon, mdp.discount)
 
     def open_loop(t, b):
         if t > mdp.horizon:
             return 0.0
         return max(float(b @ mdp.reward[:, a])
-                   + mdp.discount * open_loop(t + 1, b @ mdp.transition[:, a, :])
+                   + mdp.discount * open_loop(t + 1, b @ mdp.models[0].transition[:, a, :])
                    for a in range(mdp.num_actions))
 
     sol = solve_pomdp(pomdp, FINE)
@@ -185,7 +185,8 @@ def test_solve_pomdp_uninformative_sensor_equals_open_loop():
 def test_solve_pomdp_perfect_sensor_recovers_mdp_values():
     mdp = tiny_energy_mdp(p=0.7, horizon=4)
     obs = noisy_level_observation(mdp.num_states, mdp.num_actions, 1.0)
-    pomdp = TabularPOMDP(mdp, mdp.num_states, obs)
+    pomdp = TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
+                        mdp.initial_dist, mdp.horizon, mdp.discount)
     sol = solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3))
     mdp_sol = solve_mdp(mdp)
     # with an exact sensor every reachable belief is a vertex, where the
@@ -201,9 +202,8 @@ def _two_model_task(alpha):
     P2, _ = energy_kernels(2, -0.02, 0.55)
     Q = noisy_level_observation(3, 3, 1.0)
     rho = np.array([1.0, 0.0, 0.0])
-    return AmbiguousPOMDP(
-        num_states=3, num_actions=3, num_obs=3,
-        models=[KernelPair(P1, Q), KernelPair(P2, Q)],
+    return TabularTask(
+        "apomdp", models=[KernelPair(P1, Q), KernelPair(P2, Q)],
         reward=R, initial_dist=rho, horizon=2, discount=0.95, alpha=alpha)
 
 
@@ -238,11 +238,9 @@ def test_solve_apomdp_matches_recursion_at_shared_grid():
 
 def test_apomdp_singleton_model_equals_pomdp():
     pomdp = tiny_energy_pomdp(p=0.7, obs_prob=0.8, horizon=3)
-    task = AmbiguousPOMDP(
-        num_states=pomdp.num_states, num_actions=pomdp.num_actions,
-        num_obs=pomdp.num_obs,
-        models=[KernelPair(pomdp.mdp.transition, pomdp.observation)],
-        reward=pomdp.mdp.reward, initial_dist=pomdp.mdp.initial_dist,
+    task = TabularTask(
+        "apomdp", models=pomdp.models,
+        reward=pomdp.reward, initial_dist=pomdp.initial_dist,
         horizon=pomdp.horizon, discount=pomdp.discount, alpha=0.5)
     a = solve_apomdp(task, BeliefSolverConfig(quantization=1e-3))
     b = solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3))
@@ -275,7 +273,7 @@ def test_value_satisfies_one_step_backup():
     pomdp = tiny_energy_pomdp(p=0.8, obs_prob=0.8, horizon=3)
     step = 1e-3
     sol = solve_pomdp(pomdp, BeliefSolverConfig(quantization=step))
-    P, Q, R = pomdp.mdp.transition, pomdp.observation, pomdp.mdp.reward
+    P, Q, R = pomdp.models[0].transition, pomdp.models[0].observation, pomdp.reward
     rng = np.random.default_rng(9)
     for t in (1, 2):
         for _ in range(6):
@@ -312,9 +310,7 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
     task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
                           AmbiguityConfig(num_models=2), Rng(8))[0]
     solve = solve_pomdp if setting == "pomdp" else solve_apomdp
-    model = (KernelPair(task.mdp.transition, task.observation)
-             if setting == "pomdp" else task.models[0])
-    T, P, Q = task.horizon, model.transition, model.observation
+    T, P, Q = task.horizon, task.models[0].transition, task.models[0].observation
     rng = np.random.default_rng(12)
     queries = [(int(rng.integers(1, T + 1)), Belief(rng.dirichlet(np.full(6, 0.4))))
                for _ in range(12)]
@@ -371,7 +367,7 @@ def test_action_horizon_period_is_myopic():
     pomdp = tiny_energy_pomdp(horizon=3)
     sol = solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3))
     b = Belief([0.1, 0.2, 0.7])
-    assert sol.action(3, b) == int((b.probs @ pomdp.mdp.reward).argmax())
+    assert sol.action(3, b) == int((b.probs @ pomdp.reward).argmax())
 
 
 def test_value_rejects_out_of_range_period():
@@ -400,7 +396,8 @@ def test_to_summary_reports_tree_shape():
 def test_qmdp_matches_mdp_greedy_at_vertices():
     mdp = tiny_energy_mdp(p=0.7, horizon=4)
     obs = noisy_level_observation(mdp.num_states, mdp.num_actions, 1.0)
-    pomdp = TabularPOMDP(mdp, mdp.num_states, obs)
+    pomdp = TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
+                        mdp.initial_dist, mdp.horizon, mdp.discount)
     qp = qmdp_policy(pomdp)
     mdp_sol = solve_mdp(mdp)
     for t in range(1, mdp.horizon + 1):
