@@ -18,10 +18,12 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure, 3 a
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -116,42 +118,67 @@ def _validate_config(cfg: dict):
         if not cond:
             raise ConfigError(f"field {field!r}: {why}")
 
+    def get(path):
+        return functools.reduce(dict.__getitem__, path.split("."), cfg)
+
     def number(value):  # bools are ints to Python, not here
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
+    def integer(value):  # >= 1; list elements escape the merge's type check
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
     require(cfg["setting"] in _SETTINGS, "setting", f"must be one of {_SETTINGS}")
-    require(cfg["num_tasks"] >= 1, "num_tasks", "must be a positive integer")
+    for low, paths in ((0, ("dataset.context_trajectories",)),
+                       (1, ("num_tasks", "env.energy_cap", "env.horizon",
+                            "ambiguity.num_models", "solver.node_budget",
+                            "solver.expansion_chunk", "dataset.trajectories_per_task",
+                            "dataset.records_per_task", "grid.num_tasks", "theory.dim",
+                            "theory.num_actions", "theory.horizon", "darkroom.size",
+                            "darkroom.horizon", "darkroom.rollouts_per_goal")),
+                       (2, ("theory.tasks_per_cell",))):
+        for path in paths:
+            require(get(path) >= low, path, f"must be an integer >= {low}")
+    for path in ("env.discount", "env.obs_prob", "theory.discount"):
+        require(0.0 < get(path) <= 1.0, path, "must be a number in (0, 1]")
     env = cfg["env"]
-    require(env["energy_cap"] >= 1, "env.energy_cap", "must be an integer >= 1")
-    require(env["horizon"] >= 1, "env.horizon", "must be an integer >= 1")
-    require(0.0 < env["discount"] <= 1.0, "env.discount", "must be a number in (0, 1]")
-    require(0.0 < env["obs_prob"] <= 1.0, "env.obs_prob", "must be a number in (0, 1]")
+    require(env["success_prob"] is None or 0.0 < env["success_prob"] <= 1.0,
+            "env.success_prob", "must be null or a number in (0, 1]")
     p_range = env["p_range"]
     require(len(p_range) == 2 and all(map(number, p_range))
             and 0.0 < p_range[0] <= p_range[1] <= 1.0,
             "env.p_range", "must be numbers [lo, hi] with 0 < lo <= hi <= 1")
     amb = cfg["ambiguity"]
-    require(amb["num_models"] >= 1, "ambiguity.num_models", "must be an integer >= 1")
     require(amb["kl_radius"] > 0.0, "ambiguity.kl_radius", "must be a positive number")
     require(0.0 <= amb["alpha"] <= 1.0, "ambiguity.alpha", "must be a number in [0, 1]")
-    sol = cfg["solver"]
-    require(0.0 < sol["quantization"] <= 0.5,
+    require(0.0 < cfg["solver"]["quantization"] <= 0.5,
             "solver.quantization", "must be a number in (0, 0.5]")
-    require(sol["node_budget"] >= 1, "solver.node_budget", "must be an integer >= 1")
-    ds = cfg["dataset"]
-    require(ds["format"] in ("sft", "dpt"), "dataset.format", "must be sft or dpt")
-    require(ds["trajectories_per_task"] >= 1,
-            "dataset.trajectories_per_task", "must be an integer >= 1")
+    require(cfg["dataset"]["format"] in ("sft", "dpt"), "dataset.format", "must be sft or dpt")
     ev = cfg["eval"]
     require(ev["policy"] in _POLICIES, "eval.policy", f"must be one of {_POLICIES}")
     rollouts = ev["rollouts_per_task"]
-    require(rollouts is None or (isinstance(rollouts, int) and rollouts >= 1),
+    require(rollouts is None or integer(rollouts),
             "eval.rollouts_per_task", "must be null or an integer >= 1")
     require(ev["external"]["transport"] in ("tcp", "child"),
             "eval.external.transport", "must be tcp or child")
+    for path, ok, what in (
+            ("grid.settings", lambda v: v in _SETTINGS[:3], f"settings from {_SETTINGS[:3]}"),
+            ("grid.policies", lambda v: v in _POLICIES, f"policies from {_POLICIES}"),
+            ("grid.horizons", integer, "integers >= 1"),
+            ("grid.obs_probs", lambda v: number(v) and 0.0 < v <= 1.0, "numbers in (0, 1]"),
+            ("grid.model_counts", integer, "integers >= 1"),
+            ("grid.alphas", lambda v: number(v) and 0.0 <= v <= 1.0, "numbers in [0, 1]"),
+            ("theory.prompt_lengths", integer, "integers >= 1"),
+            ("theory.train_lengths", integer, "integers >= 1"),
+            ("theory.condition_numbers", lambda v: number(v) and v >= 1.0, "numbers >= 1")):
+        values = get(path)
+        require(values and all(map(ok, values)), path, f"must be a non-empty list of {what}")
+    require(cfg["theory"]["coverage"] >= 0.0, "theory.coverage", "must be a number >= 0")
     dk = cfg["darkroom"]
     require(dk["subset"] in ("train", "test", "all"), "darkroom.subset",
             "must be train, test, or all")
+    cells = dk["size"] ** 2
+    require(dk["subset"] == "all" or 0 < round(dk["train_fraction"] * cells) < cells,
+            "darkroom.train_fraction", "must leave both goal sets non-empty")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -247,7 +274,11 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]):
     return path
 
 
-def _external_client(cfg: dict) -> ExternalPolicyClient:
+def _policy_client(cfg: dict, kinds) -> ExternalPolicyClient | contextlib.nullcontext:
+    """The configured external-policy client if ``kinds`` holds "external",
+    else a context that yields None; ``with`` closes either."""
+    if "external" not in kinds:
+        return contextlib.nullcontext()
     ext = cfg["eval"]["external"]
     if ext["transport"] == "tcp":
         return ExternalPolicyClient.tcp(ext["host"], int(ext["port"]),
@@ -344,50 +375,31 @@ def cmd_eval(cfg: dict, args) -> int:
     reports = out / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     rng = Rng(cfg["seed"]).split(STREAM_EVAL)
-    jobs = args.jobs or 1
-    if args.grid:
-        spec = _from_section(GridSpec, cfg["grid"], params=_energy_params(cfg),
-                             ambiguity=_ambiguity(cfg), solver=_solver(cfg))
-        rows = run_experiment_grid(spec, rng, jobs=jobs)
-        path = reports / "grid.csv"
-        write_csv(rows, GRID_CSV_COLUMNS, path)
-        _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
-        print(f"eval: wrote {len(rows)} grid row(s) to {path}")
-        return 0
-    if cfg["setting"] == "darkroom":
-        return _eval_darkroom(cfg, args, reports, out, rng)
-    tasks, _ = _load_or_build_tasks(cfg, out)
-    oracles, refs = [], []
-    for task in tasks:
-        handle, ref = reference_policy(task, _solver(cfg))
-        oracles.append(handle)
-        refs.append(ref)
-    client = None
+    grid = getattr(args, "grid", False)  # the darkroom command has no --grid
     policy_kind = cfg["eval"]["policy"]
-    try:
-        if policy_kind == "external":
-            client = _external_client(cfg)
-            jobs = 1
+    kinds = cfg["grid"]["policies"] if grid else [policy_kind]
+    jobs = 1 if "external" in kinds else args.jobs or 1
+    with _policy_client(cfg, kinds) as client:
+        if grid:
+            spec = _from_section(GridSpec, cfg["grid"], params=_energy_params(cfg),
+                                 ambiguity=_ambiguity(cfg), solver=_solver(cfg))
+            rows = run_experiment_grid(spec, rng, client, jobs)
+            path = reports / "grid.csv"
+            write_csv(rows, GRID_CSV_COLUMNS, path)
+            _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
+            print(f"eval: wrote {len(rows)} grid row(s) to {path}")
+            return 0
+        if cfg["setting"] == "darkroom":
+            return _eval_darkroom(cfg, args, reports, out, rng, client)
+        tasks, _ = _load_or_build_tasks(cfg, out)
+        oracles = [reference_policy(task, _solver(cfg))[0] for task in tasks]
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]
         rollouts = cfg["eval"]["rollouts_per_task"] or (
             GridSpec.rollouts_apomdp if cfg["setting"] == "apomdp" else GridSpec.rollouts_mdp)
-        reference = "exact" if all(r == "exact" for r in refs) else "qmdp-fallback"
-        report = optimality_gap(tasks, oracles, handles, rng, rollouts,
-                                reference=reference, jobs=jobs)
-    finally:
-        if client is not None:
-            client.close()
+        report = optimality_gap(tasks, oracles, handles, rng, rollouts, jobs=jobs)
     path = reports / "eval.json"
-    payload = {
-        "setting": cfg["setting"], "policy": policy_kind,
-        "num_tasks": report.num_tasks, "rollouts_per_task": report.rollouts_per_task,
-        "mean_gap": report.mean_gap, "ci_low": report.ci_low,
-        "ci_high": report.ci_high, "degenerate_count": report.degenerate_count,
-        "invalid_actions": report.invalid_actions, "reference": report.reference,
-        "task_gaps": report.task_gaps, "opt_returns": report.opt_returns,
-        "eval_returns": report.eval_returns,
-    }
+    payload = {"setting": cfg["setting"], "policy": policy_kind, **asdict(report)}
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
     print(f"eval: {cfg['setting']}/{policy_kind} mean gap {report.mean_gap:.4f} "
@@ -396,23 +408,15 @@ def cmd_eval(cfg: dict, args) -> int:
     return 0
 
 
-def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng) -> int:
+def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng,
+                   client: ExternalPolicyClient | None) -> int:
     dk = cfg["darkroom"]
-    goals = _darkroom_goals(cfg)
     policy_kind = cfg["eval"]["policy"]
     if policy_kind == "qmdp":
         raise ConfigError("field 'eval.policy': qmdp does not apply to darkroom")
-    client = None
-    try:
-        if policy_kind == "external":
-            client = _external_client(cfg)
-        summary = darkroom_eval(goals, policy_kind, rng,
-                                rollouts_per_goal=dk["rollouts_per_goal"],
-                                size=dk["size"], horizon=dk["horizon"],
-                                client=client)
-    finally:
-        if client is not None:
-            client.close()
+    summary = darkroom_eval(_darkroom_goals(cfg), policy_kind, rng,
+                            rollouts_per_goal=dk["rollouts_per_goal"],
+                            size=dk["size"], horizon=dk["horizon"], client=client)
     csv_path = reports / "darkroom.csv"
     write_csv(summary["rows"], DARKROOM_CSV_COLUMNS, csv_path)
     json_path = reports / "darkroom.json"
@@ -456,12 +460,7 @@ def cmd_theory_sim(cfg: dict, args) -> int:
 
 
 def cmd_darkroom(cfg: dict, args) -> int:
-    out = Path(cfg["out"])
-    reports = out / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    cfg = dict(cfg, setting="darkroom")
-    rng = Rng(cfg["seed"]).split(STREAM_EVAL)
-    return _eval_darkroom(cfg, args, reports, out, rng)
+    return cmd_eval(dict(cfg, setting="darkroom"), args)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ def _stream_pair(rng: Rng) -> list[int]:
 
 def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
                      trajectories_per_task: int = 15,
-                     task_ids: list[str] | None = None,
                      metas: list[dict] | None = None) -> list[dict]:
     """Demonstration corpus: K policy rollouts per task, encoded and bundled.
 
@@ -118,7 +117,7 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
         raise ValueError("tasks and policies must align")
     records = []
     for i, (task, policy) in enumerate(zip(tasks, policies)):
-        task_id = task_ids[i] if task_ids else f"task_{i:04d}"
+        task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
         encoded, streams = [], []
         trajs = []
@@ -142,7 +141,6 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
 def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
                       records_per_task: int = 15,
                       context_trajectories: int = 2,
-                      task_ids: list[str] | None = None,
                       metas: list[dict] | None = None) -> list[dict]:
     """Query/label dataset: random-policy context, oracle action as the label.
 
@@ -155,7 +153,7 @@ def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
         raise ValueError("tasks and oracles must align")
     records = []
     for i, (task, oracle) in enumerate(zip(tasks, oracles)):
-        task_id = task_ids[i] if task_ids else f"task_{i:04d}"
+        task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
         for j in range(records_per_task):
             rec_rng = task_rng.split(j)

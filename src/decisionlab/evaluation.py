@@ -89,28 +89,26 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
                    policy: list[PolicyHandle] | PolicyHandle, rng: Rng,
                    rollouts_per_task: int = 30,
                    contexts: list[FewShotContext] | None = None,
-                   task_ids: list[str] | None = None,
-                   reference: str = "exact", jobs: int = 1) -> EvalReport:
+                   jobs: int = 1) -> EvalReport:
     """Mean oracle-relative gap of ``policy`` across tasks, with a t-interval.
 
     ``policy`` may be a single handle (shared across tasks) or one per task.
     Episode j of task i uses one generator pair for both the oracle and the
-    evaluated policy, so environment draws are identical.  ``jobs > 1``
-    distributes tasks over processes; per-task streams are derived from the
-    task index, so results are identical to the serial run.  External-policy
-    handles hold live connections and must be evaluated with ``jobs=1``.
+    evaluated policy, so environment draws are identical.  The report's
+    ``reference`` is "exact" when every oracle handle has kind "oracle" and
+    "qmdp-fallback" otherwise.  ``jobs > 1`` distributes tasks over processes;
+    per-task streams are derived from the task index, so results are
+    identical to the serial run.  External-policy handles hold live
+    connections and must be evaluated with ``jobs=1``.
     """
     if len(tasks) != len(oracles):
         raise ValueError("tasks and oracles must align")
     handles = policy if isinstance(policy, list) else [policy] * len(tasks)
     if len(handles) != len(tasks):
         raise ValueError("one policy handle per task (or a single shared one)")
-    work = []
-    for i, task in enumerate(tasks):
-        task_id = task_ids[i] if task_ids else f"task_{i:04d}"
-        context = contexts[i] if contexts else None
-        work.append((task, oracles[i], handles[i], context, task_id,
-                     rng.seed, rng.stream, i, rollouts_per_task))
+    work = [(task, oracles[i], handles[i], contexts[i] if contexts else None,
+             f"task_{i:04d}", rng.seed, rng.stream, i, rollouts_per_task)
+            for i, task in enumerate(tasks)]
     if jobs > 1:
         if any(h.kind == "external" for h in handles):
             raise ValueError("external policies require jobs=1")
@@ -134,8 +132,10 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
         raise DegenerateOptimum("all tasks have non-positive oracle value")
     arr = np.array(gaps)
     lo, hi = _t_interval(arr)
+    exact = all(oracle.kind == "oracle" for oracle in oracles)
     return EvalReport(len(gaps), rollouts_per_task, float(arr.mean()), lo, hi,
-                      gaps, opts, evals, degenerate, invalid, reference)
+                      gaps, opts, evals, degenerate, invalid,
+                      "exact" if exact else "qmdp-fallback")
 
 
 # ---------------------------------------------------------------------------
@@ -258,29 +258,15 @@ def run_experiment_grid(spec: GridSpec, rng: Rng,
         cell_rng = rng.split(cell_index)
         tasks = generate_tasks(setting, spec.num_tasks, params, ambiguity,
                                cell_rng.split(0))
-        oracles, references = [], []
-        for task in tasks:
-            handle, ref = reference_policy(task, spec.solver)
-            oracles.append(handle)
-            references.append(ref)
+        oracles = [reference_policy(task, spec.solver)[0] for task in tasks]
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]
         rollouts_per_task = (spec.rollouts_apomdp if setting == "apomdp"
                              else spec.rollouts_mdp)
-        reference = "exact" if all(r == "exact" for r in references) else "qmdp-fallback"
         report = optimality_gap(tasks, oracles, handles, cell_rng.split(1),
-                                rollouts_per_task, reference=reference, jobs=jobs)
-        rows.append({
-            "setting": setting, "policy": policy_kind, "horizon": T,
-            "obs_prob": q, "num_models": nm, "alpha": alpha,
-            "num_tasks": report.num_tasks,
-            "rollouts_per_task": rollouts_per_task,
-            "reference": report.reference,
-            "mean_gap": report.mean_gap,
-            "ci_low": report.ci_low, "ci_high": report.ci_high,
-            "degenerate_count": report.degenerate_count,
-            "invalid_actions": report.invalid_actions,
-        })
+                                rollouts_per_task, jobs=jobs)
+        rows.append(dict(zip(GRID_CSV_COLUMNS, cell), **{
+            name: getattr(report, name) for name in GRID_CSV_COLUMNS[6:]}))
     return rows
 
 

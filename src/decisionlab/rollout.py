@@ -288,7 +288,7 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
     env_rng = rng.split(0)
     act = _policy_fn(task, policy, rng.split(1), context, task_id)
     traj = Trajectory(task_id)
-    total, weight, invalid = 0.0, 1.0, 0
+    invalid = 0
     if isinstance(task, DarkroomTask):
         state = task.state_index(0, 0)
         for t in range(1, task.horizon + 1):
@@ -298,9 +298,8 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
                 action, invalid = 0, invalid + 1
             next_state, reward = task.step(state, action)
             traj.append(state, action, reward)
-            total += reward
             state = next_state
-        return RolloutResult(traj, total, None, invalid)
+        return RolloutResult(traj, traj.discounted_return(1.0), None, invalid)
     nominal = task.models[0]  # an ambiguous task is simulated under its first model
     transition, observation, reward = nominal.transition, nominal.observation, task.reward
     state = env_rng.draw_index(task.initial_dist)
@@ -317,8 +316,6 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
             action, invalid = 0, invalid + 1
         r = float(reward[state, action])
         traj.append(obs, action, r)
-        total += weight * r
-        weight *= task.discount
         if t < task.horizon:
             state = env_rng.draw_index(transition[state, action])
             obs = state
@@ -326,4 +323,4 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
                 obs = env_rng.draw_index(observation[state, action])
                 belief = belief_update(belief, action, obs, transition, observation)
                 beliefs.append(belief)
-    return RolloutResult(traj, total, beliefs, invalid)
+    return RolloutResult(traj, traj.discounted_return(task.discount), beliefs, invalid)

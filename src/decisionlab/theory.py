@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
@@ -48,9 +48,6 @@ class LinearTask:
     dim: int
     weight: np.ndarray
     feature_cov: np.ndarray
-    num_actions: int = 5
-    horizon: int = 10
-    discount: float = 0.95
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64).reshape(self.dim)
@@ -64,9 +61,6 @@ class LinearTaskFamily:
 
     dim: int
     feature_cov: np.ndarray
-    num_actions: int = 5
-    horizon: int = 10
-    discount: float = 0.95
 
     def __post_init__(self):
         self.feature_cov = np.asarray(self.feature_cov, dtype=np.float64).reshape(
@@ -75,15 +69,20 @@ class LinearTaskFamily:
         self._factor = cholesky(self.feature_cov)
 
     def sample_task(self, rng: Rng) -> LinearTask:
-        return LinearTask(self.dim, rng.standard_normal(self.dim), self.feature_cov,
-                          self.num_actions, self.horizon, self.discount)
-
-    def sample_weights(self, count: int, rng: Rng) -> np.ndarray:
-        return rng.standard_normal((count, self.dim))
+        return LinearTask(self.dim, rng.standard_normal(self.dim), self.feature_cov)
 
     def sample_features(self, shape, rng: Rng) -> np.ndarray:
         z = rng.standard_normal(tuple(shape) + (self.dim,))
         return z @ self._factor
+
+    def sample_batch(self, count: int, prompt_length: int, rng: Rng):
+        """``count`` fresh tasks with one prompt each: prompt features (count,
+        M, d), their labels (count, M), query features (count, d) and the
+        queries' labels (count,), drawn as weights, features, then queries."""
+        ws = rng.standard_normal((count, self.dim))
+        xs = self.sample_features((count, prompt_length), rng)
+        qs = self.sample_features((count,), rng)
+        return xs, np.einsum("bmd,bd->bm", xs, ws), qs, np.einsum("bd,bd->b", qs, ws)
 
 
 @dataclass
@@ -127,46 +126,28 @@ def gamma_matrix(feature_cov: np.ndarray, train_length: int) -> np.ndarray:
     return (1.0 + 1.0 / train_length) * lam + (np.trace(lam) / train_length) * np.eye(d)
 
 
-def _check_spd(mat: np.ndarray, name: str):
-    eig = np.linalg.eigvalsh(mat)
-    if eig[0] <= 0.0:
-        raise IllConditioned(f"{name} is not positive definite")
-    if eig[-1] / eig[0] > COND_LIMIT:
-        raise IllConditioned(
-            f"{name} condition number {eig[-1] / eig[0]:.3e} exceeds {COND_LIMIT:.0e}")
-
-
 @dataclass
 class LsaPredictor:
-    """The limit predictor of pretrained linear self-attention.
-
-    ``moment`` is filled by ``fit`` for convenience; ``lsa_predict`` always
-    uses the prompt it is given.
-    """
+    """The limit predictor of pretrained linear self-attention."""
 
     gamma_matrix: np.ndarray
     train_length: int
-    moment: np.ndarray | None = None
 
     def __post_init__(self):
         self.gamma_matrix = np.asarray(self.gamma_matrix, dtype=np.float64)
-        _check_spd(self.gamma_matrix, "gamma_matrix")
+        kappa = covariance_condition(self.gamma_matrix)
+        if kappa > COND_LIMIT:
+            raise IllConditioned(
+                f"gamma_matrix condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}")
         self._cho = cho_factor(self.gamma_matrix)
 
     @classmethod
     def from_covariance(cls, feature_cov: np.ndarray, train_length: int) -> "LsaPredictor":
         return cls(gamma_matrix(feature_cov, train_length), train_length)
 
-    def fit(self, prompt: Prompt) -> "LsaPredictor":
-        return replace(self, moment=prompt.moment())
-
     def coefficients(self, prompt: Prompt) -> np.ndarray:
         """Gamma^{-1} (1/M) sum_i y_i x_i, via an SPD solve (never an inverse)."""
         return cho_solve(self._cho, prompt.moment())
-
-    def __deepcopy__(self, memo):  # dataclasses.replace re-runs __post_init__
-        return LsaPredictor(self.gamma_matrix.copy(), self.train_length,
-                            None if self.moment is None else self.moment.copy())
 
 
 def lsa_predict(predictor: LsaPredictor, prompt: Prompt) -> float:
@@ -179,9 +160,10 @@ def lsa_predict(predictor: LsaPredictor, prompt: Prompt) -> float:
 
 
 def covariance_condition(feature_cov: np.ndarray) -> float:
+    """Largest over smallest eigenvalue; IllConditioned unless positive definite."""
     eig = np.linalg.eigvalsh(np.asarray(feature_cov, dtype=np.float64))
     if eig[0] <= 0.0:
-        raise IllConditioned("feature covariance is not positive definite")
+        raise IllConditioned("matrix is not positive definite")
     return float(eig[-1] / eig[0])
 
 
@@ -349,11 +331,7 @@ def train_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
     def run_epoch(u, w_kq, lr, count):
         total = 0.0
         for _ in range(count):
-            ws = family.sample_weights(batch_size, rng)
-            xs = family.sample_features((batch_size, prompt_length), rng)
-            qs = family.sample_features((batch_size,), rng)
-            ys = np.einsum("bmd,bd->bm", xs, ws)
-            targets = np.einsum("bd,bd->b", qs, ws)
+            xs, ys, qs, targets = family.sample_batch(batch_size, prompt_length, rng)
             loss, gu, gw = _lsa_batch_grads(u, w_kq, xs, ys, qs, targets)
             if not math.isfinite(loss):
                 raise Diverged("non-finite training loss")
@@ -392,11 +370,7 @@ def train_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
 def evaluate_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
                  prompt_length: int, num_eval: int = 2048) -> dict:
     """Prediction quality on fresh prompts: MSE and RMS relative to target RMS."""
-    ws = family.sample_weights(num_eval, rng)
-    xs = family.sample_features((num_eval, prompt_length), rng)
-    qs = family.sample_features((num_eval,), rng)
-    ys = np.einsum("bmd,bd->bm", xs, ws)
-    targets = np.einsum("bd,bd->b", qs, ws)
+    xs, ys, qs, targets = family.sample_batch(num_eval, prompt_length, rng)
     loss, _, _ = _lsa_batch_grads(layer.w_pv[-1], layer.w_kq, xs, ys, qs, targets)
     mse = 2.0 * loss
     target_ms = float(np.mean(targets ** 2))

@@ -5,8 +5,10 @@ directory, so exit codes, stderr diagnostics, and on-disk artifacts are all
 exercised exactly as a shell invocation would see them.
 """
 
+import hashlib
 import json
 import socket
+import sys
 
 import pytest
 
@@ -111,6 +113,34 @@ def test_wrong_typed_config_value_names_field(tmp_path, capsys, override, field)
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert repr(field) in err
+
+
+@pytest.mark.parametrize("command, override, field", [
+    (["gen"], {"env": {"success_prob": 1.5}}, "env.success_prob"),
+    (["solve"], {"setting": "pomdp", "solver": {"expansion_chunk": 0}},
+     "solver.expansion_chunk"),
+    (["gen"], {"setting": "darkroom", "darkroom": {"size": 0}}, "darkroom.size"),
+    (["gen"], {"setting": "darkroom", "darkroom": {"horizon": 0}}, "darkroom.horizon"),
+    (["darkroom"], {"darkroom": {"rollouts_per_goal": 0}}, "darkroom.rollouts_per_goal"),
+    (["darkroom"], {"darkroom": {"train_fraction": 1.5}}, "darkroom.train_fraction"),
+    (["export"], {"dataset": {"format": "dpt", "records_per_task": 0}},
+     "dataset.records_per_task"),
+    (["export"], {"dataset": {"format": "dpt", "context_trajectories": -1}},
+     "dataset.context_trajectories"),
+    (["theory-sim"], {"theory": {"tasks_per_cell": 1}}, "theory.tasks_per_cell"),
+    (["theory-sim"], {"theory": {"dim": 0}}, "theory.dim"),
+    (["theory-sim"], {"theory": {"prompt_lengths": [0]}}, "theory.prompt_lengths"),
+    (["eval", "--grid"], {"grid": {"horizons": [0]}}, "grid.horizons"),
+    (["eval", "--grid"], {"grid": {"num_tasks": 0}}, "grid.num_tasks"),
+    (["eval", "--grid"], {"grid": {"policies": ["greedy"]}}, "grid.policies"),
+    (["eval", "--grid"], {"grid": {"settings": ["darkroom"]}}, "grid.settings"),
+])
+def test_out_of_range_config_value_names_field(tmp_path, capsys, command, override,
+                                               field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(override))
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: field {field!r}: ")
 
 
 def test_config_file_missing_or_malformed(tmp_path, capsys):
@@ -260,6 +290,112 @@ def test_eval_grid_writes_csv(tmp_path, capsys):
     assert row["setting"] == "mdp" and row["policy"] == "random"
     assert row["obs_prob"] == ""  # axis does not apply to fully observed tasks
     assert "eval: wrote 1 grid row(s)" in capsys.readouterr().out
+
+
+# Replies with current_obs mod num_actions, so every action is valid.
+ECHO_POLICY = """\
+import json, sys
+for line in sys.stdin:
+    request = json.loads(line)
+    print(json.dumps({"action": request["current_obs"] % request["num_actions"]}),
+          flush=True)
+"""
+
+
+def external_config(tmp_path, **overrides):
+    script = tmp_path / "echo_policy.py"
+    script.write_text(ECHO_POLICY)
+    return write_config(tmp_path, eval={
+        "policy": "external", "rollouts_per_task": 4,
+        "external": {"transport": "child", "argv": [sys.executable, str(script)],
+                     "timeout": 30.0}}, **overrides)
+
+
+def test_eval_external_policy_over_child_transport(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["eval", "--config", external_config(tmp_path),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "reports" / "eval.json").read_text())
+    assert report["policy"] == "external" and report["reference"] == "exact"
+    assert report["invalid_actions"] == 0
+    assert report["num_tasks"] + report["degenerate_count"] == 3
+    assert "eval: mdp/external mean gap" in capsys.readouterr().out
+
+
+def test_eval_grid_runs_an_external_policy(tmp_path):
+    cfg = external_config(tmp_path, grid={
+        "settings": ["mdp"], "horizons": [3], "policies": ["random", "external"],
+        "num_tasks": 2})
+    out = tmp_path / "run"
+    # the grid opens one client and evaluates serially whatever --jobs says
+    assert main(["eval", "--grid", "--jobs", "2", "--config", cfg,
+                 "--out", str(out)]) == 0
+    lines = (out / "reports" / "grid.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["policy"] for row in rows] == ["random", "external"]
+    assert all(row["invalid_actions"] == "0" for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# golden report digests
+
+
+# SHA-256 of the report files.  Reruns only prove determinism within one
+# version; these fixed values pin the bytes of eval.json, grid.csv and
+# darkroom.csv/.json across versions.
+GOLDEN_REPORT_DIGESTS = {
+    "pomdp/random/eval.json":
+        "31e024d91f42b96ccd556d1175b2c10fea8e3f02ec15b514dbfe45c55c1641de",
+    "pomdp/oracle/eval.json":
+        "ccf2b3182e6bc414d11bed0cbf6aeb903d522ae8e1e42387f208aa1774d0194a",
+    "pomdp/qmdp/eval.json":
+        "17100cbc9d73b88f4f6bf9f8ccf196060da819b9a71b8e0a00eda6c066bd3f88",
+    "fallback/random/eval.json":
+        "87e1e28b729e569d847865d8a18ac30d73ca68469da43fdef14ae59a08de2f62",
+    "fallback/oracle/eval.json":
+        "445ddb87b06573b736a5784ae9c946a0f626e883d8499d5fd5b6d0b0af73ff09",
+    "fallback/qmdp/eval.json":
+        "ff1f10d7f366b30ef60799620a279e684d795520548f6aacb34b5257a3f4a724",
+    "grid.csv":
+        "172f528e1105609a6a6d234d5fb4de334bc3e057c0ae471bf3e674bd9c5d640a",
+    "darkroom/oracle/darkroom.csv":
+        "a05d6ccb187cb5eb29220f29c08b115c3fb45e79b2a041549a4f38ee98bba84f",
+    "darkroom/oracle/darkroom.json":
+        "f5e41bf6b98ab79f70e25fe0df4574fef45290d327a097953e55de79193c2cc0",
+    "darkroom/random/darkroom.csv":
+        "a537d70b26fae650a49ed363ebe8086cd03313c36c47977a3d58a918a98af609",
+    "darkroom/random/darkroom.json":
+        "5b2d1a599af968f7aecafbc49a0f6ca1fc527ef1e4b19e99df081c8a52e67bf6",
+}
+
+
+def test_report_golden_digests(tmp_path):
+    reports = {}
+    for name, extra in (("pomdp", {}), ("fallback", {"solver": {"node_budget": 50}})):
+        cfg = write_config(tmp_path, f"{name}.json", setting="pomdp", **extra)
+        for policy in ("random", "oracle", "qmdp"):
+            out = tmp_path / name / policy
+            assert main(["eval", "--policy", policy, "--config", cfg,
+                         "--out", str(out)]) == 0
+            reports[f"{name}/{policy}/eval.json"] = out / "reports" / "eval.json"
+    fallback = json.loads(reports["fallback/random/eval.json"].read_text())
+    assert fallback["reference"] == "qmdp-fallback"
+    cfg = write_config(tmp_path, "grid.json", grid={
+        "settings": ["mdp", "pomdp", "apomdp"], "horizons": [3], "obs_probs": [0.8],
+        "model_counts": [2], "policies": ["random", "oracle"], "num_tasks": 2})
+    assert main(["eval", "--grid", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+    reports["grid.csv"] = tmp_path / "grid" / "reports" / "grid.csv"
+    cfg = write_config(tmp_path, "darkroom.json",
+                       darkroom={"size": 5, "horizon": 12, "rollouts_per_goal": 2})
+    for policy in ("oracle", "random"):
+        out = tmp_path / "darkroom" / policy
+        assert main(["darkroom", "--policy", policy, "--config", cfg,
+                     "--out", str(out)]) == 0
+        for name in ("darkroom.csv", "darkroom.json"):
+            reports[f"darkroom/{policy}/{name}"] = out / "reports" / name
+    digests = {key: hashlib.sha256(path.read_bytes()).hexdigest()
+               for key, path in reports.items()}
+    assert digests == GOLDEN_REPORT_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,23 @@ def test_reference_policy_falls_back_to_qmdp_on_budget():
         reference_policy(task, tight, allow_fallback=False)
 
 
+def test_report_reference_is_derived_from_the_oracle_handles():
+    tasks = generate_tasks("pomdp", 2, EnergyParams(horizon=8), AmbiguityConfig(),
+                           Rng(4))
+    oracles = [reference_policy(t, BeliefSolverConfig(node_budget=50))[0]
+               for t in tasks]
+    assert [o.kind for o in oracles] == ["qmdp", "qmdp"]
+    report = optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(5),
+                            rollouts_per_task=3)
+    assert report.reference == "qmdp-fallback"
+    mdps, exact = battery(n=2)
+    mixed = optimality_gap([mdps[0], tasks[1]], [exact[0], oracles[1]],
+                           PolicyHandle.random(), Rng(5), rollouts_per_task=3)
+    assert mixed.reference == "qmdp-fallback"
+    assert optimality_gap(mdps, exact, PolicyHandle.random(), Rng(5),
+                          rollouts_per_task=3).reference == "exact"
+
+
 def test_oracle_queries_do_not_spend_the_solve_budget():
     tasks = generate_tasks("pomdp", 2, EnergyParams(energy_cap=3, horizon=4),
                            AmbiguityConfig(), Rng(3))

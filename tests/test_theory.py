@@ -99,12 +99,6 @@ def test_predictor_consistent_in_the_large_sample_limit():
     assert lsa_predict(pred, prompt) == pytest.approx(float(prompt.query @ w), abs=0.1)
 
 
-def test_predictor_fit_stores_moment():
-    prompt = Prompt(np.eye(2), np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    pred = LsaPredictor(np.eye(2), 5).fit(prompt)
-    np.testing.assert_allclose(pred.moment, prompt.moment())
-
-
 def test_ill_conditioned_gamma_rejected():
     with pytest.raises(IllConditioned):
         LsaPredictor(np.diag([1.0, 1e-13]), 10)
