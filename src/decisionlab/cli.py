@@ -248,17 +248,16 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
 
 
 def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
-    """Prefer task files written by ``gen`` (audit trail); else re-derive."""
+    """``TabularTask``s from the files ``gen`` wrote (audit trail), else
+    re-derived; a Darkroom spec becomes its tabular task here."""
     tasks_dir = out / "tasks"
     paths = sorted(tasks_dir.glob("task_*.json")) if tasks_dir.is_dir() else []
     if paths:
-        tasks, metas = [], []
-        for p in paths:
-            task, meta = load_task(p)
-            tasks.append(task)
-            metas.append(meta)
-        return tasks, metas
-    return _build_tasks(cfg)
+        loaded = [load_task(p) for p in paths]
+        tasks, metas = [task for task, _ in loaded], [meta for _, meta in loaded]
+    else:
+        tasks, metas = _build_tasks(cfg)
+    return [t.to_mdp() if isinstance(t, DarkroomTask) else t for t in tasks], metas
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]):
@@ -322,9 +321,6 @@ def cmd_solve(cfg: dict, args) -> int:
             sol = handle.solution
             record.update(kind="mdp", expected_return=sol.expected_return(),
                           values=sol.values.tolist(), policy=sol.policy.tolist())
-        elif ref == "exact" and isinstance(handle.solution, DarkroomTask):
-            record.update(kind="darkroom",
-                          oracle_return=handle.solution.oracle_return())
         elif ref == "exact":
             record.update(kind="belief", **handle.solution.to_summary())
         else:

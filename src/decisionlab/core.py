@@ -87,8 +87,8 @@ class Rng:
         Inverse-CDF keeps the number of underlying draws fixed per call, which
         keeps paired rollouts aligned stream-for-stream.
         """
-        u = self.gen.uniform()
-        return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+        u = self.gen.random()  # the same double as uniform() with its default bounds
+        return min(int(probs.cumsum().searchsorted(u, side="right")), len(probs) - 1)
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"

@@ -53,8 +53,8 @@ def decode(text: str, task_id: str = "") -> Trajectory:
     """Parse canonical trajectory text; strict inverse of ``encode``.
 
     Raises ParseError on any deviation: wrong spacing, non-consecutive or
-    0-based step tags, leading zeros, rewards without exactly two decimals,
-    or trailing separators.
+    0-based step tags, leading zeros, rewards without exactly two decimals or
+    with more digits than a float keeps, or trailing separators.
     """
     traj = Trajectory(task_id)
     pos = 0
@@ -84,8 +84,10 @@ def decode(text: str, task_id: str = "") -> Trajectory:
         action = int(take(_INT_RE, "action integer"))
         expect(", ")
         expect(f"<R_{step}> ")
-        reward = float(take(_REWARD_RE, "reward with two decimals"))
-        traj.append(obs, action, reward)
+        token = take(_REWARD_RE, "reward with two decimals")
+        if f"{float(token):.2f}" != token:  # more digits than a float keeps
+            raise ParseError("reward does not survive a float round trip", pos - len(token))
+        traj.append(obs, action, float(token))
         step += 1
     return traj
 

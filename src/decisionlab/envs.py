@@ -10,7 +10,8 @@ the ambiguous variant surrounds the true kernels with a finite set of
 Dirichlet-perturbed models constrained to a per-row KL ball.
 
 Darkroom: a 10x10 grid with an unknown goal cell; reward 1 only for executing
-"stay" on the goal.  Dynamics are deterministic and fully observed.
+"stay" on the goal.  Dynamics are deterministic and fully observed; a
+``DarkroomTask`` is the task-file spec and ``to_mdp()`` the task itself.
 """
 
 from __future__ import annotations
@@ -210,15 +211,16 @@ def gen_energy_apomdp(params: EnergyParams, config: AmbiguityConfig,
 
 DARKROOM_ACTIONS = ("up", "down", "left", "right", "stay")
 DARKROOM_STAY = 4
-_DARKROOM_DELTA = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (0, 0)}
+_DARKROOM_DELTA = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))  # (row, col) per action
 
 
 @dataclass
 class DarkroomTask:
-    """Deterministic gridworld; reward 1 only for "stay" on the goal cell.
+    """A Darkroom task file's content; ``to_mdp()`` is the task itself.
 
     States are cells indexed row-major (state = row * size + col); the agent
-    starts at (0, 0); moves off the edge clamp in place.
+    starts at (0, 0); moves off the edge clamp in place; reward 1 only for
+    "stay" on the goal cell.
     """
 
     goal: tuple[int, int]
@@ -231,60 +233,18 @@ class DarkroomTask:
             raise ValueError(f"goal {self.goal} outside {self.size}x{self.size} grid")
         self.goal = (int(r), int(c))
 
-    @property
-    def num_states(self) -> int:
-        return self.size * self.size
-
-    @property
-    def num_actions(self) -> int:
-        return len(DARKROOM_ACTIONS)
-
-    def state_index(self, row: int, col: int) -> int:
-        return row * self.size + col
-
-    def cell(self, state: int) -> tuple[int, int]:
-        return divmod(int(state), self.size)
-
-    def step(self, state: int, action: int) -> tuple[int, float]:
-        """Next state and reward for one deterministic move."""
-        row, col = self.cell(state)
-        dr, dc = _DARKROOM_DELTA[int(action)]
-        nr = min(max(row + dr, 0), self.size - 1)
-        nc = min(max(col + dc, 0), self.size - 1)
-        reward = 1.0 if (row, col) == self.goal and action == DARKROOM_STAY else 0.0
-        return self.state_index(nr, nc), reward
-
-    def oracle_action(self, state: int) -> int:
-        """Shortest-path-then-stay policy: close the row gap, then the column gap."""
-        row, col = self.cell(state)
-        gr, gc = self.goal
-        if row < gr:
-            return 1  # down
-        if row > gr:
-            return 0  # up
-        if col < gc:
-            return 3  # right
-        if col > gc:
-            return 2  # left
-        return DARKROOM_STAY
-
-    def oracle_return(self) -> float:
-        """Exact value of the oracle from (0, 0): horizon minus goal distance."""
-        gr, gc = self.goal
-        return float(self.horizon - (gr + gc))
-
     def to_mdp(self) -> TabularTask:
-        """Tabular encoding (deterministic kernels, start fixed at cell 0)."""
-        S, A = self.num_states, self.num_actions
-        P = np.zeros((S, A, S))
-        R = np.zeros((S, A))
-        for s in range(S):
-            for a in range(A):
-                ns, rew = self.step(s, a)
-                P[s, a, ns] = 1.0
-                R[s, a] = rew
-        rho = np.zeros(S)
-        rho[self.state_index(0, 0)] = 1.0
+        """Tabular encoding: one-hot kernels, start fixed at cell 0, undiscounted."""
+        n, A = self.size, len(DARKROOM_ACTIONS)
+        states = np.arange(n * n)
+        row, col = np.divmod(states, n)
+        P = np.zeros((n * n, A, n * n))
+        for a, (dr, dc) in enumerate(_DARKROOM_DELTA):
+            nxt = np.clip(row + dr, 0, n - 1) * n + np.clip(col + dc, 0, n - 1)
+            P[states, a, nxt] = 1.0
+        R = np.zeros((n * n, A))
+        R[self.goal[0] * n + self.goal[1], DARKROOM_STAY] = 1.0
+        rho = (states == 0).astype(float)
         return TabularTask("mdp", [KernelPair(P)], R, rho, self.horizon, 1.0)
 
 

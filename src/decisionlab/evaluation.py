@@ -163,8 +163,6 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
     exceeds the node budget, the QMDP policy on the (nominal) model if
     ``allow_fallback`` else the BudgetExceeded propagates.
     """
-    if isinstance(task, DarkroomTask):
-        return PolicyHandle.oracle(task), "exact"
     if task.kind == "mdp":
         return PolicyHandle.oracle(solve_mdp(task)), "exact"
     try:
@@ -184,7 +182,7 @@ def evaluation_policy(kind: str, task, reference: PolicyHandle,
     if kind == "random":
         return PolicyHandle.random()
     if kind == "qmdp":
-        if isinstance(task, DarkroomTask) or task.kind == "mdp":
+        if task.kind == "mdp":
             raise ValueError("qmdp evaluation requires a belief task")
         return PolicyHandle.qmdp(qmdp_policy(task))
     if kind == "external":
@@ -283,14 +281,16 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
                   client: ExternalPolicyClient | None = None) -> dict:
     """Mean cumulative reward per goal (and overall) for one policy kind.
 
-    The oracle's exact value ``horizon - distance(goal)`` is reported alongside
-    for reference.  The interval is Student-t over per-goal means.
+    Each goal's task is ``DarkroomTask(goal, size, horizon).to_mdp()``; its
+    oracle's exact return from ``solve_mdp``, ``max(0, horizon - distance)``,
+    is reported alongside.  The interval is Student-t over per-goal means.
     """
     rows = []
     per_goal = []
     for i, goal in enumerate(goals):
-        task = DarkroomTask(goal, size, horizon)
-        handle = evaluation_policy(policy_kind, task, PolicyHandle.oracle(task), client)
+        task = DarkroomTask(goal, size, horizon).to_mdp()
+        reference, _ = reference_policy(task)
+        handle = evaluation_policy(policy_kind, task, reference, client)
         goal_rng = rng.split(i)
         returns = [rollout(task, handle, goal_rng.split(j),
                            task_id=f"darkroom_{goal[0]}_{goal[1]}").online_return
@@ -299,7 +299,7 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
         per_goal.append(mean_return)
         rows.append({"goal_row": goal[0], "goal_col": goal[1],
                      "policy": policy_kind, "mean_return": mean_return,
-                     "oracle_return": task.oracle_return(),
+                     "oracle_return": reference.solution.expected_return(),
                      "rollouts": rollouts_per_goal})
     arr = np.array(per_goal)
     lo, hi = _t_interval(arr)

@@ -30,8 +30,9 @@ import threading
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Belief, Rng, TabularTask, Trajectory, belief_update
-from .envs import DarkroomTask
 from .solvers import MdpSolution, QmdpPolicy, RobustSolution
 
 DEFAULT_TIMEOUT = 60.0
@@ -177,8 +178,8 @@ class ExternalPolicyClient:
 class PolicyHandle:
     """A policy kind and what it acts through; ``rollout`` makes it an action function.
 
-    kind "oracle" wraps a solved task (MdpSolution, RobustSolution, or a
-    DarkroomTask for its closed-form policy); "qmdp" wraps a QmdpPolicy;
+    kind "oracle" wraps the solution of the rolled-out task (an MdpSolution
+    for an mdp, a RobustSolution for a belief task); "qmdp" wraps a QmdpPolicy;
     "random" draws uniform actions from the episode's policy stream;
     "external" sends one wire request per period through its client.
     """
@@ -204,17 +205,19 @@ class PolicyHandle:
         return cls("external", client=client)
 
 
-def _check_oracle_matches(task, solution):
-    expected = (DarkroomTask if isinstance(task, DarkroomTask)
-                else MdpSolution if task.kind == "mdp" else RobustSolution)
+def _check_oracle_matches(task: TabularTask, solution):
+    """Reject an oracle whose horizon, discount, reward or nominal kernels differ
+    from the task's."""
+    expected = MdpSolution if task.kind == "mdp" else RobustSolution
     if not isinstance(solution, expected):
         raise TypeError(f"this task's oracle must be a {expected.__name__}")
-
-    def shape(x):  # a Darkroom oracle must also share the goal
-        return x.num_states, x.num_actions, x.horizon, getattr(x, "goal", None)
-
-    if shape(solution.task if isinstance(solution, MdpSolution) else solution) != shape(task):
-        raise ValueError("oracle solution does not match the task's dimensions")
+    solved = solution.task if isinstance(solution, MdpSolution) else solution
+    mine, theirs = task.models[0], solved.models[0]
+    if not (solved.horizon == task.horizon and solved.discount == task.discount
+            and np.array_equal(solved.reward, task.reward)
+            and np.array_equal(theirs.transition, mine.transition)
+            and np.array_equal(theirs.observation, mine.observation)):
+        raise ValueError("oracle solution was solved for a different task")
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,6 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
         return lambda t, obs, belief, history: int(policy_rng.integers(0, num_actions))
     if policy.kind == "oracle":
         _check_oracle_matches(task, solution)
-        if isinstance(task, DarkroomTask):
-            return lambda t, obs, belief, history: solution.oracle_action(obs)
         if task.kind == "mdp":
             return lambda t, obs, belief, history: solution.action(t, obs)
         return lambda t, obs, belief, history: solution.action(t, belief)
@@ -272,7 +273,7 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
-def rollout(task, policy: PolicyHandle, rng: Rng,
+def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
             context: FewShotContext | None = None,
             task_id: str = "") -> RolloutResult:
     """Simulate one episode; the environment stream is independent of the policy.
@@ -280,26 +281,15 @@ def rollout(task, policy: PolicyHandle, rng: Rng,
     The trajectory records one (obs, action, reward) step per period; an MDP's
     observation is its state.  Belief tasks draw each observation after the
     state and carry the per-period Bayes beliefs (under the nominal model) as
-    a side channel; Darkroom is deterministic and makes no environment
-    draws.  Invalid external actions are mapped to action 0 and counted.
+    a side channel.  One-hot rows (Darkroom) draw from the environment stream
+    too.  Invalid external actions are mapped to action 0 and counted.
     """
-    if not isinstance(task, (TabularTask, DarkroomTask)):
+    if not isinstance(task, TabularTask):
         raise TypeError(f"unsupported task type {type(task).__name__}")
     env_rng = rng.split(0)
     act = _policy_fn(task, policy, rng.split(1), context, task_id)
     traj = Trajectory(task_id)
     invalid = 0
-    if isinstance(task, DarkroomTask):
-        state = task.state_index(0, 0)
-        for t in range(1, task.horizon + 1):
-            try:
-                action = act(t, state, None, traj.steps)
-            except InvalidAction:
-                action, invalid = 0, invalid + 1
-            next_state, reward = task.step(state, action)
-            traj.append(state, action, reward)
-            state = next_state
-        return RolloutResult(traj, traj.discounted_return(1.0), None, invalid)
     nominal = task.models[0]  # an ambiguous task is simulated under its first model
     transition, observation, reward = nominal.transition, nominal.observation, task.reward
     state = env_rng.draw_index(task.initial_dist)

@@ -67,14 +67,15 @@ class MdpSolution:
 def solve_mdp(task: TabularTask) -> MdpSolution:
     """Exact finite-horizon backward induction under the nominal transition
     kernel, as if the state were observed."""
-    T, S = task.horizon, task.num_states
-    transition = task.models[0].transition
+    T, S, A = task.horizon, task.num_states, task.num_actions
+    transition = task.models[0].transition.reshape(S * A, S)
+    states = np.arange(S)
     values = np.zeros((T + 1, S))
     policy = np.zeros((T, S), dtype=np.int64)
     for t in range(T - 1, -1, -1):
-        q = task.reward + task.discount * (transition @ values[t + 1])
-        values[t] = q.max(axis=1)
+        q = task.reward + task.discount * (transition @ values[t + 1]).reshape(S, A)
         policy[t] = q.argmax(axis=1)
+        values[t] = q[states, policy[t]]
     return MdpSolution(task, values, policy)
 
 

@@ -236,11 +236,11 @@ def test_darkroom_oracle_identity_and_random_floor():
     tag = "( 7/10) darkroom oracle identity"
     with _criterion(tag):
         goals = all_darkroom_goals(10)
-        per_goal_exact = all(
-            DarkroomTask(g, 10, 100).oracle_return() == 100 - (g[0] + g[1])
-            for g in goals)
-        mean_oracle = float(np.mean(
-            [DarkroomTask(g, 10, 100).oracle_return() for g in goals]))
+        oracle_values = [solve_mdp(DarkroomTask(g, 10, 100).to_mdp()).expected_return()
+                         for g in goals]
+        per_goal_exact = all(value == 100 - (g[0] + g[1])
+                             for g, value in zip(goals, oracle_values))
+        mean_oracle = float(np.mean(oracle_values))
 
         _, test_goals = split_goals(Rng(42), 10, 0.8)
         oracle_run = darkroom_eval(test_goals, "oracle", Rng(7),

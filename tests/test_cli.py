@@ -436,6 +436,25 @@ def test_darkroom_check_oracle(tmp_path, capsys):
     assert len(csv_lines) == 1 + summary["num_goals"]
 
 
+@pytest.mark.parametrize("horizon, subset", [(5, "test"), (18, "all"), (19, "all")])
+def test_darkroom_check_oracle_at_short_horizons(tmp_path, capsys, horizon, subset):
+    # at 18 the far corner (9, 9) is just out of reach, at 19 just in reach
+    cfg = write_config(
+        tmp_path,
+        darkroom={"horizon": horizon, "subset": subset, "rollouts_per_goal": 2})
+    out = tmp_path / "run"
+    assert main(["darkroom", "--check", "--policy", "oracle", "--config", cfg,
+                 "--out", str(out)]) == 0
+    assert "darkroom check: pass" in capsys.readouterr().out
+    lines = (out / "reports" / "darkroom.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == (100 if subset == "all" else 20)
+    for row in rows:
+        distance = int(row["goal_row"]) + int(row["goal_col"])
+        assert float(row["oracle_return"]) == max(0, horizon - distance)
+        assert row["mean_return"] == row["oracle_return"]
+
+
 def test_darkroom_check_random(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -90,6 +90,24 @@ def test_draw_index_consumes_one_uniform():
     assert a.uniform() == b.uniform()
 
 
+def _draw_index_reference(rng, probs):
+    """Inverse-CDF draw through numpy's scalar search and clip."""
+    u = rng.gen.uniform()
+    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=100).filter(lambda w: sum(w) > 0),
+       st.sampled_from([1.0, 1.0 - 1e-12, 0.5]), st.integers(0, 2**63), st.integers(1, 30))
+def test_draw_index_matches_the_searchsorted_reference(weights, mass, seed, draws):
+    # a row whose mass falls short of 1 exercises the upper bound of the index
+    probs = mass * np.array(weights) / sum(weights)
+    fast, reference = Rng(seed), Rng(seed)
+    for _ in range(draws):
+        assert fast.draw_index(probs) == _draw_index_reference(reference, probs)
+    assert fast.gen.random() == reference.gen.random()  # the streams stay aligned
+
+
 # ---------------------------------------------------------------------------
 # simplex validation
 

@@ -101,6 +101,34 @@ def test_codec_roundtrip_and_reencode_identity(steps):
     assert encode(back) == text
 
 
+@st.composite
+def _near_encodings(draw):
+    """A text built from the codec's grammar, then possibly edited at one place."""
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, 10**6), st.integers(0, 99),
+        st.from_regex(r"-?(0|[1-9][0-9]{0,20})\.[0-9][0-9]", fullmatch=True)), max_size=4))
+    text = ", ".join(f"<O_{i}> {o}, <A_{i}> {a}, <R_{i}> {r}"
+                     for i, (o, a, r) in enumerate(steps, start=1))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit == "none" or (edit != "insert" and not text):
+        return text
+    at = draw(st.integers(0, len(text) - (edit != "insert")))
+    char = draw(st.sampled_from("0123456789-., <>_OAR\n"))
+    tail = text[at + (edit != "insert"):]
+    return text[:at] + ("" if edit == "delete" else char) + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), _near_encodings()))
+def test_decode_fuzz_rejects_with_offset_or_reencodes(text):
+    try:
+        traj = decode(text)
+    except ParseError as err:
+        assert 0 <= err.offset <= len(text)
+    else:
+        assert encode(traj) == text
+
+
 def test_build_context_blocks():
     t1 = make_traj([(1, 0, 0.5)])
     t2 = make_traj([(2, 1, 0.0)])

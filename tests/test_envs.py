@@ -22,6 +22,7 @@ from decisionlab.envs import (
     task_from_dict,
     task_to_dict,
 )
+from decisionlab.solvers import solve_mdp
 
 from conftest import darkroom_bfs_distance
 
@@ -172,56 +173,70 @@ def test_gen_energy_apomdp_end_to_end():
 # darkroom
 
 
+def _next_state(mdp, state, action):
+    """The one successor of a one-hot transition row."""
+    row = mdp.models[0].transition[state, action]
+    assert np.count_nonzero(row) == 1 and row.max() == 1.0
+    return int(row.argmax())
+
+
 def test_darkroom_step_moves_and_clamps():
-    task = DarkroomTask(goal=(3, 4))
-    s = task.state_index(0, 0)
-    assert task.step(s, 0) == (s, 0.0)     # up off the edge clamps
-    assert task.step(s, 2) == (s, 0.0)     # left off the edge clamps
-    ns, r = task.step(s, 1)                # down
-    assert task.cell(ns) == (1, 0) and r == 0.0
-    ns, r = task.step(s, 3)                # right
-    assert task.cell(ns) == (0, 1) and r == 0.0
-    corner = task.state_index(9, 9)
-    assert task.step(corner, 1) == (corner, 0.0)
-    assert task.step(corner, 3) == (corner, 0.0)
+    mdp = DarkroomTask(goal=(3, 4)).to_mdp()
+    assert _next_state(mdp, 0, 0) == 0     # up off the edge clamps
+    assert _next_state(mdp, 0, 2) == 0     # left off the edge clamps
+    assert _next_state(mdp, 0, 1) == 10    # down to (1, 0)
+    assert _next_state(mdp, 0, 3) == 1     # right to (0, 1)
+    assert _next_state(mdp, 99, 1) == 99   # the far corner clamps down and right
+    assert _next_state(mdp, 99, 3) == 99
+    assert mdp.reward[[0, 99]].max() == 0.0
 
 
 def test_darkroom_reward_only_for_stay_on_goal():
-    task = DarkroomTask(goal=(2, 2))
-    g = task.state_index(2, 2)
-    assert task.step(g, 4) == (g, 1.0)
-    assert task.step(g, 0)[1] == 0.0       # moving off the goal pays nothing
-    off = task.state_index(2, 3)
-    assert task.step(off, 4) == (off, 0.0)
+    mdp = DarkroomTask(goal=(2, 2)).to_mdp()
+    g = 2 * 10 + 2
+    assert mdp.reward[g, 4] == 1.0
+    assert _next_state(mdp, g, 4) == g
+    assert mdp.reward.sum() == 1.0         # moving off the goal, or staying elsewhere, pays 0
 
 
 def test_darkroom_oracle_walks_shortest_path():
     task = DarkroomTask(goal=(6, 2))
-    s, total = task.state_index(0, 0), 0.0
-    for _ in range(task.horizon):
-        a = task.oracle_action(s)
-        s, r = task.step(s, a)
-        total += r
+    mdp = task.to_mdp()
+    sol = solve_mdp(mdp)
+    s, total, actions = 0, 0.0, []
+    for t in range(1, task.horizon + 1):
+        a = sol.action(t, s)
+        actions.append(a)
+        total += mdp.reward[s, a]
+        s = _next_state(mdp, s, a)
     dist = darkroom_bfs_distance((6, 2))
     assert total == task.horizon - dist
-    assert task.oracle_return() == total
+    assert sol.expected_return() == total
+    # ties go to the lowest index: down before right, then stay
+    assert actions == [1] * 6 + [3] * 2 + [4] * (task.horizon - dist)
 
 
 def test_darkroom_oracle_return_matches_bfs_for_all_goals():
-    for goal in all_darkroom_goals():
-        task = DarkroomTask(goal=goal)
-        assert task.oracle_return() == task.horizon - darkroom_bfs_distance(goal)
+    for horizon in (100, 9):  # at 9 the goals past distance 9 cannot be reached
+        for goal in all_darkroom_goals():
+            value = solve_mdp(DarkroomTask(goal, horizon=horizon).to_mdp()).expected_return()
+            assert value == max(0, horizon - darkroom_bfs_distance(goal))
 
 
 def test_darkroom_to_mdp_consistent_with_step():
+    # a per-state reference step, written from the grid's rules
     task = DarkroomTask(goal=(1, 3), size=4, horizon=6)
     mdp = task.to_mdp()
-    for s in range(task.num_states):
-        for a in range(task.num_actions):
-            ns, r = task.step(s, a)
-            assert mdp.models[0].transition[s, a, ns] == 1.0
-            assert mdp.reward[s, a] == r
+    moves = [(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)]
+    assert mdp.models[0].transition.shape == (16, 5, 16)
+    for s in range(16):
+        r, c = divmod(s, 4)
+        for a, (dr, dc) in enumerate(moves):
+            nr, nc = min(max(r + dr, 0), 3), min(max(c + dc, 0), 3)
+            assert _next_state(mdp, s, a) == nr * 4 + nc
+            assert mdp.reward[s, a] == (1.0 if (r, c) == (1, 3) and a == 4 else 0.0)
     assert mdp.initial_dist[0] == 1.0
+    assert (mdp.horizon, mdp.discount) == (6, 1.0)
 
 
 def test_darkroom_goal_validation():

@@ -8,9 +8,12 @@ import socket
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decisionlab.core import Belief, KernelPair, Rng, TabularTask, belief_update
 from decisionlab.dataset import encode
@@ -98,9 +101,9 @@ def test_online_return_matches_trajectory_return_bitwise():
     res = rollout(pomdp, PolicyHandle.random(), Rng(12))
     assert res.online_return == res.trajectory.discounted_return(pomdp.discount)
 
-    dark = DarkroomTask(goal=(2, 5))
+    dark = DarkroomTask(goal=(2, 5)).to_mdp()
     res = rollout(dark, PolicyHandle.random(), Rng(13))
-    assert res.online_return == res.trajectory.discounted_return(1.0)
+    assert res.online_return == res.trajectory.discounted_return(dark.discount)
 
 
 def test_trajectory_length_and_task_id():
@@ -159,9 +162,10 @@ def test_mdp_oracle_beats_random_on_average():
 
 
 def test_darkroom_oracle_rollout_hits_closed_form():
-    task = DarkroomTask(goal=(4, 3))
-    res = rollout(task, PolicyHandle.oracle(task), Rng(1))
-    assert res.online_return == task.oracle_return()
+    task = DarkroomTask(goal=(4, 3)).to_mdp()
+    sol = solve_mdp(task)
+    res = rollout(task, PolicyHandle.oracle(sol), Rng(1))
+    assert res.online_return == sol.expected_return() == task.horizon - (4 + 3)
     assert len(res.trajectory) == task.horizon
 
 
@@ -185,9 +189,23 @@ def test_oracle_solution_must_match_task():
     other = solve_mdp(tiny_energy_mdp(horizon=5))
     with pytest.raises(ValueError):
         rollout(mdp, PolicyHandle.oracle(other), Rng(0))
+    with pytest.raises(ValueError):  # Darkroom goals differ only in the reward
+        rollout(DarkroomTask(goal=(1, 1)).to_mdp(),
+                PolicyHandle.oracle(solve_mdp(DarkroomTask(goal=(2, 2)).to_mdp())), Rng(0))
+
+
+def test_oracle_solved_for_another_task_is_rejected():
+    # same sizes, horizon and reward table; only the success probability differs
+    mdp_a, mdp_b = tiny_energy_mdp(p=0.55), tiny_energy_mdp(p=0.95)
     with pytest.raises(ValueError):
-        rollout(DarkroomTask(goal=(1, 1)),
-                PolicyHandle.oracle(DarkroomTask(goal=(2, 2))), Rng(0))
+        rollout(mdp_a, PolicyHandle.oracle(solve_mdp(mdp_b)), Rng(0))
+    pomdp_a, pomdp_b = tiny_energy_pomdp(p=0.55), tiny_energy_pomdp(p=0.95)
+    with pytest.raises(ValueError):
+        rollout(pomdp_a, PolicyHandle.oracle(solve_pomdp(pomdp_b)), Rng(0))
+    sensor = tiny_energy_pomdp(p=0.55, obs_prob=0.7)  # differs in the observation only
+    with pytest.raises(ValueError):
+        rollout(pomdp_a, PolicyHandle.oracle(solve_pomdp(sensor)), Rng(0))
+    rollout(pomdp_a, PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp(p=0.55))), Rng(0))
 
 
 def test_unknown_policy_kind_rejected():
@@ -311,6 +329,38 @@ def test_external_oversize_reply_line_raises_protocol_error():
             client.query({"x": 1}, num_actions=2)
 
 
+_LINE_LIMIT = 48  # stands in for MAX_REPLY_BYTES, so that lines fall on both sides of it
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=80).map(lambda line: line.replace(b"\n", b"")),
+                          st.sampled_from([_LINE_LIMIT, _LINE_LIMIT + 1]).map(lambda n: b"x" * n)),
+                min_size=1, max_size=6),
+       st.lists(st.integers(1, 64), min_size=1, max_size=10))
+def test_recv_line_reassembles_arbitrarily_split_replies(lines, sizes):
+    # replies come in chunks of the drawn sizes, in turn
+    module, limit = importlib.import_module("decisionlab.rollout"), _LINE_LIMIT
+    stream = b"".join(line + b"\n" for line in lines)
+    chunks, at = [], 0
+    while at < len(stream):
+        chunks.append(stream[at:at + sizes[len(chunks) % len(sizes)]])
+        at += len(chunks[-1])
+    pending = iter(chunks)
+    ready, peer = socket.socketpair()
+    with ready, peer, mock.patch.object(module, "MAX_REPLY_BYTES", limit):
+        peer.sendall(b"!")  # keeps ``ready`` readable; ``read`` hands out the chunks
+        buf = bytearray()
+        for line in lines:
+            if len(line) > limit:
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    module._recv_line(ready, lambda n: next(pending, b""), buf, 5.0)
+                assert len(buf) <= limit + max(sizes)  # it stopped reading at the limit
+                break
+            assert module._recv_line(ready, lambda n: next(pending, b""), buf, 5.0) == line
+        else:
+            assert not buf and next(pending, None) is None
+
+
 def test_external_eof_raises_protocol_error():
     task = tiny_energy_mdp(horizon=2)
     port, _ = serve(lambda req: None)  # close without replying
@@ -431,7 +481,7 @@ def _golden_tasks():
                                   Rng(106)),
         "apomdp": gen_energy_apomdp(EnergyParams(energy_cap=3, obs_prob=0.6, horizon=5),
                                     AmbiguityConfig(num_models=3), Rng(108)),
-        "darkroom": DarkroomTask(goal=(3, 7), size=8, horizon=24),
+        "darkroom": DarkroomTask(goal=(3, 7), size=8, horizon=24).to_mdp(),
     }
 
 

@@ -1,6 +1,7 @@
 """Oracles: backward induction, simplex quantization, belief-tree values."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from decisionlab.envs import (
     EnergyParams,
     energy_kernels,
     gen_energy_apomdp,
+    gen_energy_mdp,
     noisy_level_observation,
 )
 from decisionlab.evaluation import generate_tasks
@@ -39,6 +41,7 @@ from decisionlab.solvers import (
 )
 
 from conftest import (
+    darkroom_bfs_distance,
     enumerate_mdp_value,
     expectimax_pomdp_value,
     robust_value,
@@ -83,9 +86,41 @@ def test_solve_mdp_value_is_q_max_and_policy_greedy():
 
 
 def test_solve_mdp_darkroom_equals_closed_form():
-    task = DarkroomTask(goal=(1, 3), size=4, horizon=6)
-    sol = solve_mdp(task.to_mdp())
-    assert sol.expected_return() == task.oracle_return()
+    # goal (1, 3) is 4 moves from the start: reachable at horizon 6, not at 3
+    for horizon, want in ((6, 2.0), (3, 0.0)):
+        task = DarkroomTask(goal=(1, 3), size=4, horizon=horizon)
+        assert want == max(0, horizon - darkroom_bfs_distance((1, 3), 4))
+        assert solve_mdp(task.to_mdp()).expected_return() == want
+
+
+def _solve_mdp_3d_reference(task):
+    """Backward induction with the (S, A, S) product and a separate max."""
+    T, S = task.horizon, task.num_states
+    transition = task.models[0].transition
+    values = np.zeros((T + 1, S))
+    policy = np.zeros((T, S), dtype=np.int64)
+    for t in range(T - 1, -1, -1):
+        q = task.reward + task.discount * (transition @ values[t + 1])
+        values[t] = q.max(axis=1)
+        policy[t] = q.argmax(axis=1)
+    return values, policy
+
+
+def test_solve_mdp_matches_the_3d_product_bitwise():
+    # the energy tasks draw their success probability; the last Darkroom goal
+    # is out of reach, so all its actions tie
+    grid = itertools.product((1, 4, 9, 20), (1, 7, 15), (0.9, 0.95, 1.0))
+    tasks = [gen_energy_mdp(EnergyParams(energy_cap=cap, horizon=horizon, discount=discount),
+                            Rng(77).split(i))
+             for i, (cap, horizon, discount) in enumerate(grid)]
+    tasks += [DarkroomTask(goal, size, horizon).to_mdp()
+              for goal, size, horizon in (((0, 0), 10, 100), ((9, 9), 10, 100),
+                                          ((6, 2), 10, 12), ((3, 7), 8, 24), ((2, 1), 3, 2))]
+    for task in tasks:
+        sol = solve_mdp(task)
+        values, policy = _solve_mdp_3d_reference(task)
+        assert np.array_equal(sol.values, values)
+        assert np.array_equal(sol.policy, policy)
 
 
 def test_solve_mdp_terminal_row_is_zero():
