@@ -13,9 +13,8 @@ from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, SamplingExhauste
                    all_darkroom_goals, gen_energy_apomdp, gen_energy_mdp,
                    gen_energy_pomdp, load_task, sample_ambiguity_set, save_task,
                    split_goals)
-from .solvers import (BeliefSolverConfig, BudgetExceeded, MdpSolution, QmdpPolicy,
-                      RobustSolution, qmdp_policy, quantize_belief, solve_apomdp,
-                      solve_mdp, solve_pomdp)
+from .solvers import (BeliefSolverConfig, BudgetExceeded, MdpSolution, RobustSolution,
+                      quantize_belief, solve_apomdp, solve_mdp, solve_pomdp)
 from .rollout import (ExternalPolicyClient, FewShotContext, InvalidAction,
                       PolicyHandle, ProtocolError, RolloutResult, rollout)
 from .dataset import (ParseError, build_context, build_dpt_dataset,

@@ -36,7 +36,7 @@ from .evaluation import (DARKROOM_CSV_COLUMNS, GRID_CSV_COLUMNS, DegenerateOptim
                          GridSpec, darkroom_eval, evaluation_policy, generate_tasks,
                          optimality_gap, reference_policy, run_experiment_grid)
 from .rollout import ExternalPolicyClient
-from .solvers import BeliefSolverConfig, MdpSolution
+from .solvers import BeliefSolverConfig
 from .theory import E2_CSV_COLUMNS, E2Config, run_e2_simulation
 
 # stream indices hung off the root generator, one per pipeline stage
@@ -249,12 +249,18 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
 
 def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
     """``TabularTask``s from the files ``gen`` wrote (audit trail), else
-    re-derived; a Darkroom spec becomes its tabular task here."""
+    re-derived; a Darkroom spec becomes its tabular task here.  A task file of
+    another setting than the configured one is a configuration error."""
     tasks_dir = out / "tasks"
     paths = sorted(tasks_dir.glob("task_*.json")) if tasks_dir.is_dir() else []
     if paths:
         loaded = [load_task(p) for p in paths]
         tasks, metas = [task for task, _ in loaded], [meta for _, meta in loaded]
+        for path, task in zip(paths, tasks):
+            kind = "darkroom" if isinstance(task, DarkroomTask) else task.kind
+            if kind != cfg["setting"]:
+                raise ConfigError(f"task file {path} holds a {kind} task, "
+                                  f"but the setting is {cfg['setting']}")
     else:
         tasks, metas = _build_tasks(cfg)
     return [t.to_mdp() if isinstance(t, DarkroomTask) else t for t in tasks], metas
@@ -317,10 +323,8 @@ def cmd_solve(cfg: dict, args) -> int:
     for i, task in enumerate(tasks):
         handle, ref = reference_policy(task, _solver(cfg))
         record = {"task_index": i, "reference": ref}
-        if ref == "exact" and isinstance(handle.solution, MdpSolution):
-            sol = handle.solution
-            record.update(kind="mdp", expected_return=sol.expected_return(),
-                          values=sol.values.tolist(), policy=sol.policy.tolist())
+        if task.kind == "mdp":
+            record.update(kind="mdp", expected_return=handle.solution.expected_return())
         elif ref == "exact":
             record.update(kind="belief", **handle.solution.to_summary())
         else:
@@ -373,6 +377,8 @@ def cmd_eval(cfg: dict, args) -> int:
     rng = Rng(cfg["seed"]).split(STREAM_EVAL)
     grid = getattr(args, "grid", False)  # the darkroom command has no --grid
     policy_kind = cfg["eval"]["policy"]
+    if not grid and policy_kind == "qmdp" and cfg["setting"] in ("mdp", "darkroom"):
+        raise ConfigError(f"field 'eval.policy': qmdp does not apply to {cfg['setting']}")
     kinds = cfg["grid"]["policies"] if grid else [policy_kind]
     jobs = 1 if "external" in kinds else args.jobs or 1
     with _policy_client(cfg, kinds) as client:
@@ -408,8 +414,6 @@ def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng,
                    client: ExternalPolicyClient | None) -> int:
     dk = cfg["darkroom"]
     policy_kind = cfg["eval"]["policy"]
-    if policy_kind == "qmdp":
-        raise ConfigError("field 'eval.policy': qmdp does not apply to darkroom")
     summary = darkroom_eval(_darkroom_goals(cfg), policy_kind, rng,
                             rollouts_per_goal=dk["rollouts_per_goal"],
                             size=dk["size"], horizon=dk["horizon"], client=client)

@@ -10,9 +10,9 @@ with discounted returns; tasks whose OPT is not meaningfully positive are
 excluded and counted.  Reported intervals are two-sided 95% Student-t over
 per-task gaps.
 
-Belief tasks whose exact solve exceeds the node budget fall back to the QMDP
-policy as the reference decision-maker; reports record which reference was
-used, since a fallback reference makes "gap" relative to an approximation.
+Belief tasks whose exact solve exceeds the node budget fall back to QMDP as
+the reference decision-maker; reports record which reference was used, since
+a fallback reference makes "gap" relative to an approximation.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
 from .rollout import ExternalPolicyClient, FewShotContext, PolicyHandle, rollout
-from .solvers import (BeliefSolverConfig, BudgetExceeded, qmdp_policy, solve_apomdp,
-                      solve_mdp, solve_pomdp)
+from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
 
 DEGENERATE_OPT = 1e-9
 
@@ -95,10 +94,9 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
     ``policy`` may be a single handle (shared across tasks) or one per task.
     Episode j of task i uses one generator pair for both the oracle and the
     evaluated policy, so environment draws are identical.  The report's
-    ``reference`` is "exact" when every oracle handle has kind "oracle" and
-    "qmdp-fallback" otherwise.  ``jobs > 1`` distributes tasks over processes;
-    per-task streams are derived from the task index, so results are
-    identical to the serial run.  External-policy handles hold live
+    ``reference`` is ``_reference_label(oracles)``.  ``jobs > 1`` distributes
+    tasks over processes; per-task streams are derived from the task index, so
+    results are identical to the serial run.  External-policy handles hold live
     connections and must be evaluated with ``jobs=1``.
     """
     if len(tasks) != len(oracles):
@@ -132,10 +130,8 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
         raise DegenerateOptimum("all tasks have non-positive oracle value")
     arr = np.array(gaps)
     lo, hi = _t_interval(arr)
-    exact = all(oracle.kind == "oracle" for oracle in oracles)
     return EvalReport(len(gaps), rollouts_per_task, float(arr.mean()), lo, hi,
-                      gaps, opts, evals, degenerate, invalid,
-                      "exact" if exact else "qmdp-fallback")
+                      gaps, opts, evals, degenerate, invalid, _reference_label(oracles))
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +151,25 @@ def generate_tasks(setting: str, num_tasks: int, params: EnergyParams,
     return [gens[setting](rng.split(i)) for i in range(num_tasks)]
 
 
-def reference_policy(task, solver_config: BeliefSolverConfig | None = None,
-                     allow_fallback: bool = True) -> tuple[PolicyHandle, str]:
-    """Best available reference decision-maker for a task.
+def _reference_label(oracles: list[PolicyHandle]) -> str:
+    """Report label: exact if every handle has kind "oracle", else qmdp-fallback."""
+    return "exact" if all(h.kind == "oracle" for h in oracles) else "qmdp-fallback"
 
-    Exact backward induction where feasible; for belief tasks whose tree
-    exceeds the node budget, the QMDP policy on the (nominal) model if
-    ``allow_fallback`` else the BudgetExceeded propagates.
-    """
+
+def reference_policy(task, solver_config: BeliefSolverConfig | None = None
+                     ) -> tuple[PolicyHandle, str]:
+    """Best available reference decision-maker for a task, and its label:
+    exact backward induction where feasible, else (a belief tree over the node
+    budget) a QMDP handle on the task's MDP solution."""
     if task.kind == "mdp":
-        return PolicyHandle.oracle(solve_mdp(task)), "exact"
-    try:
+        handle = PolicyHandle.oracle(solve_mdp(task))
+    else:
         solve = solve_pomdp if task.kind == "pomdp" else solve_apomdp
-        return PolicyHandle.oracle(solve(task, solver_config)), "exact"
-    except BudgetExceeded:
-        if not allow_fallback:
-            raise
-        return PolicyHandle.qmdp(qmdp_policy(task)), "qmdp-fallback"
+        try:
+            handle = PolicyHandle.oracle(solve(task, solver_config))
+        except BudgetExceeded:
+            handle = PolicyHandle.qmdp(solve_mdp(task))
+    return handle, _reference_label([handle])
 
 
 def evaluation_policy(kind: str, task, reference: PolicyHandle,
@@ -184,7 +182,7 @@ def evaluation_policy(kind: str, task, reference: PolicyHandle,
     if kind == "qmdp":
         if task.kind == "mdp":
             raise ValueError("qmdp evaluation requires a belief task")
-        return PolicyHandle.qmdp(qmdp_policy(task))
+        return PolicyHandle.qmdp(solve_mdp(task))
     if kind == "external":
         if client is None:
             raise ValueError("external evaluation requires a client")
@@ -202,8 +200,9 @@ class GridSpec:
 
     Axis values that do not apply to a setting (observation noise for the MDP,
     model-set size for non-ambiguous tasks) are skipped in the product and
-    reported as empty columns.  Default episode counts follow the convention
-    of 30 evaluation rollouts per task, tripled for ambiguous tasks.
+    reported as empty columns; the MDP gets no qmdp cells.  Default episode
+    counts follow the convention of 30 evaluation rollouts per task, tripled
+    for ambiguous tasks.
     """
 
     settings: tuple = ("mdp",)
@@ -228,12 +227,13 @@ GRID_CSV_COLUMNS = ("setting", "policy", "horizon", "obs_prob", "num_models",
 
 def _grid_cells(spec: GridSpec):
     for setting in spec.settings:
-        horizons = spec.horizons
         obs = spec.obs_probs if setting in ("pomdp", "apomdp") else (None,)
         counts = spec.model_counts if setting == "apomdp" else (None,)
         alphas = spec.alphas if setting == "apomdp" else (None,)
         for policy in spec.policies:
-            for T in horizons:
+            if policy == "qmdp" and setting == "mdp":
+                continue  # QMDP acts on beliefs
+            for T in spec.horizons:
                 for q in obs:
                     for nm in counts:
                         for alpha in alphas:

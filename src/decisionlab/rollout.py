@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Belief, Rng, TabularTask, Trajectory, belief_update
-from .solvers import MdpSolution, QmdpPolicy, RobustSolution
+from .solvers import MdpSolution, RobustSolution
 
 DEFAULT_TIMEOUT = 60.0
 CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
@@ -179,13 +179,14 @@ class PolicyHandle:
     """A policy kind and what it acts through; ``rollout`` makes it an action function.
 
     kind "oracle" wraps the solution of the rolled-out task (an MdpSolution
-    for an mdp, a RobustSolution for a belief task); "qmdp" wraps a QmdpPolicy;
-    "random" draws uniform actions from the episode's policy stream;
+    for an mdp, a RobustSolution for a belief task), and "qmdp" the MdpSolution
+    of a belief task, acting by its ``qmdp_action``; ``rollout`` checks both
+    against the task.  "random" draws uniform actions from the policy stream;
     "external" sends one wire request per period through its client.
     """
 
     kind: str
-    solution: object | None = None
+    solution: MdpSolution | RobustSolution | None = None
     client: ExternalPolicyClient | None = None
 
     @classmethod
@@ -197,27 +198,29 @@ class PolicyHandle:
         return cls("random")
 
     @classmethod
-    def qmdp(cls, policy: QmdpPolicy) -> "PolicyHandle":
-        return cls("qmdp", solution=policy)
+    def qmdp(cls, solution: MdpSolution) -> "PolicyHandle":
+        return cls("qmdp", solution=solution)
 
     @classmethod
     def external(cls, client: ExternalPolicyClient) -> "PolicyHandle":
         return cls("external", client=client)
 
 
-def _check_oracle_matches(task: TabularTask, solution):
-    """Reject an oracle whose horizon, discount, reward or nominal kernels differ
-    from the task's."""
-    expected = MdpSolution if task.kind == "mdp" else RobustSolution
-    if not isinstance(solution, expected):
-        raise TypeError(f"this task's oracle must be a {expected.__name__}")
-    solved = solution.task if isinstance(solution, MdpSolution) else solution
+def _check_oracle_matches(task: TabularTask, handle: PolicyHandle):
+    """Reject a solution of the wrong type for the handle and task, or one whose
+    horizon, discount, reward or nominal kernels differ from the task's."""
+    if handle.kind == "qmdp" and task.kind == "mdp":
+        raise TypeError("a qmdp handle needs a belief task")
+    expected = MdpSolution if handle.kind == "qmdp" or task.kind == "mdp" else RobustSolution
+    if not isinstance(handle.solution, expected):
+        raise TypeError(f"this {handle.kind} handle must wrap a {expected.__name__}")
+    solved = handle.solution.task
     mine, theirs = task.models[0], solved.models[0]
     if not (solved.horizon == task.horizon and solved.discount == task.discount
             and np.array_equal(solved.reward, task.reward)
             and np.array_equal(theirs.transition, mine.transition)
             and np.array_equal(theirs.observation, mine.observation)):
-        raise ValueError("oracle solution was solved for a different task")
+        raise ValueError(f"{handle.kind} solution was solved for a different task")
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +246,12 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
     solution = policy.solution
     if policy.kind == "random":
         return lambda t, obs, belief, history: int(policy_rng.integers(0, num_actions))
-    if policy.kind == "oracle":
-        _check_oracle_matches(task, solution)
+    if policy.kind in ("oracle", "qmdp"):
+        _check_oracle_matches(task, policy)
+        if policy.kind == "qmdp":
+            return lambda t, obs, belief, history: solution.qmdp_action(t, belief)
         if task.kind == "mdp":
             return lambda t, obs, belief, history: solution.action(t, obs)
-        return lambda t, obs, belief, history: solution.action(t, belief)
-    if policy.kind == "qmdp":
-        if not isinstance(solution, QmdpPolicy):
-            raise TypeError("qmdp handle must wrap a QmdpPolicy")
         return lambda t, obs, belief, history: solution.action(t, belief)
     if policy.kind == "external":
         if policy.client is None:

@@ -1,11 +1,13 @@
 """Exact and robust oracles for ``TabularTask``.
 
 ``solve_mdp`` is plain finite-horizon backward induction under a task's
-nominal transition kernel.  ``solve_pomdp`` (the nominal model alone) and
-``solve_apomdp`` (every candidate model) share one belief-tree engine: beliefs reachable from the
-initial distribution are enumerated level by level (one level per period),
-quantized onto a simplex grid so that recurring beliefs are merged, and values
-are computed by backward induction over the levels.  The robust recursion
+nominal transition kernel; its solution also acts on beliefs as QMDP
+(``MdpSolution.qmdp_action``), the fallback reference.  ``solve_pomdp`` (the
+nominal model alone) and ``solve_apomdp`` (every candidate model) share one
+belief-tree engine: beliefs reachable from the initial distribution are
+enumerated level by level (one level per period), quantized onto a simplex
+grid so that recurring beliefs are merged, and values are computed by
+backward induction over the levels.  The robust recursion
 evaluates, for every action, the candidate-model values
 
     H(b, a, m) = sum_o P(o | b, a, m) * V_{t+1}(update(b, a, o, m))
@@ -62,6 +64,12 @@ class MdpSolution:
     def expected_return(self) -> float:
         """Optimal expected discounted return from the initial distribution."""
         return float(self.task.initial_dist @ self.values[0])
+
+    def qmdp_action(self, t: int, belief: Belief) -> int:
+        """QMDP (Littman et al. 1995): argmax_a belief . Q_t(., a).  It assumes
+        the state is observed after the next step, so it never plans to gather
+        information; the fallback reference on belief tasks."""
+        return int((belief.probs @ self.q_values(t)).argmax())
 
 
 def solve_mdp(task: TabularTask) -> MdpSolution:
@@ -145,6 +153,10 @@ class BeliefSolverConfig:
 class RobustSolution:
     """Backward-induction values over a quantized reachable belief tree.
 
+    ``task`` gives the reward, initial distribution, horizon, discount and
+    sizes; ``models`` are the candidate models planned over and ``alpha`` is
+    the pessimism weight that mixes their values.
+
     ``value(t, belief)`` evaluates the quantized representative of ``belief``
     at period ``t``; ``action(t, belief)`` is a one-step lookahead at the exact
     belief against the stored next-level values.  Beliefs outside the solved
@@ -155,25 +167,18 @@ class RobustSolution:
     its period and key, so answers do not change).
     """
 
-    def __init__(self, models: list[KernelPair], reward: np.ndarray,
-                 initial_dist: np.ndarray, horizon: int, discount: float,
-                 alpha: float, config: BeliefSolverConfig):
+    def __init__(self, task: TabularTask, models: list[KernelPair], alpha: float,
+                 config: BeliefSolverConfig):
+        self.task = task
         self.models = models
-        self.reward = reward
-        self.initial_dist = initial_dist
-        self.horizon = horizon
-        self.discount = discount
         self.alpha = alpha
         self.config = config
         self.ticks = int(round(1.0 / config.quantization))
-        self.num_states = reward.shape[0]
-        self.num_actions = reward.shape[1]
-        self.num_obs = models[0].observation.shape[2]
         # per period t (index t-1): sorted _row_order_view of its keys, values
         self._levels: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
         # lazily added off-tree nodes: per period dict key-bytes -> value
-        self._extra: list[dict[bytes, float]] = [dict() for _ in range(horizon)]
+        self._extra: list[dict[bytes, float]] = [dict() for _ in range(task.horizon)]
         self.node_count = 0
         self.level_sizes: list[int] = []
         self._solve()
@@ -196,8 +201,8 @@ class RobustSolution:
         children carry weight exactly 0 and an all-zero key.
         """
         c = beliefs.shape[0]
-        A, M, O, S = (self.num_actions, len(self.models), self.num_obs,
-                      self.num_states)
+        A, M, O, S = (self.task.num_actions, len(self.models), self.task.num_obs,
+                      self.task.num_states)
         keys = np.zeros((c, A, M, O, S), dtype=np.int32)
         weights = np.zeros((c, A, M, O))
         for mi, model in enumerate(self.models):
@@ -219,9 +224,9 @@ class RobustSolution:
         cfg = self.config
         self.node_count = 1
         self._check_budget(self.node_count)
-        levels = [_unique_rows(quantize_batch(self.initial_dist[None, :], self.ticks))]
+        levels = [_unique_rows(quantize_batch(self.task.initial_dist[None, :], self.ticks))]
         # forward pass: discover the distinct quantized beliefs of each period
-        for _ in range(1, self.horizon):
+        for _ in range(1, self.task.horizon):
             parents = self._beliefs(levels[-1])
             pending: list[np.ndarray] = []
             pending_rows = 0
@@ -240,14 +245,14 @@ class RobustSolution:
         self._levels = levels
         self.level_sizes = [len(v) for v in levels]
         # backward pass
-        self._values = [None] * self.horizon
-        for t in range(self.horizon - 1, -1, -1):
+        self._values = [None] * self.task.horizon
+        for t in range(self.task.horizon - 1, -1, -1):
             self._values[t] = self._node_values(t, self._beliefs(levels[t]), lazy=False)
 
     def _node_values(self, t: int, beliefs: np.ndarray, lazy: bool) -> np.ndarray:
         """Values of a batch of beliefs at 0-based period t, backed up one
         chunk at a time; the terminal period expands nothing and is one batch."""
-        step = len(beliefs) if t == self.horizon - 1 else self.config.expansion_chunk
+        step = len(beliefs) if t == self.task.horizon - 1 else self.config.expansion_chunk
         return np.concatenate([self._backup(t, beliefs[start:start + step], lazy)
                                .max(axis=1) for start in range(0, len(beliefs), step)])
 
@@ -260,17 +265,17 @@ class RobustSolution:
         built node's value must not depend on which nodes share its batch.
         """
         if lazy:
-            now = np.array([b @ self.reward for b in beliefs])
+            now = np.array([b @ self.task.reward for b in beliefs])
         else:
-            now = beliefs @ self.reward
-        if t == self.horizon - 1:
+            now = beliefs @ self.task.reward
+        if t == self.task.horizon - 1:
             return now
         keys, weights = self._expand_chunk(beliefs)
         c, A, M, O, S = keys.shape
         child_vals = self._values_at(t + 1, keys.reshape(-1, S), lazy)
         h = (weights * child_vals.reshape(c, A, M, O)).sum(axis=3)  # (c, A, M)
         robust = self.alpha * h.min(axis=2) + (1.0 - self.alpha) * h.max(axis=2)
-        return now + self.discount * robust
+        return now + self.task.discount * robust
 
     def _values_at(self, t: int, keys: np.ndarray, lazy: bool) -> np.ndarray:
         """Values of quantized ``keys`` (n, S) at 0-based period t.
@@ -306,8 +311,8 @@ class RobustSolution:
     # -- queries -------------------------------------------------------------
 
     def _start_query(self, t: int):
-        if not (1 <= t <= self.horizon):
-            raise ValueError(f"t must lie in 1..{self.horizon}")
+        if not (1 <= t <= self.task.horizon):
+            raise ValueError(f"t must lie in 1..{self.task.horizon}")
         if sum(map(len, self._extra)) > self.config.node_budget:
             for cache in self._extra:
                 cache.clear()
@@ -348,40 +353,10 @@ class RobustSolution:
 def solve_pomdp(task: TabularTask,
                 config: BeliefSolverConfig | None = None) -> RobustSolution:
     """Belief-tree backward induction under the nominal model alone."""
-    config = config or BeliefSolverConfig()
-    return RobustSolution(task.models[:1], task.reward, task.initial_dist,
-                          task.horizon, task.discount, alpha=1.0, config=config)
+    return RobustSolution(task, task.models[:1], 1.0, config or BeliefSolverConfig())
 
 
 def solve_apomdp(task: TabularTask,
                  config: BeliefSolverConfig | None = None) -> RobustSolution:
     """Robust belief-tree backward induction over the candidate-model set."""
-    config = config or BeliefSolverConfig()
-    return RobustSolution(task.models, task.reward, task.initial_dist,
-                          task.horizon, task.discount, alpha=task.alpha,
-                          config=config)
-
-
-# ---------------------------------------------------------------------------
-# QMDP fallback
-
-
-class QmdpPolicy:
-    """Belief-weighted fully-observed Q-values: act by argmax_a b . Q_t(., a).
-
-    A standard approximation for horizons where the belief tree is too large;
-    it assumes full observability after the next step, so it never plans
-    information-gathering actions.
-    """
-
-    def __init__(self, task: TabularTask):
-        self.mdp_solution = solve_mdp(task)
-
-    def action(self, t: int, belief: Belief) -> int:
-        scores = belief.probs @ self.mdp_solution.q_values(t)
-        return int(scores.argmax())
-
-
-def qmdp_policy(task: TabularTask) -> QmdpPolicy:
-    """QMDP on a belief task's nominal model."""
-    return QmdpPolicy(task)
+    return RobustSolution(task, task.models, task.alpha, config or BeliefSolverConfig())

@@ -2,14 +2,18 @@
 
 ``perfbench/tracing.py`` wraps public functions by name on the package and on
 its modules; a renamed or removed name there breaks traced benchmark runs
-with an ``AttributeError``, so this installs and uninstalls the tracer.
+with an ``AttributeError``, so this installs and uninstalls the tracer.  Its
+notes also read return shapes (``reference_policy`` returns a pair whose
+second item is the label), so a traced command must still yield its counts.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import decisionlab
+from decisionlab import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("core", "solvers", "rollout", "dataset", "evaluation", "cli")
@@ -42,3 +46,33 @@ def test_tracer_installs_and_restores_every_original():
     for ns, names in zip(_namespaces(), before):
         after = vars(ns)
         assert all(after[name] is value for name, value in names.items()), ns
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_solve_counts_a_forced_fallback(tmp_path):
+    tracing = _load_tracing()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "pomdp", "num_tasks": 1,
+                                  "env": {"energy_cap": 3, "horizon": 4},
+                                  "solver": {"node_budget": 30}}))
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        for command in ("gen", "solve"):
+            assert cli.main([command, "--config", str(config),
+                             "--out", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.lazy_nodes)
+    assert metrics["evaluation.reference.fallback"] == 1
+    assert metrics["solvers.budget.exceeded"] == 1
+    assert metrics["solvers.exact_ratio"] == 0.0
+    # the failed belief-tree solve, then the MDP solve that QMDP acts through
+    assert metrics["solvers.solve.calls"] == 2
+    assert metrics["envs.task_io.calls"] == 2  # gen saves the task, solve loads it

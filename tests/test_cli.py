@@ -174,11 +174,33 @@ def test_unreachable_external_policy_exits_2(tmp_path, capsys):
 
 
 def test_qmdp_rejected_for_darkroom(tmp_path, capsys):
-    cfg = write_config(tmp_path, setting="darkroom",
-                       darkroom={"size": 5, "horizon": 10},
-                       eval={"policy": "qmdp"})
-    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert "qmdp" in capsys.readouterr().err
+    # QMDP acts on beliefs, so neither fully observed setting takes it
+    for setting in ("darkroom", "mdp"):
+        cfg = write_config(tmp_path, setting=setting,
+                           darkroom={"size": 5, "horizon": 10},
+                           eval={"policy": "qmdp"})
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert f"qmdp does not apply to {setting}" in capsys.readouterr().err
+
+
+def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["gen", "--config", write_config(tmp_path), "--out", out]) == 0
+    pomdp = write_config(tmp_path, "pomdp.json", setting="pomdp")
+    for command in ("solve", "export", "eval"):
+        assert main([command, "--config", pomdp, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "task_0000.json holds a mdp task, but the setting is pomdp" in err
+    assert not list((tmp_path / "run").glob("solutions/*.json"))
+    # darkroom derives its goals from the config, whatever the task files hold
+    dark = write_config(tmp_path, "dark.json", setting="darkroom",
+                        darkroom={"size": 3, "horizon": 6})
+    assert main(["darkroom", "--check", "--policy", "oracle", "--config", dark,
+                 "--out", out]) == 0
+    dark_out = str(tmp_path / "dark")
+    assert main(["gen", "--config", dark, "--out", dark_out]) == 0
+    assert main(["solve", "--config", write_config(tmp_path), "--out", dark_out]) == 1
+    assert "holds a darkroom task, but the setting is mdp" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +224,7 @@ def test_full_pipeline_artifacts(tmp_path, capsys):
     sol = json.loads((out / "solutions" / "solution_0000.json").read_text())
     assert sol["kind"] == "mdp" and sol["reference"] == "exact"
     assert isinstance(sol["expected_return"], float)
-    assert len(sol["policy"]) == 4  # one row per period
+    assert set(sol) == {"task_index", "reference", "kind", "expected_return"}
 
     assert main(["export", "--config", cfg, "--out", str(out)]) == 0
     corpus = out / "corpus" / "sft.jsonl"
@@ -290,6 +312,18 @@ def test_eval_grid_writes_csv(tmp_path, capsys):
     assert row["setting"] == "mdp" and row["policy"] == "random"
     assert row["obs_prob"] == ""  # axis does not apply to fully observed tasks
     assert "eval: wrote 1 grid row(s)" in capsys.readouterr().out
+
+
+def test_eval_grid_skips_qmdp_for_mdp(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        grid={"settings": ["mdp", "pomdp"], "horizons": [3], "obs_probs": [0.8],
+              "policies": ["random", "qmdp"], "num_tasks": 2})
+    out = tmp_path / "run"
+    assert main(["eval", "--grid", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "reports" / "grid.csv").read_text().splitlines()
+    cells = [tuple(line.split(",")[:2]) for line in lines[1:]]
+    assert cells == [("mdp", "random"), ("pomdp", "random"), ("pomdp", "qmdp")]
 
 
 # Replies with current_obs mod num_actions, so every action is valid.

@@ -151,7 +151,7 @@ def test_reference_policy_falls_back_to_qmdp_on_budget():
     assert handle.kind == "qmdp"
     from decisionlab.solvers import BudgetExceeded
     with pytest.raises(BudgetExceeded):
-        reference_policy(task, tight, allow_fallback=False)
+        solve_pomdp(task, tight)
 
 
 def test_report_reference_is_derived_from_the_oracle_handles():
@@ -178,8 +178,7 @@ def test_oracle_queries_do_not_spend_the_solve_budget():
                                                for t in tasks))
 
     def gap(config, jobs):
-        oracles = [reference_policy(t, config, allow_fallback=False)[0]
-                   for t in tasks]
+        oracles = [PolicyHandle.oracle(solve_pomdp(t, config)) for t in tasks]
         report = optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(1),
                                 rollouts_per_task=60, jobs=jobs)
         return report, [o.solution.node_count for o in oracles]

@@ -1,13 +1,21 @@
-"""README drift guard: the quick start prints what its comments show, and
-the config reference equals ``DEFAULT_CONFIG``."""
+"""README drift guard: the quick start prints what its comments show, the
+config reference equals ``DEFAULT_CONFIG``, and the corpus and wire examples
+have the keys of real records and requests."""
 
 import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 from decisionlab.cli import DEFAULT_CONFIG
+from decisionlab.core import Rng
+from decisionlab.dataset import build_dpt_dataset, build_sft_corpus
+from decisionlab.evaluation import reference_policy
+from decisionlab.rollout import ExternalPolicyClient, PolicyHandle, rollout
+
+from conftest import tiny_energy_mdp
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -36,3 +44,39 @@ def test_config_reference_equals_default_config():
     documented = json.loads(_block("The config is a JSON object", "json"))
     assert documented.pop("setting") == "mdp | pomdp | apomdp | darkroom"
     assert documented == {k: v for k, v in DEFAULT_CONFIG.items() if k != "setting"}
+
+
+def test_corpus_examples_have_the_keys_of_real_records():
+    tasks = [tiny_energy_mdp()]
+    oracles = [reference_policy(tasks[0])[0]]
+    sft = build_sft_corpus(tasks, oracles, Rng(0), trajectories_per_task=2)[0]
+    dpt = build_dpt_dataset(tasks, oracles, Rng(0), records_per_task=1,
+                            context_trajectories=2)[0]
+    assert set(json.loads(_block("`build_sft_corpus(", "json"))) == set(sft)
+    assert set(json.loads(_block("`build_dpt_dataset(", "json"))) == set(dpt)
+
+
+# Writes every request line to the file named by its argument; always acts 0.
+RECORDING_POLICY = """\
+import json, sys
+with open(sys.argv[1], "w") as log:
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        print(json.dumps({"action": 0}), flush=True)
+"""
+
+
+def test_wire_example_has_the_keys_of_a_real_request(tmp_path):
+    script, log = tmp_path / "policy.py", tmp_path / "requests.jsonl"
+    script.write_text(RECORDING_POLICY)
+    argv = [sys.executable, str(script), str(log)]
+    with ExternalPolicyClient.child_process(argv, timeout=30.0) as client:
+        rollout(tiny_energy_mdp(horizon=2), PolicyHandle.external(client), Rng(0))
+    request = json.loads(log.read_text().splitlines()[-1])  # one step of history
+    # the block is not JSON ("→", "...", "←"); read its keys by pattern
+    shown = _block("**External policies.**", "json").split("←")[0]
+    history = re.search(r"\[(\{.*?\})", shown, re.S).group(1)
+    top = re.sub(r"\[.*?\]", "[]", shown, flags=re.S)
+    assert re.findall(r'"(\w+)":', top) == list(request)
+    assert re.findall(r'"(\w+)":', history) == list(request["history"][0])

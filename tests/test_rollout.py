@@ -29,7 +29,7 @@ from decisionlab.rollout import (
     rollout,
 )
 from decisionlab.evaluation import evaluation_policy, reference_policy
-from decisionlab.solvers import BeliefSolverConfig, qmdp_policy, solve_mdp, solve_pomdp
+from decisionlab.solvers import BeliefSolverConfig, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, tiny_energy_pomdp
 
@@ -171,7 +171,7 @@ def test_darkroom_oracle_rollout_hits_closed_form():
 
 def test_qmdp_handle_runs_on_pomdp():
     task = tiny_energy_pomdp(horizon=4)
-    res = rollout(task, PolicyHandle.qmdp(qmdp_policy(task)), Rng(9))
+    res = rollout(task, PolicyHandle.qmdp(solve_mdp(task)), Rng(9))
     assert len(res.trajectory) == 4
     assert res.invalid_actions == 0
 
@@ -206,6 +206,15 @@ def test_oracle_solved_for_another_task_is_rejected():
     with pytest.raises(ValueError):
         rollout(pomdp_a, PolicyHandle.oracle(solve_pomdp(sensor)), Rng(0))
     rollout(pomdp_a, PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp(p=0.55))), Rng(0))
+    # a QMDP handle wraps an MdpSolution and is held to the same rule
+    with pytest.raises(ValueError):
+        rollout(pomdp_a, PolicyHandle.qmdp(solve_mdp(pomdp_b)), Rng(0))
+    with pytest.raises(ValueError):
+        rollout(tiny_energy_pomdp(horizon=5),
+                PolicyHandle.qmdp(solve_mdp(tiny_energy_pomdp(horizon=3))), Rng(0))
+    with pytest.raises(TypeError):
+        rollout(mdp_a, PolicyHandle.qmdp(solve_mdp(mdp_a)), Rng(0))
+    rollout(pomdp_a, PolicyHandle.qmdp(solve_mdp(tiny_energy_pomdp(p=0.55))), Rng(0))
 
 
 def test_unknown_policy_kind_rejected():

@@ -30,7 +30,6 @@ from decisionlab.evaluation import generate_tasks
 from decisionlab.solvers import (
     BeliefSolverConfig,
     BudgetExceeded,
-    qmdp_policy,
     quantize_batch,
     quantize_belief,
     solve_apomdp,
@@ -433,16 +432,16 @@ def test_qmdp_matches_mdp_greedy_at_vertices():
     obs = noisy_level_observation(mdp.num_states, mdp.num_actions, 1.0)
     pomdp = TabularTask("pomdp", [KernelPair(mdp.models[0].transition, obs)], mdp.reward,
                         mdp.initial_dist, mdp.horizon, mdp.discount)
-    qp = qmdp_policy(pomdp)
+    qp = solve_mdp(pomdp)
     mdp_sol = solve_mdp(mdp)
     for t in range(1, mdp.horizon + 1):
         for s in range(mdp.num_states):
-            assert qp.action(t, vertex(s, mdp.num_states)) == mdp_sol.action(t, s)
+            assert qp.qmdp_action(t, vertex(s, mdp.num_states)) == mdp_sol.action(t, s)
 
 
 def test_qmdp_scores_are_belief_weighted_q():
     pomdp = tiny_energy_pomdp(p=0.8, horizon=3)
-    qp = qmdp_policy(pomdp)
+    qp = solve_mdp(pomdp)
     b = Belief([0.2, 0.5, 0.3])
-    scores = b.probs @ qp.mdp_solution.q_values(2)
-    assert qp.action(2, b) == int(scores.argmax())
+    scores = b.probs @ qp.q_values(2)
+    assert qp.qmdp_action(2, b) == int(scores.argmax())
