@@ -249,8 +249,10 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
 
 def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
     """``TabularTask``s from the files ``gen`` wrote (audit trail), else
-    re-derived; a Darkroom spec becomes its tabular task here.  A task file of
-    another setting than the configured one is a configuration error."""
+    re-derived; a Darkroom spec becomes its tabular task here.  Task files of
+    another setting than the configured one, or energy-task files whose count,
+    horizon or state count disagree with the config, are a configuration
+    error."""
     tasks_dir = out / "tasks"
     paths = sorted(tasks_dir.glob("task_*.json")) if tasks_dir.is_dir() else []
     if paths:
@@ -261,9 +263,25 @@ def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
             if kind != cfg["setting"]:
                 raise ConfigError(f"task file {path} holds a {kind} task, "
                                   f"but the setting is {cfg['setting']}")
+        if cfg["setting"] != "darkroom":
+            _check_energy_task_files(cfg, paths, tasks)
     else:
         tasks, metas = _build_tasks(cfg)
     return [t.to_mdp() if isinstance(t, DarkroomTask) else t for t in tasks], metas
+
+
+def _check_energy_task_files(cfg: dict, paths: list[Path], tasks: list):
+    if len(paths) != cfg["num_tasks"]:
+        raise ConfigError(f"{paths[0].parent} holds {len(paths)} task file(s), "
+                          f"but field 'num_tasks' is {cfg['num_tasks']}")
+    horizon, cap = cfg["env"]["horizon"], cfg["env"]["energy_cap"]
+    for path, task in zip(paths, tasks):
+        if task.horizon != horizon:
+            raise ConfigError(f"task file {path} has horizon {task.horizon}, "
+                              f"but field 'env.horizon' is {horizon}")
+        if task.num_states != cap + 1:
+            raise ConfigError(f"task file {path} has {task.num_states} states, "
+                              f"but field 'env.energy_cap' is {cap}")
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]):
@@ -316,8 +334,8 @@ def cmd_gen(cfg: dict, args) -> int:
 def cmd_solve(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     sol_dir = out / "solutions"
-    sol_dir.mkdir(parents=True, exist_ok=True)
     tasks, _ = _load_or_build_tasks(cfg, out)
+    sol_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     fallbacks = 0
     for i, task in enumerate(tasks):
@@ -341,8 +359,8 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_export(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     corpus_dir = out / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
     tasks, metas = _load_or_build_tasks(cfg, out)
+    corpus_dir.mkdir(parents=True, exist_ok=True)
     oracles = [reference_policy(task, _solver(cfg))[0] for task in tasks]
     rng = Rng(cfg["seed"]).split(STREAM_CORPUS)
     ds = cfg["dataset"]
@@ -373,15 +391,17 @@ def cmd_export(cfg: dict, args) -> int:
 def cmd_eval(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     reports = out / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
     rng = Rng(cfg["seed"]).split(STREAM_EVAL)
     grid = getattr(args, "grid", False)  # the darkroom command has no --grid
     policy_kind = cfg["eval"]["policy"]
     if not grid and policy_kind == "qmdp" and cfg["setting"] in ("mdp", "darkroom"):
         raise ConfigError(f"field 'eval.policy': qmdp does not apply to {cfg['setting']}")
+    if not grid and cfg["setting"] != "darkroom":
+        tasks, _ = _load_or_build_tasks(cfg, out)
     kinds = cfg["grid"]["policies"] if grid else [policy_kind]
     jobs = 1 if "external" in kinds else args.jobs or 1
     with _policy_client(cfg, kinds) as client:
+        reports.mkdir(parents=True, exist_ok=True)
         if grid:
             spec = _from_section(GridSpec, cfg["grid"], params=_energy_params(cfg),
                                  ambiguity=_ambiguity(cfg), solver=_solver(cfg))
@@ -393,7 +413,6 @@ def cmd_eval(cfg: dict, args) -> int:
             return 0
         if cfg["setting"] == "darkroom":
             return _eval_darkroom(cfg, args, reports, out, rng, client)
-        tasks, _ = _load_or_build_tasks(cfg, out)
         oracles = [reference_policy(task, _solver(cfg))[0] for task in tasks]
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]

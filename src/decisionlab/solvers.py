@@ -20,8 +20,10 @@ worst-case (alpha = 1) and best-case (alpha = 0) planning.
 Values are stored at quantized representatives: ``value(t, b)`` returns the
 value of the grid point nearest ``b`` under largest-remainder rounding.  Each
 level is stored once, as the sorted byte view of its keys that deduplication
-and lookups share.  Queries off the solved tree lazily expand the missing
-subtree; only the solve is held to the node budget (see ``RobustSolution``).
+and lookups share, and expanded once; actions with equal kernels in every
+model are expanded once; and the node budget is checked while a level is
+built (see ``RobustSolution``).  Queries off the solved tree lazily expand the
+missing subtree and are not held to the budget.
 """
 
 from __future__ import annotations
@@ -34,7 +36,17 @@ from .core import Belief, KernelPair, TabularTask
 
 
 class BudgetExceeded(RuntimeError):
-    """The belief tree needs more distinct quantized nodes than allowed."""
+    """The belief tree needs more distinct quantized nodes than ``budget``:
+    ``nodes`` is the lower bound on its size that exceeded it while the level
+    of (1-based) period ``period`` was built."""
+
+    def __init__(self, budget: int, period: int, nodes: int):
+        super().__init__(budget, period, nodes)
+        self.budget, self.period, self.nodes = budget, period, nodes
+
+    def __str__(self):
+        return (f"belief tree exceeds node budget {self.budget}: "
+                f"at least {self.nodes} nodes by period {self.period}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +142,6 @@ def _view_rows(view: np.ndarray) -> np.ndarray:
     return view.view(">i4").reshape(len(view), view.dtype.itemsize // 4)
 
 
-def _unique_rows(keys: np.ndarray) -> np.ndarray:
-    """Distinct rows of ``keys`` as a sorted ``_row_order_view``; decoded with
-    ``_view_rows`` they equal ``np.unique(keys, axis=0)``."""
-    return np.unique(_row_order_view(keys))
-
-
 # ---------------------------------------------------------------------------
 # belief-tree engine
 
@@ -157,6 +163,14 @@ class RobustSolution:
     sizes; ``models`` are the candidate models planned over and ``alpha`` is
     the pessimism weight that mixes their values.
 
+    The forward pass keeps each child's observation weight and position in
+    the next level, and the backward pass gathers the stored values.  Actions
+    whose transition and observation slices are equal in every model form a
+    class whose first action alone is expanded (in lazy queries too); the
+    immediate reward stays per action, so ties still go to the lowest index.
+    The solve raises ``BudgetExceeded`` exactly when the whole tree exceeds
+    ``node_budget``, as soon as a level's distinct children show it.
+
     ``value(t, belief)`` evaluates the quantized representative of ``belief``
     at period ``t``; ``action(t, belief)`` is a one-step lookahead at the exact
     belief against the stored next-level values.  Beliefs outside the solved
@@ -174,6 +188,15 @@ class RobustSolution:
         self.alpha = alpha
         self.config = config
         self.ticks = int(round(1.0 / config.quantization))
+        # one representative action per class of equal kernels; class per action
+        kernels = [b"".join(k[:, a].tobytes() for m in models
+                            for k in (m.transition, m.observation))
+                   for a in range(task.num_actions)]
+        firsts = [kernels.index(k) for k in kernels]
+        reps = sorted(set(firsts))
+        self._action_class = np.array([reps.index(a) for a in firsts])
+        self._kernels = [(m.transition[:, reps], m.observation.transpose(1, 2, 0)[reps])
+                         for m in models]
         # per period t (index t-1): sorted _row_order_view of its keys, values
         self._levels: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
@@ -185,34 +208,46 @@ class RobustSolution:
 
     # -- construction -------------------------------------------------------
 
-    def _check_budget(self, nodes: int):
+    def _check_budget(self, period: int, nodes: int):
         if nodes > self.config.node_budget:
-            raise BudgetExceeded(
-                f"belief tree exceeds node budget {self.config.node_budget}")
+            raise BudgetExceeded(self.config.node_budget, period, nodes)
+
+    def _merge(self, period: int, table: np.ndarray, done: list, fresh: list):
+        """Fold ``fresh`` chunks (weights, distinct rows, inverse) into the sorted
+        view ``table``, checking the budget; returns the merged table and every
+        chunk's (weights, positions of its unpruned children in that table)."""
+        merged = np.concatenate([table] + [rows for _, rows, _ in fresh])
+        merged.sort()  # np.unique would sort a copy
+        first = np.concatenate(([True], merged[1:] != merged[:-1]))
+        self._check_budget(period, self.node_count + int(first.sum()))
+        merged = merged[first]
+        moved = np.searchsorted(merged, table).astype(np.int32)
+        return merged, ([(w, moved[pos]) for w, pos in done]
+                        + [(w, np.searchsorted(merged, rows).astype(np.int32)[inverse])
+                           for w, rows, inverse in fresh])
 
     def _beliefs(self, view: np.ndarray) -> np.ndarray:
         return _view_rows(view).astype(np.float64) / self.ticks
 
     def _expand_chunk(self, beliefs: np.ndarray):
-        """Children of a batch of beliefs for every (action, model, obs).
+        """Children of a batch of beliefs for every (action class, model, obs).
 
-        Returns quantized child keys (c, A, M, O, S) int32 and observation
-        weights (c, A, M, O) renormalized over unpruned observations; pruned
+        Returns quantized child keys (c, C, M, O, S) int32 and observation
+        weights (c, C, M, O) renormalized over unpruned observations; pruned
         children carry weight exactly 0 and an all-zero key.
         """
-        c = beliefs.shape[0]
-        A, M, O, S = (self.task.num_actions, len(self.models), self.task.num_obs,
-                      self.task.num_states)
-        keys = np.zeros((c, A, M, O, S), dtype=np.int32)
-        weights = np.zeros((c, A, M, O))
-        for mi, model in enumerate(self.models):
-            pred_s = np.einsum("cs,sap->cap", beliefs, model.transition)
-            post = pred_s[:, :, None, :] * model.observation.transpose(1, 2, 0)[None]
-            mass = post.sum(axis=3)                      # (c, A, O) predictive probs
+        c, M = beliefs.shape[0], len(self._kernels)
+        C, O, S = self._kernels[0][1].shape
+        keys = np.zeros((c, C, M, O, S), dtype=np.int32)
+        weights = np.zeros((c, C, M, O))
+        for mi, (transition, observation) in enumerate(self._kernels):
+            pred_s = np.einsum("cs,sap->cap", beliefs, transition)
+            post = pred_s[:, :, None, :] * observation[None]
+            mass = post.sum(axis=3)                      # (c, C, O) predictive probs
             keep = mass > self.config.obs_prune
             safe = np.where(keep, mass, 1.0)
             post = post / safe[..., None]
-            k = quantize_batch(post.reshape(-1, S), self.ticks).reshape(c, A, O, S)
+            k = quantize_batch(post.reshape(-1, S), self.ticks).reshape(c, C, O, S)
             k[~keep] = 0
             w = np.where(keep, mass, 0.0)
             w = w / w.sum(axis=2, keepdims=True)
@@ -221,70 +256,73 @@ class RobustSolution:
         return keys, weights
 
     def _solve(self):
-        cfg = self.config
+        cfg, step, T = self.config, self.config.expansion_chunk, self.task.horizon
         self.node_count = 1
-        self._check_budget(self.node_count)
-        levels = [_unique_rows(quantize_batch(self.task.initial_dist[None, :], self.ticks))]
-        # forward pass: discover the distinct quantized beliefs of each period
-        for _ in range(1, self.task.horizon):
-            parents = self._beliefs(levels[-1])
-            pending: list[np.ndarray] = []
-            pending_rows = 0
-            for start in range(0, parents.shape[0], cfg.expansion_chunk):
-                keys, weights = self._expand_chunk(
-                    parents[start:start + cfg.expansion_chunk])
-                pending.append(_unique_rows(keys[weights > 0.0]))
-                pending_rows += len(pending[-1])
-                if pending_rows > 4_000_000:
-                    pending = [np.unique(np.concatenate(pending))]
-                    pending_rows = len(pending[0])
-                    self._check_budget(self.node_count + pending_rows)
-            levels.append(np.unique(np.concatenate(pending)))
-            self.node_count += len(levels[-1])
-            self._check_budget(self.node_count)
+        self._check_budget(1, self.node_count)
+        levels = [_row_order_view(quantize_batch(self.task.initial_dist[None, :], self.ticks))]
+        links = []  # per parent level, per chunk: (weights, child positions)
+        # forward pass: discover the distinct beliefs of each period; pending
+        # children are merged (and the budget checked) once they could overflow
+        # the budget or reach 4M rows, then once grown by half (linear cost)
+        for period in range(2, T + 1):
+            parents, fresh, done = levels[-1], [], []
+            table, pending = parents[:0], 0
+            limit = min(4_000_000, cfg.node_budget - self.node_count)
+            for start in range(0, len(parents), step):
+                keys, weights = self._expand_chunk(self._beliefs(parents[start:start + step]))
+                rows, inverse = np.unique(_row_order_view(keys[weights > 0.0]),
+                                          return_inverse=True)
+                fresh.append((weights, rows, inverse.astype(np.int32)))
+                pending += len(rows)
+                if pending > max(limit, 1.5 * len(table)) or start + step >= len(parents):
+                    table, done = self._merge(period, table, done, fresh)
+                    pending, fresh = len(table), []
+            self.node_count += len(table)
+            levels.append(table)
+            links.append(done)
         self._levels = levels
         self.level_sizes = [len(v) for v in levels]
-        # backward pass
-        self._values = [None] * self.task.horizon
-        for t in range(self.task.horizon - 1, -1, -1):
-            self._values[t] = self._node_values(t, self._beliefs(levels[t]), lazy=False)
+        # backward pass; pruned children read row 0 and only ever meet weight 0
+        self._values = [None] * T
+        self._values[-1] = (self._beliefs(levels[-1]) @ self.task.reward).max(axis=1)
+        for t in range(T - 2, -1, -1):
+            nxt, parts = self._values[t + 1], []
+            for i, (weights, pos) in enumerate(links.pop()):
+                child = np.full(weights.shape, nxt[0])
+                child[weights > 0.0] = nxt[pos]
+                now = self._beliefs(levels[t][i * step:(i + 1) * step]) @ self.task.reward
+                parts.append(self._q(now, weights, child).max(axis=1))
+            self._values[t] = np.concatenate(parts)
 
-    def _node_values(self, t: int, beliefs: np.ndarray, lazy: bool) -> np.ndarray:
-        """Values of a batch of beliefs at 0-based period t, backed up one
-        chunk at a time; the terminal period expands nothing and is one batch."""
-        step = len(beliefs) if t == self.task.horizon - 1 else self.config.expansion_chunk
-        return np.concatenate([self._backup(t, beliefs[start:start + step], lazy)
-                               .max(axis=1) for start in range(0, len(beliefs), step)])
+    def _q(self, now: np.ndarray, weights: np.ndarray, child: np.ndarray) -> np.ndarray:
+        """Action values (c, A) from the immediate rewards (c, A) and the
+        weights and values (c, C, M, O) of the children of each action class."""
+        h = (weights * child).sum(axis=3)  # (c, C, M)
+        robust = self.alpha * h.min(axis=2) + (1.0 - self.alpha) * h.max(axis=2)
+        return now + self.task.discount * robust[:, self._action_class]
 
-    def _backup(self, t: int, beliefs: np.ndarray, lazy: bool) -> np.ndarray:
-        """Action values (c, A) of a batch of beliefs at 0-based period t.
+    def _backup(self, t: int, beliefs: np.ndarray) -> np.ndarray:
+        """Action values (c, A) of a batch of beliefs at 0-based period t,
+        building the children missing from the tree on demand.
 
-        With ``lazy`` the children missing from the tree are built on demand,
-        and the immediate reward is taken one row at a time: BLAS rounds a
-        one-row product (gemv) differently from a batch (gemm), and a lazily
-        built node's value must not depend on which nodes share its batch.
+        The immediate reward is taken one row at a time: BLAS rounds a one-row
+        product (gemv) differently from a batch (gemm), and a lazily built
+        node's value must not depend on which nodes share its batch.
         """
-        if lazy:
-            now = np.array([b @ self.task.reward for b in beliefs])
-        else:
-            now = beliefs @ self.task.reward
+        now = np.array([b @ self.task.reward for b in beliefs])
         if t == self.task.horizon - 1:
             return now
         keys, weights = self._expand_chunk(beliefs)
-        c, A, M, O, S = keys.shape
-        child_vals = self._values_at(t + 1, keys.reshape(-1, S), lazy)
-        h = (weights * child_vals.reshape(c, A, M, O)).sum(axis=3)  # (c, A, M)
-        robust = self.alpha * h.min(axis=2) + (1.0 - self.alpha) * h.max(axis=2)
-        return now + self.task.discount * robust
+        child = self._values_at(t + 1, keys.reshape(-1, keys.shape[-1]))
+        return self._q(now, weights, child.reshape(weights.shape))
 
-    def _values_at(self, t: int, keys: np.ndarray, lazy: bool) -> np.ndarray:
+    def _values_at(self, t: int, keys: np.ndarray) -> np.ndarray:
         """Values of quantized ``keys`` (n, S) at 0-based period t.
 
         Pruned all-zero keys read row 0 and only ever meet weight 0.  Keys
-        missing from the tree raise during the solve (every child was found
-        in the forward pass); with ``lazy`` they are read from the off-tree
-        cache, and the rest are deduplicated and built together, so that the
-        missing subtree is expanded one level (not one node) at a time.
+        missing from the tree are read from the off-tree cache, and the rest
+        are deduplicated and built together, ``expansion_chunk`` at a time, so
+        that the missing subtree is expanded one level (not one node) at a time.
         """
         table = self._levels[t]
         view = _row_order_view(keys)
@@ -293,8 +331,6 @@ class RobustSolution:
         missing = (table[pos] != view) & keys.any(axis=1)
         if not missing.any():
             return vals
-        if not lazy:
-            raise AssertionError("belief-tree child missing from forward pass")
         cache = self._extra[t]
         uniq, inverse = np.unique(view[missing], return_inverse=True)
         names = uniq.tolist()
@@ -302,7 +338,9 @@ class RobustSolution:
         new = [i for i, v in enumerate(found) if v is None]
         if new:
             self.node_count += len(new)
-            built = self._node_values(t, self._beliefs(uniq[new]), lazy=True)
+            beliefs, step = self._beliefs(uniq[new]), self.config.expansion_chunk
+            built = np.concatenate([self._backup(t, beliefs[i:i + step]).max(axis=1)
+                                    for i in range(0, len(beliefs), step)])
             for i, v in zip(new, built.tolist()):
                 cache[names[i]] = found[i] = v
         vals[missing] = np.array(found)[inverse]
@@ -325,7 +363,7 @@ class RobustSolution:
         """Value of the quantized representative of ``belief`` at period t."""
         self._start_query(t)
         key = quantize_batch(belief.probs[None, :], self.ticks)
-        return float(self._values_at(t - 1, key, lazy=True)[0])
+        return float(self._values_at(t - 1, key)[0])
 
     def action(self, t: int, belief: Belief) -> int:
         """Greedy action at the exact belief via one-step lookahead.
@@ -335,7 +373,7 @@ class RobustSolution:
         """
         self._start_query(t)
         b = np.asarray(belief.probs, dtype=np.float64)[None, :]
-        return int(self._backup(t - 1, b, lazy=True)[0].argmax())
+        return int(self._backup(t - 1, b)[0].argmax())
 
     def to_summary(self) -> dict:
         return {

@@ -104,9 +104,10 @@ def expectimax_pomdp_value(pomdp: TabularTask) -> float:
     return value(1, pomdp.initial_dist.copy())
 
 
-def robust_value(models, reward, rho, horizon, discount, alpha,
-                 quantizer=None) -> float:
-    """Exact pessimism-weighted recursion over a candidate-model set.
+def robust_q_values(models, reward, rho, horizon, discount, alpha,
+                    quantizer=None) -> np.ndarray:
+    """Per-action values at period 1 of the exact pessimism-weighted recursion
+    over a candidate-model set.
 
     ``quantizer`` optionally maps each posterior onto the solver's grid so the
     recursion can be compared at shared representatives.
@@ -114,10 +115,8 @@ def robust_value(models, reward, rho, horizon, discount, alpha,
     num_actions = reward.shape[1]
     num_obs = models[0][1].shape[2]
 
-    def value(t, b):
-        if t > horizon:
-            return 0.0
-        best = -np.inf
+    def q_values(t, b):
+        out = []
         for a in range(num_actions):
             u = float(b @ reward[:, a])
             if t < horizon:
@@ -134,15 +133,23 @@ def robust_value(models, reward, rho, horizon, discount, alpha,
                         if quantizer is not None:
                             child = quantizer(child)
                         total += mass
-                        acc += mass * value(t + 1, child)
+                        acc += mass * max(q_values(t + 1, child))
                     h.append(acc / total)
                 h = np.array(h)
                 u += discount * (alpha * h.min() + (1 - alpha) * h.max())
-            best = max(best, u)
-        return best
+            out.append(u)
+        return out
 
     start = rho if quantizer is None else quantizer(np.asarray(rho, float))
-    return value(1, np.asarray(start, float))
+    return np.array(q_values(1, np.asarray(start, float)))
+
+
+def robust_value(models, reward, rho, horizon, discount, alpha,
+                 quantizer=None) -> float:
+    """Exact optimal value of the pessimism-weighted recursion (see
+    ``robust_q_values``)."""
+    return float(robust_q_values(models, reward, rho, horizon, discount, alpha,
+                                 quantizer).max())
 
 
 def darkroom_bfs_distance(goal: tuple[int, int], size: int = 10) -> int:

@@ -191,7 +191,9 @@ def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
         assert main([command, "--config", pomdp, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "task_0000.json holds a mdp task, but the setting is pomdp" in err
-    assert not list((tmp_path / "run").glob("solutions/*.json"))
+    # the checks run before any output directory is made
+    for name in ("solutions", "corpus", "reports"):
+        assert not (tmp_path / "run" / name).exists()
     # darkroom derives its goals from the config, whatever the task files hold
     dark = write_config(tmp_path, "dark.json", setting="darkroom",
                         darkroom={"size": 3, "horizon": 6})
@@ -201,6 +203,29 @@ def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
     assert main(["gen", "--config", dark, "--out", dark_out]) == 0
     assert main(["solve", "--config", write_config(tmp_path), "--out", dark_out]) == 1
     assert "holds a darkroom task, but the setting is mdp" in capsys.readouterr().err
+
+
+def test_task_files_of_another_config_are_rejected(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    gen = {"setting": "pomdp", "num_tasks": 3, "env": {"energy_cap": 3, "horizon": 4}}
+    assert main(["gen", "--config", write_config(tmp_path, "gen.json", **gen),
+                 "--out", out]) == 0
+    for name, override, want in (
+            ("count.json", {"num_tasks": 5, "seed": 7, "env": {"energy_cap": 3, "horizon": 6}},
+             "holds 3 task file(s), but field 'num_tasks' is 5"),
+            ("horizon.json", {"env": {"energy_cap": 3, "horizon": 6}},
+             "task_0000.json has horizon 4, but field 'env.horizon' is 6"),
+            ("states.json", {"env": {"energy_cap": 4, "horizon": 4}},
+             "task_0000.json has 4 states, but field 'env.energy_cap' is 4")):
+        cfg = write_config(tmp_path, name, **dict(gen, **override))
+        for command in ("solve", "export", "eval"):
+            assert main([command, "--config", cfg, "--out", out]) == 1
+            assert want in capsys.readouterr().err
+    for name in ("solutions", "corpus", "reports"):
+        assert not (tmp_path / "run" / name).exists()
+    # the config the files were made with still runs
+    assert main(["solve", "--config", write_config(tmp_path, "gen.json", **gen),
+                 "--out", out]) == 0
 
 
 # ---------------------------------------------------------------------------

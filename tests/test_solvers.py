@@ -1,6 +1,7 @@
 """Oracles: backward induction, simplex quantization, belief-tree values."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -26,6 +27,7 @@ from decisionlab.envs import (
     gen_energy_mdp,
     noisy_level_observation,
 )
+from decisionlab import solvers
 from decisionlab.evaluation import generate_tasks
 from decisionlab.solvers import (
     BeliefSolverConfig,
@@ -35,7 +37,7 @@ from decisionlab.solvers import (
     solve_apomdp,
     solve_mdp,
     solve_pomdp,
-    _unique_rows,
+    _row_order_view,
     _view_rows,
 )
 
@@ -43,6 +45,7 @@ from conftest import (
     darkroom_bfs_distance,
     enumerate_mdp_value,
     expectimax_pomdp_value,
+    robust_q_values,
     robust_value,
     tiny_energy_mdp,
     tiny_energy_pomdp,
@@ -163,12 +166,19 @@ def test_quantize_sums_and_error_bound(seed, n):
                   elements=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1))),
        st.integers(0, 24))
 def test_byte_view_dedupe_matches_row_unique(rows, cut):
-    want = np.unique(rows, axis=0)
-    np.testing.assert_array_equal(_view_rows(_unique_rows(rows)), want)
-    # merging deduplicated parts, as the forward pass does, gives the same table
-    merged = np.unique(np.concatenate([_unique_rows(rows[:cut]),
-                                       _unique_rows(rows[cut:])]))
-    np.testing.assert_array_equal(_view_rows(merged), want)
+    # two chunks deduplicated and merged one after the other, as the forward
+    # pass does: the table is the row-wise unique, and every child's position,
+    # moved by the second merge, points at its own row
+    view = _row_order_view(rows)
+    parts = [part for part in (view[:cut], view[cut:]) if len(part)]
+    table, done = view[:0], []
+    sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
+    for part in parts:
+        uniq, inverse = np.unique(part, return_inverse=True)
+        table, done = sol._merge(2, table, done, [(None, uniq, inverse.astype(np.int32))])
+    np.testing.assert_array_equal(_view_rows(table), np.unique(rows, axis=0))
+    for (_, pos), part in zip(done, parts):
+        assert np.array_equal(table[pos], part)
 
 
 def test_quantize_belief_roundtrip():
@@ -383,9 +393,40 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
 
 
 def test_budget_exceeded_raises():
+    # level sizes 1/6/36/210; with 4-belief chunks the third level stops after
+    # its first chunk, whose 24 distinct children already overflow the budget
     pomdp = tiny_energy_pomdp(horizon=4)
-    with pytest.raises(BudgetExceeded):
-        solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3, node_budget=3))
+    for budget, chunk, period, nodes in ((3, 4096, 2, 7), (10, 4, 3, 31), (60, 4096, 4, 253)):
+        with pytest.raises(BudgetExceeded) as info:
+            solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3, node_budget=budget,
+                                                  expansion_chunk=chunk))
+        assert (info.value.period, info.value.nodes) == (period, nodes)
+        assert str(info.value) == (f"belief tree exceeds node budget {budget}: "
+                                   f"at least {nodes} nodes by period {period}")
+
+
+def test_budget_trips_exactly_when_the_tree_exceeds_it():
+    tasks = [(solve_pomdp, tiny_energy_pomdp(horizon=4)),
+             (solve_pomdp, generate_tasks("pomdp", 1, EnergyParams(energy_cap=3, horizon=4),
+                                          AmbiguityConfig(), Rng(4))[0]),
+             (solve_apomdp, generate_tasks("apomdp", 1, EnergyParams(energy_cap=2, horizon=4),
+                                           AmbiguityConfig(num_models=2), Rng(6))[0])]
+    for solve, task in tasks:
+        sizes = solve(task).level_sizes
+        ends = np.cumsum(sizes)
+        budgets = {b for end in ends for b in (end - 1, end, end + 1)}
+        budgets |= {int(end - size // 2) for end, size in zip(ends, sizes)}
+        for budget in sorted(budgets):
+            config = BeliefSolverConfig(node_budget=int(budget), expansion_chunk=3)
+            if ends[-1] <= budget:
+                assert solve(task, config).level_sizes == sizes
+                continue
+            with pytest.raises(BudgetExceeded) as info:
+                solve(task, config)
+            # the first level whose end overflows, and a lower bound on that end
+            period = int(np.argmax(ends > budget)) + 1
+            assert info.value.period == period
+            assert budget < info.value.nodes <= ends[period - 1]
 
 
 def test_action_picks_lowest_index_on_redundant_actions():
@@ -421,6 +462,94 @@ def test_to_summary_reports_tree_shape():
     assert len(info["level_sizes"]) == 3
     assert info["num_models"] == 1
     assert info["root_value"] == sol.root_value
+
+
+def _charge_copy_task(reward_step, change_obs):
+    """Two-model task whose action 2 copies action 0's kernels, with
+    ``reward_step`` added to its reward; ``change_obs`` moves mass in one of
+    action 2's observation rows."""
+    task = _two_model_task(0.5)
+    reward = task.reward.copy()
+    reward[:, 2] += reward_step
+    models = task.models
+    if change_obs:
+        obs = models[0].observation.copy()
+        obs[1, 2] = [0.1, 0.8, 0.1]
+        models = [KernelPair(m.transition, obs) for m in models]
+    return dataclasses.replace(task, models=models, reward=reward, horizon=3)
+
+
+@pytest.mark.parametrize("reward_step, change_obs, classes", [
+    (0.0, False, [0, 1, 0]),
+    (0.01, False, [0, 1, 0]),
+    (0.01, True, [0, 1, 2]),
+])
+def test_equal_kernels_share_an_expansion_but_not_a_value(reward_step, change_obs, classes):
+    task = _charge_copy_task(reward_step, change_obs)
+    sol = solve_apomdp(task, BeliefSolverConfig(quantization=1e-3))
+    assert sol._action_class.tolist() == classes
+    # per-action values at the root, from the lazy backup and the solved tree
+    want = robust_q_values([(m.transition, m.observation) for m in task.models],
+                           task.reward, task.initial_dist, task.horizon, task.discount,
+                           task.alpha, quantizer=lambda b: quantize_belief(Belief(b), 1e-3).probs)
+    got = sol._backup(0, task.initial_dist[None, :])[0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert sol.root_value == pytest.approx(want.max(), abs=1e-9)
+    assert sol.action(1, Belief(task.initial_dist)) == int(want.argmax())
+
+
+def test_each_level_is_expanded_once_for_each_action_class(monkeypatch):
+    rows = []
+    quantize = solvers.quantize_batch
+    monkeypatch.setattr(solvers, "quantize_batch",
+                        lambda probs, ticks: rows.append(len(probs)) or quantize(probs, ticks))
+    task = generate_tasks("apomdp", 1, EnergyParams(energy_cap=3, horizon=4),
+                          AmbiguityConfig(num_models=2), Rng(3))[0]
+    sol = solve_apomdp(task)
+    # the root, then every non-terminal node's children under two of the three
+    # actions (the charge actions 0 and 2 are equal in every model), per model
+    # and observation: two thirds of one full-width expansion of every level
+    assert sol._action_class.tolist() == [0, 1, 0]
+    assert sum(rows) == 1 + 2 * 2 * task.num_obs * sum(sol.level_sizes[:-1])
+
+
+# (setting, env, models, alpha, solver config) per task; digests of level
+# sizes, node count, root value and every level's value bytes, recorded before
+# the forward pass kept its child links and equal actions shared an expansion
+GOLDEN_SOLVES = [
+    ("pomdp", dict(energy_cap=5, horizon=5), 1, 1.0, {},
+     "168fa1f60770d6b502fa8d491a23e18a359ce09cbf0dde2802ce0824023518aa"),
+    ("pomdp", dict(energy_cap=3, horizon=6), 1, 1.0, {},
+     "6a22673fc6a0feabe86f280fbad6b6303b9c30df876a50db0885a28f4d1babdc"),
+    ("pomdp", dict(energy_cap=4, horizon=5, obs_prob=1.0), 1, 1.0, {"expansion_chunk": 2},
+     "b424a971844881de10ff2cade6caa2e63339a46a21a5e10aa876c4ea9fbcb4e1"),
+    ("apomdp", dict(energy_cap=4, horizon=4), 3, 0.5, {"expansion_chunk": 64},
+     "02f9ad9cab30cf90afee38c8f28defcc19966158d895f8c300ceb0bb95b36959"),
+    ("apomdp", dict(energy_cap=5, horizon=4), 2, 1.0, {},
+     "fe136466afd6aa7b68d3d45c6eeabdcc8269af024fccbc2114ca0b1b67f0793b"),
+    ("apomdp", dict(energy_cap=4, horizon=4), 2, 0.0, {},
+     "5b2e25a8d7bbb0b177e1d3cc73217c609cb1b9f5266b77edcfad2aa5ac25dd2a"),
+]
+
+
+def _solve_digest(sol):
+    h = hashlib.sha256(repr((sol.level_sizes, sol.node_count, sol.root_value)).encode())
+    for values in sol._values:
+        h.update(values.tobytes())
+    return h.hexdigest()
+
+
+def test_belief_values_golden_digests():
+    for i, (setting, env, models, alpha, solver, want) in enumerate(GOLDEN_SOLVES):
+        task = generate_tasks(setting, 1, EnergyParams(**env),
+                              AmbiguityConfig(num_models=models, alpha=alpha),
+                              Rng(31).split(i))[0]
+        solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+        sol = solve(task, BeliefSolverConfig(**solver))
+        assert _solve_digest(sol) == want
+        # a budget the tree just fits merges each level's children early
+        tight = solve(task, BeliefSolverConfig(**solver, node_budget=sol.node_count))
+        assert _solve_digest(tight) == want
 
 
 # ---------------------------------------------------------------------------
