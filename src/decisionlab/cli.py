@@ -7,9 +7,14 @@ directories are laid out as
 
     <out>/tasks/task_0000.json ...      (gen)
     <out>/solutions/solution_0000.json  (solve)
+    <out>/solutions/solution_0000.{keys,values}.npy  (solve, exact belief tasks)
     <out>/corpus/{sft,dpt}.jsonl[+manifest]  (export)
     <out>/reports/*.json|*.csv          (eval, theory-sim, darkroom)
     <out>/<command>.manifest.json       (every command)
+
+``export`` and ``eval`` take a belief task's reference from what ``solve``
+stored for it when the record's digests match the task, the ``solver``
+section and the arrays, and solve the task again otherwise.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure, 3 a
 --check'd replication test failed.
@@ -20,23 +25,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import Rng
 from .dataset import (build_dpt_dataset, build_sft_corpus, corpus_manifest,
                       save_corpus, write_csv)
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, all_darkroom_goals,
-                   load_task, save_task, split_goals)
+                   load_task, save_task, split_goals, task_to_dict)
 from .evaluation import (DARKROOM_CSV_COLUMNS, GRID_CSV_COLUMNS, DegenerateOptimum,
                          GridSpec, darkroom_eval, evaluation_policy, generate_tasks,
                          optimality_gap, reference_policy, run_experiment_grid)
-from .rollout import ExternalPolicyClient
-from .solvers import BeliefSolverConfig
+from .rollout import ExternalPolicyClient, PolicyHandle
+from .solvers import BeliefSolverConfig, RobustSolution, solve_mdp
 from .theory import E2_CSV_COLUMNS, E2Config, run_e2_simulation
 
 # stream indices hung off the root generator, one per pipeline stage
@@ -250,9 +259,9 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
 def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
     """``TabularTask``s from the files ``gen`` wrote (audit trail), else
     re-derived; a Darkroom spec becomes its tabular task here.  Task files of
-    another setting than the configured one, or energy-task files whose count,
-    horizon or state count disagree with the config, are a configuration
-    error."""
+    another setting than the configured one, energy-task files whose count,
+    horizon or state count disagree with the config, and Darkroom task files
+    whose size, horizon or goals disagree with it are a configuration error."""
     tasks_dir = out / "tasks"
     paths = sorted(tasks_dir.glob("task_*.json")) if tasks_dir.is_dir() else []
     if paths:
@@ -263,7 +272,9 @@ def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
             if kind != cfg["setting"]:
                 raise ConfigError(f"task file {path} holds a {kind} task, "
                                   f"but the setting is {cfg['setting']}")
-        if cfg["setting"] != "darkroom":
+        if cfg["setting"] == "darkroom":
+            _check_darkroom_task_files(cfg, paths, tasks)
+        else:
             _check_energy_task_files(cfg, paths, tasks)
     else:
         tasks, metas = _build_tasks(cfg)
@@ -282,6 +293,76 @@ def _check_energy_task_files(cfg: dict, paths: list[Path], tasks: list):
         if task.num_states != cap + 1:
             raise ConfigError(f"task file {path} has {task.num_states} states, "
                               f"but field 'env.energy_cap' is {cap}")
+
+
+def _check_darkroom_task_files(cfg: dict, paths: list[Path], tasks: list):
+    dk, goals = cfg["darkroom"], _darkroom_goals(cfg)
+    for path, task in zip(paths, tasks):
+        for name in ("size", "horizon"):
+            if getattr(task, name) != dk[name]:
+                raise ConfigError(f"task file {path} has {name} {getattr(task, name)}, "
+                                  f"but field 'darkroom.{name}' is {dk[name]}")
+    if len(paths) != len(goals):
+        raise ConfigError(f"{paths[0].parent} holds {len(paths)} task file(s), "
+                          f"but field 'darkroom.subset' gives {len(goals)} goal(s)")
+    for path, task, goal in zip(paths, tasks, goals):
+        if task.goal != goal:
+            raise ConfigError(f"task file {path} has goal {list(task.goal)}, "
+                              f"but field 'darkroom.subset' gives {list(goal)}")
+
+
+def _inputs_sha256(cfg: dict, task) -> str:
+    """SHA-256 of the canonical JSON of a task (without meta) and the solver section."""
+    text = json.dumps({"task": task_to_dict(task), "solver": cfg["solver"]},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _tree_paths(sol_dir: Path, index: int) -> list[Path]:
+    return [sol_dir / f"solution_{index:04d}.{name}.npy" for name in ("keys", "values")]
+
+
+def _arrays_sha256(paths: list[Path]) -> str:
+    """SHA-256 of the files' bytes, one after the other, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    for path in paths:
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _stored_reference(cfg: dict, sol_dir: Path, index: int, task):
+    """The reference ``solve`` stored for a belief task, as ``reference_policy``
+    returns it, or None unless the record's digests match the task, the solver
+    section and the arrays, and the arrays have the record's shapes."""
+    if task.kind == "mdp":
+        return None
+    try:
+        record = json.loads((sol_dir / f"solution_{index:04d}.json").read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(record, dict) or record.get("inputs_sha256") != _inputs_sha256(cfg, task):
+        return None
+    if record.get("reference") == "qmdp-fallback":
+        return PolicyHandle.qmdp(solve_mdp(task)), "qmdp-fallback"
+    paths = _tree_paths(sol_dir, index)
+    try:
+        if _arrays_sha256(paths) != record.get("arrays_sha256"):
+            return None
+        keys, values = (np.load(path) for path in paths)
+        solution = RobustSolution.from_arrays(task, _solver(cfg), keys, values,
+                                              record["level_sizes"])
+    except (OSError, ValueError):
+        return None
+    return PolicyHandle.oracle(solution), "exact"
+
+
+def _reference_handles(cfg: dict, out: Path, tasks: list) -> list[tuple[PolicyHandle, str]]:
+    """Each task's reference handle and label: what ``solve`` stored for it
+    when that matches (``_stored_reference``), else ``reference_policy``'s."""
+    return [_stored_reference(cfg, out / "solutions", i, task)
+            or reference_policy(task, _solver(cfg)) for i, task in enumerate(tasks)]
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]):
@@ -344,9 +425,18 @@ def cmd_solve(cfg: dict, args) -> int:
         if task.kind == "mdp":
             record.update(kind="mdp", expected_return=handle.solution.expected_return())
         elif ref == "exact":
-            record.update(kind="belief", **handle.solution.to_summary())
+            paths = _tree_paths(sol_dir, i)
+            for path, array in zip(paths, handle.solution.to_arrays()):
+                np.save(path, array)
+            artifacts += [str(path.relative_to(out)) for path in paths]
+            record.update(kind="belief", **handle.solution.to_summary(),
+                          inputs_sha256=_inputs_sha256(cfg, task),
+                          arrays_sha256=_arrays_sha256(paths))
         else:
             fallbacks += 1
+            record.update(reason="node_budget", period=handle.fallback.period,
+                          nodes=handle.fallback.nodes,
+                          inputs_sha256=_inputs_sha256(cfg, task))
         path = sol_dir / f"solution_{i:04d}.json"
         path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
         artifacts.append(str(path.relative_to(out)))
@@ -361,7 +451,8 @@ def cmd_export(cfg: dict, args) -> int:
     corpus_dir = out / "corpus"
     tasks, metas = _load_or_build_tasks(cfg, out)
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    oracles = [reference_policy(task, _solver(cfg))[0] for task in tasks]
+    references = _reference_handles(cfg, out, tasks)
+    oracles = [handle for handle, _ in references]
     rng = Rng(cfg["seed"]).split(STREAM_CORPUS)
     ds = cfg["dataset"]
     if ds["format"] == "sft":
@@ -380,6 +471,7 @@ def cmd_export(cfg: dict, args) -> int:
         extra = {"records_per_task": ds["records_per_task"],
                  "context_trajectories": ds["context_trajectories"],
                  "setting": cfg["setting"]}
+    extra["reference_labels"] = dict(Counter(label for _, label in references))
     manifest = corpus_manifest(records, ds["format"], cfg["seed"], extra)
     manifest_path = save_corpus(path, records, manifest)
     _write_manifest(out, "export", cfg, [str(path.relative_to(out)),
@@ -413,7 +505,7 @@ def cmd_eval(cfg: dict, args) -> int:
             return 0
         if cfg["setting"] == "darkroom":
             return _eval_darkroom(cfg, args, reports, out, rng, client)
-        oracles = [reference_policy(task, _solver(cfg))[0] for task in tasks]
+        oracles = [handle for handle, _ in _reference_handles(cfg, out, tasks)]
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]
         rollouts = cfg["eval"]["rollouts_per_task"] or (

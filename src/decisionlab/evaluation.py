@@ -160,15 +160,16 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None
                      ) -> tuple[PolicyHandle, str]:
     """Best available reference decision-maker for a task, and its label:
     exact backward induction where feasible, else (a belief tree over the node
-    budget) a QMDP handle on the task's MDP solution."""
+    budget) a QMDP handle on the task's MDP solution that carries the
+    ``BudgetExceeded`` as its ``fallback``."""
     if task.kind == "mdp":
         handle = PolicyHandle.oracle(solve_mdp(task))
     else:
         solve = solve_pomdp if task.kind == "pomdp" else solve_apomdp
         try:
             handle = PolicyHandle.oracle(solve(task, solver_config))
-        except BudgetExceeded:
-            handle = PolicyHandle.qmdp(solve_mdp(task))
+        except BudgetExceeded as exc:
+            handle = PolicyHandle.qmdp(solve_mdp(task), fallback=exc)
     return handle, _reference_label([handle])
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Belief, Rng, TabularTask, Trajectory, belief_update
-from .solvers import MdpSolution, RobustSolution
+from .solvers import BudgetExceeded, MdpSolution, RobustSolution
 
 DEFAULT_TIMEOUT = 60.0
 CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
@@ -182,12 +182,16 @@ class PolicyHandle:
     for an mdp, a RobustSolution for a belief task), and "qmdp" the MdpSolution
     of a belief task, acting by its ``qmdp_action``; ``rollout`` checks both
     against the task.  "random" draws uniform actions from the policy stream;
-    "external" sends one wire request per period through its client.
+    "external" sends one wire request per period through its client.  The
+    "qmdp" handle that ``reference_policy`` returns in place of an exact
+    oracle carries the ``BudgetExceeded`` that stopped the solve as
+    ``fallback``.
     """
 
     kind: str
     solution: MdpSolution | RobustSolution | None = None
     client: ExternalPolicyClient | None = None
+    fallback: BudgetExceeded | None = None
 
     @classmethod
     def oracle(cls, solution) -> "PolicyHandle":
@@ -198,8 +202,9 @@ class PolicyHandle:
         return cls("random")
 
     @classmethod
-    def qmdp(cls, solution: MdpSolution) -> "PolicyHandle":
-        return cls("qmdp", solution=solution)
+    def qmdp(cls, solution: MdpSolution,
+             fallback: BudgetExceeded | None = None) -> "PolicyHandle":
+        return cls("qmdp", solution=solution, fallback=fallback)
 
     @classmethod
     def external(cls, client: ExternalPolicyClient) -> "PolicyHandle":

@@ -178,11 +178,12 @@ class RobustSolution:
     is held to ``node_budget``; lazily built nodes still count in
     ``node_count``, and their cache is emptied at the start of a query once it
     holds more than ``node_budget`` entries (a node's value depends only on
-    its period and key, so answers do not change).
+    its period and key, so answers do not change).  ``to_arrays`` and
+    ``from_arrays`` store a solved tree and restore it without solving.
     """
 
     def __init__(self, task: TabularTask, models: list[KernelPair], alpha: float,
-                 config: BeliefSolverConfig):
+                 config: BeliefSolverConfig, tree: tuple[list, list] | None = None):
         self.task = task
         self.models = models
         self.alpha = alpha
@@ -202,9 +203,36 @@ class RobustSolution:
         self._values: list[np.ndarray] = []
         # lazily added off-tree nodes: per period dict key-bytes -> value
         self._extra: list[dict[bytes, float]] = [dict() for _ in range(task.horizon)]
-        self.node_count = 0
-        self.level_sizes: list[int] = []
-        self._solve()
+        if tree is None:
+            self._solve()
+        else:  # (levels, values) of an earlier solve, as from_arrays splits them
+            self._levels, self._values = tree
+            self.level_sizes = [len(v) for v in self._levels]
+            self.node_count = sum(self.level_sizes)
+
+    @classmethod
+    def from_arrays(cls, task: TabularTask, config: BeliefSolverConfig, keys: np.ndarray,
+                    values: np.ndarray, level_sizes: list[int]) -> "RobustSolution":
+        """The solution that ``solve_pomdp`` (a pomdp task) or ``solve_apomdp``
+        (an apomdp task) returns for ``task`` and ``config``, rebuilt from its
+        ``to_arrays()`` and ``level_sizes`` without solving.  Its lazy cache
+        starts empty, so every answer is bit-identical to the fresh solve's.
+        Arrays of another shape or dtype raise ``ValueError``."""
+        n, S = sum(level_sizes), task.num_states
+        if not (len(level_sizes) == task.horizon and keys.shape == (n, S)
+                and keys.dtype == ">i4" and values.shape == (n,)
+                and values.dtype == np.float64):
+            raise ValueError("stored arrays do not fit the task and level sizes")
+        models, alpha = ((task.models[:1], 1.0) if task.kind == "pomdp"
+                         else (task.models, task.alpha))
+        ends = np.cumsum(level_sizes)[:-1]
+        levels = [rows.view(f"V{4 * S}").ravel() for rows in np.split(keys, ends)]
+        return cls(task, models, alpha, config, (levels, np.split(values, ends)))
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every level's sorted keys, (N, S) big-endian int32 in period order,
+        and their values (N,) float64; ``level_sizes`` splits both."""
+        return _view_rows(np.concatenate(self._levels)), np.concatenate(self._values)
 
     # -- construction -------------------------------------------------------
 

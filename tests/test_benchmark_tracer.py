@@ -76,3 +76,28 @@ def test_traced_solve_counts_a_forced_fallback(tmp_path):
     # the failed belief-tree solve, then the MDP solve that QMDP acts through
     assert metrics["solvers.solve.calls"] == 2
     assert metrics["envs.task_io.calls"] == 2  # gen saves the task, solve loads it
+
+
+def test_traced_eval_loads_the_oracle_that_solve_stored(tmp_path):
+    tracing = _load_tracing()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "pomdp", "num_tasks": 1,
+                                  "env": {"energy_cap": 3, "horizon": 4},
+                                  "eval": {"policy": "oracle", "rollouts_per_task": 2}}))
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        for command in ("gen", "solve", "eval"):
+            assert cli.main([command, "--config", str(config),
+                             "--out", str(tmp_path / "run")]) == 0
+            tracer.settle()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.lazy_nodes)
+    # solve's exact solve is the only one: eval loads what solve stored
+    assert metrics["solvers.solve.calls"] == 1
+    assert metrics["evaluation.reference.calls"] == 1
+    assert metrics["solvers.exact_ratio"] == 1.0
+    assert metrics["envs.task_io.calls"] == 3  # gen saves, solve and eval load
+    assert metrics["rollout.episodes.oracle"] == 4  # the oracle and the policy
+    assert metrics["solvers.action.calls"] > 0

@@ -10,9 +10,13 @@ import json
 import socket
 import sys
 
+import numpy as np
 import pytest
 
+from decisionlab import evaluation
 from decisionlab.cli import main
+from decisionlab.envs import load_task
+from decisionlab.solvers import BeliefSolverConfig, BudgetExceeded, solve_pomdp
 
 # Small enough that the whole pipeline runs in well under a second per test.
 FAST_CONFIG = {
@@ -224,6 +228,32 @@ def test_task_files_of_another_config_are_rejected(tmp_path, capsys):
     for name in ("solutions", "corpus", "reports"):
         assert not (tmp_path / "run" / name).exists()
     # the config the files were made with still runs
+    assert main(["solve", "--config", write_config(tmp_path, "gen.json", **gen),
+                 "--out", out]) == 0
+
+
+def test_darkroom_task_files_of_another_config_are_rejected(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    gen = {"setting": "darkroom", "seed": 0, "darkroom": {"size": 3, "horizon": 6}}
+    assert main(["gen", "--config", write_config(tmp_path, "gen.json", **gen),
+                 "--out", out]) == 0
+    for name, darkroom, want in (
+            ("size.json", {"size": 4, "horizon": 9},
+             "task_0000.json has size 3, but field 'darkroom.size' is 4"),
+            ("horizon.json", {"size": 3, "horizon": 9},
+             "task_0000.json has horizon 6, but field 'darkroom.horizon' is 9"),
+            ("count.json", {"size": 3, "horizon": 6, "subset": "all"},
+             "holds 2 task file(s), but field 'darkroom.subset' gives 9 goal(s)"),
+            ("goals.json", {"size": 3, "horizon": 6, "seed": 2},
+             "task_0001.json has goal [0, 2], but field 'darkroom.subset' gives [2, 1]")):
+        seed = darkroom.pop("seed", 0)
+        cfg = write_config(tmp_path, name, setting="darkroom", seed=seed,
+                           darkroom=darkroom)
+        for command in ("solve", "export"):
+            assert main([command, "--config", cfg, "--out", out]) == 1
+            assert want in capsys.readouterr().err
+    for name in ("solutions", "corpus"):
+        assert not (tmp_path / "run" / name).exists()
     assert main(["solve", "--config", write_config(tmp_path, "gen.json", **gen),
                  "--out", out]) == 0
 
@@ -455,6 +485,145 @@ def test_report_golden_digests(tmp_path):
     digests = {key: hashlib.sha256(path.read_bytes()).hexdigest()
                for key, path in reports.items()}
     assert digests == GOLDEN_REPORT_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# oracles that solve stored, loaded by export and eval
+
+STORED_CASES = {
+    "pomdp": {"setting": "pomdp", "num_tasks": 2},
+    "apomdp": {"setting": "apomdp", "num_tasks": 2, "env": {"energy_cap": 3, "horizon": 3},
+               "ambiguity": {"num_models": 2},
+               "dataset": {"format": "dpt", "records_per_task": 2}},
+    "fallback": {"setting": "pomdp", "num_tasks": 2, "solver": {"node_budget": 50}},
+}
+
+
+@pytest.fixture
+def belief_solves(monkeypatch):
+    """Counts the belief-tree solves that ``reference_policy`` starts."""
+    calls = []
+    for name in ("solve_pomdp", "solve_apomdp"):
+        solve = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name,
+                            lambda *a, _solve=solve, **k: calls.append(1) or _solve(*a, **k))
+    return calls
+
+
+def _run(cfg, out, *commands):
+    for command in commands:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+
+
+def _outputs(out):
+    """Corpus and report bytes, the artifacts a stored oracle must not move."""
+    return {rel: data for rel, data in artifact_bytes(out).items()
+            if rel.startswith(("corpus", "reports"))}
+
+
+@pytest.mark.parametrize("case, label", [("pomdp", "exact"), ("apomdp", "exact"),
+                                         ("fallback", "qmdp-fallback")])
+def test_export_and_eval_load_what_solve_stored(tmp_path, belief_solves, case, label):
+    cfg = write_config(tmp_path, **STORED_CASES[case])
+    stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+    _run(cfg, stored, "gen", "solve")
+    assert len(belief_solves) == 2
+    _run(cfg, stored, "export", "eval")
+    assert len(belief_solves) == 2  # export and eval solved nothing again
+    _run(cfg, fresh, "gen", "export", "eval")
+    assert len(belief_solves) == 6
+    assert _outputs(stored) == _outputs(fresh)
+    assert len(_outputs(stored)) == 3
+    manifest = next((stored / "corpus").glob("*.manifest.json"))
+    assert json.loads(manifest.read_text())["reference_labels"] == {label: 2}
+    assert json.loads((stored / "reports" / "eval.json").read_text())["reference"] == label
+
+
+def test_fallback_records_say_why(tmp_path):
+    cfg = write_config(tmp_path, **STORED_CASES["fallback"])
+    out = tmp_path / "run"
+    _run(cfg, out, "gen", "solve")
+    record = json.loads((out / "solutions" / "solution_0000.json").read_text())
+    assert set(record) == {"task_index", "reference", "reason", "period", "nodes",
+                           "inputs_sha256"}
+    assert record["reference"] == "qmdp-fallback" and record["reason"] == "node_budget"
+    task, _ = load_task(out / "tasks" / "task_0000.json")
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_pomdp(task, BeliefSolverConfig(node_budget=50))
+    assert (record["period"], record["nodes"]) == (exc.value.period, exc.value.nodes)
+    assert record["nodes"] > 50
+    assert not list((out / "solutions").glob("*.npy"))
+
+
+def test_exact_belief_records_name_their_arrays(tmp_path):
+    cfg = write_config(tmp_path, **STORED_CASES["pomdp"])
+    out = tmp_path / "run"
+    _run(cfg, out, "gen", "solve")
+    record = json.loads((out / "solutions" / "solution_0001.json").read_text())
+    keys, values = (out / "solutions" / f"solution_0001.{name}.npy"
+                    for name in ("keys", "values"))
+    both = keys.read_bytes() + values.read_bytes()
+    assert record["arrays_sha256"] == hashlib.sha256(both).hexdigest()
+    nodes = sum(record["level_sizes"])
+    assert nodes == record["node_count"]
+    assert np.load(keys).shape == (nodes, 5) and np.load(keys).dtype == ">i4"
+    assert np.load(values).shape == (nodes,) and np.load(values).dtype == np.float64
+    manifest = json.loads((out / "solve.manifest.json").read_text())
+    assert "solutions/solution_0001.keys.npy" in manifest["artifacts"]
+    rerun = tmp_path / "rerun"
+    _run(cfg, rerun, "solve")  # from (config, seed), without task files
+    assert artifact_bytes(rerun / "solutions") == artifact_bytes(out / "solutions")
+
+
+def _edit_task(path):
+    data = json.loads(path.read_text())
+    data["reward"][0][0] -= 0.01
+    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("damage", ["task", "keys", "values", "record"])
+def test_stale_or_damaged_stored_oracle_is_solved_again(tmp_path, belief_solves, damage):
+    cfg = write_config(tmp_path, **STORED_CASES["pomdp"])
+    stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+    _run(cfg, stored, "gen", "solve")
+    sol = stored / "solutions"
+    {"task": lambda: _edit_task(stored / "tasks" / "task_0001.json"),
+     "keys": lambda: _truncate(sol / "solution_0001.keys.npy"),
+     "values": lambda: (sol / "solution_0001.values.npy").unlink(),
+     "record": lambda: _truncate(sol / "solution_0001.json")}[damage]()
+    del belief_solves[:]
+    _run(cfg, stored, "export", "eval")
+    assert len(belief_solves) == 2  # task 1, once per command
+    (fresh / "tasks").mkdir(parents=True)
+    for path in (stored / "tasks").glob("task_*.json"):
+        (fresh / "tasks" / path.name).write_bytes(path.read_bytes())
+    _run(cfg, fresh, "export", "eval")
+    assert _outputs(stored) == _outputs(fresh)
+
+
+def test_solver_section_change_makes_records_stale(tmp_path, belief_solves):
+    out = tmp_path / "run"
+    _run(write_config(tmp_path, **STORED_CASES["pomdp"]), out, "gen", "solve")
+    coarse = write_config(tmp_path, "coarse.json", **STORED_CASES["pomdp"],
+                          solver={"quantization": 0.01})
+    del belief_solves[:]
+    _run(coarse, out, "eval")
+    assert len(belief_solves) == 2
+
+
+def test_eval_jobs_over_loaded_oracles_equals_serial(tmp_path, belief_solves):
+    cfg = write_config(tmp_path, **dict(STORED_CASES["pomdp"], num_tasks=3),
+                       eval={"policy": "random", "rollouts_per_task": 6})
+    out = tmp_path / "run"
+    _run(cfg, out, "gen", "solve", "eval")
+    serial = (out / "reports" / "eval.json").read_bytes()
+    assert main(["eval", "--jobs", "2", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "reports" / "eval.json").read_bytes() == serial
+    assert len(belief_solves) == 3  # solve's only
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,37 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
     assert grown_small > grown
 
 
+@pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
+def test_stored_tree_answers_as_the_solved_one(setting):
+    task = generate_tasks(setting, 1, EnergyParams(energy_cap=4, horizon=4),
+                          AmbiguityConfig(num_models=2), Rng(3))[0]
+    solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+    config = BeliefSolverConfig()
+    solved = solve(task, config)
+    keys, values = solved.to_arrays()
+    assert keys.dtype == ">i4" and keys.shape == (solved.node_count, task.num_states)
+    assert values.shape == (solved.node_count,)
+    loaded = solvers.RobustSolution.from_arrays(task, config, keys, values,
+                                                solved.level_sizes)
+    assert _solve_digest(loaded) == _solve_digest(solved)
+    for bad in ((keys[1:], values), (keys.astype(np.int32), values),
+                (keys, values.astype(np.float32))):
+        with pytest.raises(ValueError):
+            solvers.RobustSolution.from_arrays(task, config, *bad, solved.level_sizes)
+    assert (loaded.models, loaded.alpha) == (solved.models, solved.alpha)
+    rng = np.random.default_rng(4)
+    queries = [(t + 1, Belief(row / solved.ticks)) for t, level in enumerate(solved._levels)
+               for row in _view_rows(level[:3]).astype(float)]
+    queries += [(int(rng.integers(1, 5)), Belief(rng.dirichlet(np.ones(5))))
+                for _ in range(10)]
+    for t, belief in queries:
+        before = solved.node_count, loaded.node_count
+        assert loaded.value(t, belief) == solved.value(t, belief)
+        assert loaded.action(t, belief) == solved.action(t, belief)
+        assert (loaded.node_count - before[1]) == (solved.node_count - before[0])
+    assert loaded.node_count == solved.node_count > sum(solved.level_sizes)
+
+
 def test_budget_exceeded_raises():
     # level sizes 1/6/36/210; with 4-belief chunks the third level stops after
     # its first chunk, whose 24 distinct children already overflow the budget
