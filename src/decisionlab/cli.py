@@ -2,7 +2,8 @@
 
 Every command derives its inputs from (config, seed) alone, so a rerun with
 the same config and seed reproduces every artifact byte for byte; only the
-per-command manifests differ (they carry a wall-clock timestamp).  Run
+per-command manifests differ (they carry a wall-clock timestamp, the
+command's wall time and the process's peak RSS).  Run
 directories are laid out as
 
     <out>/tasks/task_0000.json ...      (gen)
@@ -27,6 +28,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import resource
 import sys
 import time
 from collections import Counter
@@ -365,11 +367,18 @@ def _reference_handles(cfg: dict, out: Path, tasks: list) -> list[tuple[PolicyHa
             or reference_policy(task, _solver(cfg)) for i, task in enumerate(tasks)]
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str]):
+def _write_manifest(out: Path, command: str, cfg: dict, artifacts: list[str], args):
+    """``<out>/<command>.manifest.json``.  ``wall_s`` is the time since ``main``
+    started (``args.started``); ``peak_rss_mb`` is ``ru_maxrss`` (KiB on
+    Linux), the peak resident size of the whole process so far, worker
+    processes excluded, which for a command run in-process includes whatever
+    ran before it."""
     manifest = {
         "command": command,
         "package_version": __version__,
         "created_unix": time.time(),
+        "wall_s": time.perf_counter() - args.started,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "config": cfg,
         "artifacts": sorted(artifacts),
     }
@@ -407,7 +416,7 @@ def cmd_gen(cfg: dict, args) -> int:
         path = tasks_dir / f"task_{i:04d}.json"
         save_task(path, task, meta)
         artifacts.append(str(path.relative_to(out)))
-    _write_manifest(out, "gen", cfg, artifacts)
+    _write_manifest(out, "gen", cfg, artifacts, args)
     print(f"gen: wrote {len(tasks)} {cfg['setting']} task(s) to {tasks_dir}")
     return 0
 
@@ -418,7 +427,7 @@ def cmd_solve(cfg: dict, args) -> int:
     tasks, _ = _load_or_build_tasks(cfg, out)
     sol_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
-    fallbacks = 0
+    fallbacks = Counter()
     for i, task in enumerate(tasks):
         handle, ref = reference_policy(task, _solver(cfg))
         record = {"task_index": i, "reference": ref}
@@ -433,15 +442,16 @@ def cmd_solve(cfg: dict, args) -> int:
                           inputs_sha256=_inputs_sha256(cfg, task),
                           arrays_sha256=_arrays_sha256(paths))
         else:
-            fallbacks += 1
             record.update(reason="node_budget", period=handle.fallback.period,
                           nodes=handle.fallback.nodes,
                           inputs_sha256=_inputs_sha256(cfg, task))
+            fallbacks[record["reason"]] += 1
         path = sol_dir / f"solution_{i:04d}.json"
         path.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n")
         artifacts.append(str(path.relative_to(out)))
-    _write_manifest(out, "solve", cfg, artifacts)
-    note = f" ({fallbacks} fell back to qmdp)" if fallbacks else ""
+    _write_manifest(out, "solve", cfg, artifacts, args)
+    reasons = ", ".join(f"{reason} {count}" for reason, count in sorted(fallbacks.items()))
+    note = f" ({fallbacks.total()} fell back to qmdp: {reasons})" if fallbacks else ""
     print(f"solve: wrote {len(tasks)} solution record(s) to {sol_dir}{note}")
     return 0
 
@@ -475,7 +485,7 @@ def cmd_export(cfg: dict, args) -> int:
     manifest = corpus_manifest(records, ds["format"], cfg["seed"], extra)
     manifest_path = save_corpus(path, records, manifest)
     _write_manifest(out, "export", cfg, [str(path.relative_to(out)),
-                                         str(manifest_path.relative_to(out))])
+                                         str(manifest_path.relative_to(out))], args)
     print(f"export: wrote {len(records)} {ds['format']} record(s) to {path}")
     return 0
 
@@ -500,7 +510,7 @@ def cmd_eval(cfg: dict, args) -> int:
             rows = run_experiment_grid(spec, rng, client, jobs)
             path = reports / "grid.csv"
             write_csv(rows, GRID_CSV_COLUMNS, path)
-            _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
+            _write_manifest(out, "eval", cfg, [str(path.relative_to(out))], args)
             print(f"eval: wrote {len(rows)} grid row(s) to {path}")
             return 0
         if cfg["setting"] == "darkroom":
@@ -514,7 +524,7 @@ def cmd_eval(cfg: dict, args) -> int:
     path = reports / "eval.json"
     payload = {"setting": cfg["setting"], "policy": policy_kind, **asdict(report)}
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    _write_manifest(out, "eval", cfg, [str(path.relative_to(out))])
+    _write_manifest(out, "eval", cfg, [str(path.relative_to(out))], args)
     print(f"eval: {cfg['setting']}/{policy_kind} mean gap {report.mean_gap:.4f} "
           f"[{report.ci_low:.4f}, {report.ci_high:.4f}] "
           f"({report.reference}) -> {path}")
@@ -535,7 +545,7 @@ def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng,
         {k: v for k, v in summary.items() if k != "rows"},
         sort_keys=True, indent=1) + "\n")
     _write_manifest(out, "eval", cfg, [str(csv_path.relative_to(out)),
-                                       str(json_path.relative_to(out))])
+                                       str(json_path.relative_to(out))], args)
     print(f"eval: darkroom/{policy_kind} mean return {summary['mean_return']:.3f} "
           f"over {summary['num_goals']} goal(s) -> {csv_path}")
     if getattr(args, "check", False):
@@ -559,7 +569,7 @@ def cmd_theory_sim(cfg: dict, args) -> int:
     rows = run_e2_simulation(e2, jobs=args.jobs or 1)
     path = reports / "theory_e2.csv"
     write_csv(rows, E2_CSV_COLUMNS, path)
-    _write_manifest(out, "theory-sim", cfg, [str(path.relative_to(out))])
+    _write_manifest(out, "theory-sim", cfg, [str(path.relative_to(out))], args)
     violations = sum(1 for r in rows if r["violated"])
     print(f"theory-sim: {len(rows)} cell(s), {violations} bound violation(s) -> {path}")
     if args.check and violations:
@@ -632,6 +642,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         overrides = {"seed": args.seed, "out": args.out,
                      "policy": getattr(args, "policy", None)}

@@ -43,6 +43,22 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _U64
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands ``Philox`` the key words ``(seed, stream)`` as they are.
+
+    ``Philox(key=k)`` keys the generator the same way, but first builds a
+    ``SeedSequence`` from OS entropy and then discards it.
+    """
+
+    def __init__(self, seed: int, stream: int):
+        self.words = (seed, stream)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return np.array(self.words, dtype=np.uint64)
+
+
 class Rng:
     """Counter-based generator with explicit stream splitting.
 
@@ -52,14 +68,21 @@ class Rng:
     ``seed | (stream << 64)``.  ``split(i)`` derives an independent child
     stream from the parent stream id and the index ``i`` with a splitmix64
     mix, so parallel workers can build their own generators from plain
-    integers without sharing state.
+    integers without sharing state.  The numpy generator is built on the
+    first draw, so a split that is never drawn from costs only the mix.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _U64
         self.stream = int(stream) & _U64
-        key = self.seed | (self.stream << 64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.Philox(_PhiloxKey(self.seed, self.stream)))
+        return self._gen
 
     def split(self, index: int) -> "Rng":
         child = _splitmix64(self.stream ^ _splitmix64(int(index)))
@@ -72,8 +95,8 @@ class Rng:
     def integers(self, low, high=None, size=None):
         return self.gen.integers(low, high, size)
 
-    def standard_normal(self, size=None):
-        return self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        return self.gen.standard_normal(size, out=out)
 
     def dirichlet(self, alpha):
         return self.gen.dirichlet(alpha)

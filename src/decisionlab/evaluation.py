@@ -64,19 +64,15 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
     return mean - half, mean + half
 
 
-def _paired_rngs(rng: Rng, task_index: int, episode: int) -> tuple[Rng, Rng]:
-    pair = rng.split(task_index).split(episode)
-    return Rng(pair.seed, pair.stream), Rng(pair.seed, pair.stream)
-
-
 def _task_gap_sums(args) -> tuple[float, float, int]:
     """Mean oracle and policy returns for one task (episode-paired streams)."""
     (task, oracle, handle, context, task_id, seed, stream, task_index,
      rollouts_per_task) = args
-    rng = Rng(seed, stream)
+    task_rng = Rng(seed, stream).split(task_index)
     opt_sum, eval_sum, invalid = 0.0, 0.0, 0
     for j in range(rollouts_per_task):
-        rng_a, rng_b = _paired_rngs(rng, task_index, j)
+        rng_a = task_rng.split(j)
+        rng_b = Rng(rng_a.seed, rng_a.stream)  # the same stream, drawn from afresh
         opt_sum += rollout(task, oracle, rng_a, task_id=task_id).online_return
         result = rollout(task, handle, rng_b, context=context, task_id=task_id)
         eval_sum += result.online_return

@@ -298,16 +298,22 @@ def _lsa_batch_grads(u, w_kq, xs, ys, qs, targets):
     B, m, _ = xs.shape
     cols = np.concatenate([xs, ys[..., None]], axis=2)      # (B, m, d+1)
     q = np.concatenate([qs, np.zeros((B, 1))], axis=1)      # (B, d+1)
-    h = (np.einsum("bmi,bmj->bij", cols, cols)
-         + np.einsum("bi,bj->bij", q, q)) / m               # E E^T / m per item
-    hg = np.einsum("bij,bj->bi", h, q @ w_kq.T)
+
+    def gram(v):
+        """Per item, E E^T v / m = (C^T (C v) + q (q.v)) / m, C = cols:
+        the (d+1)^2 Gram matrix E E^T is never formed."""
+        cv = np.matmul(cols, v[:, :, None])                 # (B, m, 1)
+        return (np.matmul(cv.transpose(0, 2, 1), cols)[:, 0]
+                + q * (q * v).sum(axis=1)[:, None]) / m
+
+    hg = gram(q @ w_kq.T)
     pred = hg @ u
     resid = pred - targets
     with np.errstate(over="ignore"):  # overflow surfaces as Diverged upstream
         loss = 0.5 * float(np.mean(resid ** 2))
     grad_u = (resid[:, None] * hg).mean(axis=0)
-    hu = np.einsum("bij,j->bi", h, u)
-    grad_w = np.einsum("b,bi,bj->ij", resid, hu, q) / B
+    hu = gram(np.broadcast_to(u, q.shape))
+    grad_w = (resid[:, None] * hu).T @ q / B
     return loss, grad_u, grad_w
 
 
@@ -408,7 +414,10 @@ def _log_spaced_cov(dim: int, kappa: float) -> np.ndarray:
     return np.diag(np.geomspace(1.0 / kappa, 1.0, dim))
 
 
-def _e2_cell(args) -> dict:
+def _e2_cell(args, buf: np.ndarray | None = None) -> dict:
+    """One grid cell.  Its prompt features are drawn into the front of
+    ``buf`` (float64, at least tasks_per_cell * M * dim entries) when one is
+    given, else into a fresh array."""
     cfg, kappa, train_length, prompt_length, stream = args
     rng = Rng(cfg.seed, stream)
     d, T, A, n = cfg.dim, cfg.horizon, cfg.num_actions, cfg.tasks_per_cell
@@ -417,12 +426,16 @@ def _e2_cell(args) -> dict:
     gam = gamma_matrix(lam, train_length)
     cho = cho_factor(gam)
     w = rng.standard_normal((n, d))
-    xs = rng.standard_normal((n, prompt_length, d)) * sd
+    shape = (n, prompt_length, d)
+    xs = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
+    rng.standard_normal(out=xs)
+    xs *= sd
     ys = np.einsum("nmd,nd->nm", xs, w)
     moment = np.einsum("nm,nmd->nd", ys, xs) / prompt_length
     coef = cho_solve(cho, moment.T).T
     # per period, candidate features for each action, drawn independently
-    phi = rng.standard_normal((n, T, A, d)) * sd
+    phi = rng.standard_normal((n, T, A, d))
+    phi *= sd
     qhat = np.einsum("ntad,nd->nta", phi, coef)
     qstar = np.einsum("ntad,nd->nta", phi, w)
     eps = np.mean((qhat - qstar) ** 2, axis=(1, 2))
@@ -455,7 +468,9 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
 
     Cell generators are derived by stream splitting from (seed, cell index),
     so results do not depend on scheduling; means use numpy's pairwise
-    summation, keeping parallel and serial runs identical.
+    summation, keeping parallel and serial runs identical.  A serial run
+    draws every cell's prompt features into one buffer sized for the largest
+    cell; a worker process draws each cell's into a fresh array.
     """
     cfg = config or E2Config()
     tasks = []
@@ -470,5 +485,6 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_e2_cell, tasks))
     else:
-        rows = [_e2_cell(t) for t in tasks]
+        buf = np.empty(cfg.tasks_per_cell * max(cfg.prompt_lengths) * cfg.dim)
+        rows = [_e2_cell(t, buf) for t in tasks]
     return rows

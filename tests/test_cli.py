@@ -7,8 +7,10 @@ exercised exactly as a shell invocation would see them.
 
 import hashlib
 import json
+import resource
 import socket
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -303,6 +305,23 @@ def test_full_pipeline_artifacts(tmp_path, capsys):
     assert "eval: mdp/oracle mean gap 0.0000" in stdout
 
 
+def test_every_command_manifest_records_wall_time_and_peak_rss(tmp_path):
+    cfg = write_config(tmp_path, theory={
+        "dim": 2, "num_actions": 2, "horizon": 3, "prompt_lengths": [10],
+        "train_lengths": [100], "condition_numbers": [1], "tasks_per_cell": 20})
+    out = tmp_path / "run"
+    for command in ("gen", "solve", "export", "eval", "theory-sim"):
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
+        manifest = json.loads((out / f"{command}.manifest.json").read_text())
+        assert set(manifest) == {"command", "package_version", "created_unix", "wall_s",
+                                 "peak_rss_mb", "config", "artifacts"}
+        assert 0.0 < manifest["wall_s"] <= elapsed  # this command's time alone
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0.0 < manifest["peak_rss_mb"] <= peak_mb
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     run_a, run_b = tmp_path / "a", tmp_path / "b"
@@ -553,6 +572,15 @@ def test_fallback_records_say_why(tmp_path):
     assert (record["period"], record["nodes"]) == (exc.value.period, exc.value.nodes)
     assert record["nodes"] > 50
     assert not list((out / "solutions").glob("*.npy"))
+
+
+def test_solve_summary_counts_fallbacks_by_reason(tmp_path, capsys):
+    cfg = write_config(tmp_path, **STORED_CASES["fallback"])
+    _run(cfg, tmp_path / "fallback", "gen", "solve")
+    assert "(2 fell back to qmdp: node_budget 2)\n" in capsys.readouterr().out
+    _run(write_config(tmp_path, "exact.json", **STORED_CASES["pomdp"]),
+         tmp_path / "exact", "solve")
+    assert "fell back" not in capsys.readouterr().out
 
 
 def test_exact_belief_records_name_their_arrays(tmp_path):

@@ -1,5 +1,7 @@
 """Primitives: rng streams, simplex checks, belief algebra, trajectories."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,32 @@ def test_rng_nested_split_reproducible():
     x = Rng(11).split(2).split(5).uniform(size=4)
     y = Rng(11).split(2).split(5).uniform(size=4)
     assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 2**64 - 1])
+def test_rng_draws_the_philox_stream_of_its_key(monkeypatch, seed, stream):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **k: built.append(1) or philox(*a, **k))
+    rng = Rng(seed, stream)
+    rng.split(3)
+    assert built == []  # nothing is built before the first draw
+    want = np.random.Generator(philox(key=seed | stream << 64))
+    assert np.array_equal(rng.uniform(size=16), want.uniform(size=16))
+    assert np.array_equal(rng.standard_normal(16), want.standard_normal(16))
+    assert len(built) == 1
+
+
+def test_pickled_rng_continues_its_stream():
+    fresh, used = Rng(21, 4), Rng(21, 4)
+    used.uniform(size=5)
+    for rng in (fresh, used):
+        copy = pickle.loads(pickle.dumps(rng))
+        assert (copy.seed, copy.stream) == (21, 4)
+        assert np.array_equal(copy.uniform(size=8), rng.uniform(size=8))
+    assert np.array_equal(fresh.uniform(size=8), Rng(21, 4).uniform(size=16)[8:])
 
 
 def test_draw_index_matches_empirical_frequencies():

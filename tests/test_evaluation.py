@@ -48,6 +48,18 @@ def test_oracle_evaluated_against_itself_has_exactly_zero_gap():
     assert report.reference == "exact"
 
 
+def test_paired_episode_builds_only_the_generators_it_draws_from(monkeypatch):
+    tasks, oracles = battery(n=1)
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **k: built.append(1) or philox(*a, **k))
+    optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(7), rollouts_per_task=1)
+    # both episodes' environment streams and the random policy's stream; the
+    # oracle's policy stream and the split parents are never drawn from
+    assert len(built) == 3
+
+
 def test_random_policy_has_positive_gap():
     tasks, oracles = battery(n=6, horizon=5)
     report = optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(8),

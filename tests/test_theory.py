@@ -1,5 +1,6 @@
 """Shrinkage predictor, attention layer, bounds, and the simulation grid."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -233,6 +234,65 @@ def test_batch_grads_match_finite_differences():
             assert num == pytest.approx(grad_w[i, j], rel=1e-5, abs=1e-9)
 
 
+def _gram_tensor_grads(u, w_kq, xs, ys, qs, targets):
+    """The gradient formula through the per-item (d+1)^2 Gram tensor h."""
+    B, m, _ = xs.shape
+    cols = np.concatenate([xs, ys[..., None]], axis=2)
+    q = np.concatenate([qs, np.zeros((B, 1))], axis=1)
+    h = (np.einsum("bmi,bmj->bij", cols, cols) + np.einsum("bi,bj->bij", q, q)) / m
+    hg = np.einsum("bij,bj->bi", h, q @ w_kq.T)
+    resid = hg @ u - targets
+    loss = 0.5 * float(np.mean(resid ** 2))
+    grad_u = (resid[:, None] * hg).mean(axis=0)
+    grad_w = np.einsum("b,bi,bj->ij", resid, np.einsum("bij,j->bi", h, u), q) / B
+    return loss, grad_u, grad_w
+
+
+@pytest.mark.parametrize("d, m", [(2, 50), (8, 40)])
+def test_batch_grads_match_the_gram_tensor_formula(d, m):
+    rng = np.random.default_rng(d)
+    B = 64
+    xs = rng.standard_normal((B, m, d))
+    ys = rng.standard_normal((B, m))
+    qs = rng.standard_normal((B, d))
+    targets = rng.standard_normal(B)
+    u = rng.standard_normal(d + 1)
+    w = rng.standard_normal((d + 1, d + 1))
+    got = _lsa_batch_grads(u, w, xs, ys, qs, targets)
+    want = _gram_tensor_grads(u, w, xs, ys, qs, targets)
+    assert got[0] == pytest.approx(want[0], abs=1e-12, rel=0)
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+# train_lsa(LsaLayer.initialized(2, Rng(s).split(0)), identity family,
+# Rng(s).split(1), prompt_length=20, steps=400, batch_size=64, epoch_size=20)
+# per seed s: epoch losses and halvings, as the Gram-tensor gradient gave them
+PINNED_TRAINING = {
+    0: (12, [0.9923129355516179, 0.9360679629731845, 0.9287366811324324,
+             0.3281069557940152, 0.11566842285674295]),
+    1: (12, [1.0207586702170088, 0.9726566231027147, 0.8747214137960903,
+             0.30228662236085874, 0.1695202569381969, 0.1380796800323001,
+             0.12246952978489231, 0.10112982235550179]),
+    2: (12, [1.0468808455640572, 1.0041911119895053, 1.0014239976671049,
+             0.9361065783909852, 0.7754397109371247, 0.29256432019186374,
+             0.13798859929005275, 0.13678376441718068, 0.12232182853848368,
+             0.11921762881037186, 0.11668944398810097]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TRAINING))
+def test_train_lsa_matches_pinned_curves(seed):
+    halvings, losses = PINNED_TRAINING[seed]
+    rng = Rng(seed)
+    result = train_lsa(LsaLayer.initialized(2, rng.split(0)),
+                       LinearTaskFamily(dim=2, feature_cov=np.eye(2)), rng.split(1),
+                       prompt_length=20, steps=400, batch_size=64, epoch_size=20)
+    assert result.halvings == halvings
+    assert len(result.epoch_losses) == len(losses)
+    np.testing.assert_allclose(result.epoch_losses, losses, rtol=0, atol=1e-12)
+
+
 def test_evaluate_zero_layer_has_unit_relative_error():
     family = LinearTaskFamily(dim=2, feature_cov=np.eye(2))
     out = evaluate_lsa(LsaLayer.zeros(2), family, Rng(7), prompt_length=10,
@@ -309,6 +369,19 @@ def test_e2_parallel_equals_serial():
     serial = run_e2_simulation(TINY_E2, jobs=1)
     parallel = run_e2_simulation(TINY_E2, jobs=2)
     assert serial == parallel
+
+
+# the cell after the longest prompts reuses the front of its draw buffer
+PIN_E2 = E2Config(dim=4, num_actions=3, horizon=5, prompt_lengths=(10, 100, 20),
+                  train_lengths=(100, 1000), condition_numbers=(1, 25),
+                  tasks_per_cell=200, seed=3)
+PIN_E2_SHA256 = "5338d9602fad140c86587196571a6a2022348ccef0a6ecd4c479d8cc02bb641a"
+
+
+def test_e2_rows_match_pinned_digest_serial_and_parallel():
+    for jobs in (1, 2):
+        rows = run_e2_simulation(PIN_E2, jobs=jobs)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == PIN_E2_SHA256
 
 
 def test_e2_csv_roundtrip(tmp_path):
