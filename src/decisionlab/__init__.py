@@ -3,6 +3,9 @@
 Task families with exact and robust oracles, trajectory corpora in a canonical
 text schema, oracle-relative policy evaluation, and numerical validation of
 the in-context learning theory for linear self-attention.
+
+Importing the package loads numpy and the standard library only; scipy is
+imported inside the functions that use it.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
@@ -60,7 +59,9 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     if n < 2:
         return mean, mean
-    half = float(stats.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n))
+    # stdtrit(df, p) is stats.t.ppf(p, df) bit for bit, without scipy.stats
+    from scipy.special import stdtrit
+    half = float(stdtrit(n - 1, 0.975) * values.std(ddof=1) / math.sqrt(n))
     return mean - half, mean + half
 
 
@@ -70,11 +71,15 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
      rollouts_per_task) = args
     task_rng = Rng(seed, stream).split(task_index)
     opt_sum, eval_sum, invalid = 0.0, 0.0, 0
+    # the oracle evaluated as the policy would repeat its own episode
+    repeat = handle is oracle and context is None
     for j in range(rollouts_per_task):
         rng_a = task_rng.split(j)
         rng_b = Rng(rng_a.seed, rng_a.stream)  # the same stream, drawn from afresh
-        opt_sum += rollout(task, oracle, rng_a, task_id=task_id).online_return
-        result = rollout(task, handle, rng_b, context=context, task_id=task_id)
+        opt = rollout(task, oracle, rng_a, task_id=task_id)
+        result = opt if repeat else rollout(task, handle, rng_b, context=context,
+                                            task_id=task_id)
+        opt_sum += opt.online_return
         eval_sum += result.online_return
         invalid += result.invalid_actions
     return opt_sum / rollouts_per_task, eval_sum / rollouts_per_task, invalid
@@ -165,7 +170,8 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None
         try:
             handle = PolicyHandle.oracle(solve(task, solver_config))
         except BudgetExceeded as exc:
-            handle = PolicyHandle.qmdp(solve_mdp(task), fallback=exc)
+            # without its traceback, whose frames hold the failed solve's tables
+            handle = PolicyHandle.qmdp(solve_mdp(task), fallback=exc.with_traceback(None))
     return handle, _reference_label([handle])
 
 

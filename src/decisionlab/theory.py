@@ -18,11 +18,9 @@ that checks the bounds numerically end to end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from .core import Rng
 
@@ -65,6 +63,7 @@ class LinearTaskFamily:
     def __post_init__(self):
         self.feature_cov = np.asarray(self.feature_cov, dtype=np.float64).reshape(
             self.dim, self.dim)
+        from scipy.linalg import cholesky
         # upper-triangular factor: x = z @ factor gives cov = factor^T factor
         self._factor = cholesky(self.feature_cov)
 
@@ -109,6 +108,7 @@ class Prompt:
 
 def sample_prompt(task: LinearTask, length: int, rng: Rng) -> Prompt:
     """Noiseless realizable prompt: labels equal the task's linear reward exactly."""
+    from scipy.linalg import cholesky
     factor = cholesky(task.feature_cov)
     xs = rng.standard_normal((length, task.dim)) @ factor
     query = rng.standard_normal(task.dim) @ factor
@@ -139,6 +139,7 @@ class LsaPredictor:
         if kappa > COND_LIMIT:
             raise IllConditioned(
                 f"gamma_matrix condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}")
+        from scipy.linalg import cho_factor
         self._cho = cho_factor(self.gamma_matrix)
 
     @classmethod
@@ -147,6 +148,7 @@ class LsaPredictor:
 
     def coefficients(self, prompt: Prompt) -> np.ndarray:
         """Gamma^{-1} (1/M) sum_i y_i x_i, via an SPD solve (never an inverse)."""
+        from scipy.linalg import cho_solve
         return cho_solve(self._cho, prompt.moment())
 
 
@@ -424,6 +426,7 @@ def _e2_cell(args, buf: np.ndarray | None = None) -> dict:
     lam = _log_spaced_cov(d, kappa)
     sd = np.sqrt(np.diag(lam))
     gam = gamma_matrix(lam, train_length)
+    from scipy.linalg import cho_factor, cho_solve
     cho = cho_factor(gam)
     w = rng.standard_normal((n, d))
     shape = (n, prompt_length, d)
@@ -482,6 +485,7 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
                 tasks.append((cfg, kappa, N, M, root.split(idx).stream))
                 idx += 1
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_e2_cell, tasks))
     else:

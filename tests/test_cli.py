@@ -9,12 +9,15 @@ import hashlib
 import json
 import resource
 import socket
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decisionlab
 from decisionlab import evaluation
 from decisionlab.cli import main
 from decisionlab.envs import load_task
@@ -320,6 +323,32 @@ def test_every_command_manifest_records_wall_time_and_peak_rss(tmp_path):
         assert 0.0 < manifest["wall_s"] <= elapsed  # this command's time alone
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert 0.0 < manifest["peak_rss_mb"] <= peak_mb
+
+
+SCIPY_FREE_PIPELINE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import decisionlab, decisionlab.cli
+def scipy_modules():
+    return sorted(key for key in sys.modules if key.startswith("scipy"))[:5]
+assert not scipy_modules(), ("import", scipy_modules())
+for command in ("gen", "solve", "export", "eval"):
+    assert decisionlab.cli.main([command, "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+    if command != "eval":
+        assert not scipy_modules(), (command, scipy_modules())
+assert "scipy.stats" not in sys.modules, scipy_modules()
+"""
+
+
+def test_pipeline_before_eval_never_loads_scipy(tmp_path):
+    """A fresh interpreter imports only numpy for the package and the CLI;
+    gen, solve and export load no scipy module, and eval not scipy.stats."""
+    cfg = write_config(tmp_path, setting="pomdp", num_tasks=2)
+    src = str(Path(decisionlab.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", SCIPY_FREE_PIPELINE, src, cfg,
+                          str(tmp_path / "run")], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "run" / "reports" / "eval.json").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,11 +1,14 @@
 """Optimality-gap evaluation: paired streams, intervals, grids."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from decisionlab import evaluation
 from decisionlab.core import KernelPair, Rng, TabularTask
 from decisionlab.dataset import write_csv
 from decisionlab.envs import AmbiguityConfig, EnergyParams
@@ -23,7 +26,7 @@ from decisionlab.evaluation import (
     _t_interval,
 )
 from decisionlab.rollout import PolicyHandle
-from decisionlab.solvers import BeliefSolverConfig, solve_mdp, solve_pomdp
+from decisionlab.solvers import BeliefSolverConfig, RobustSolution, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, uniform_policy_value
 
@@ -109,6 +112,20 @@ def test_optimality_gap_validates_alignment():
         optimality_gap(tasks, oracles, [PolicyHandle.random()], Rng(0))
 
 
+def test_oracle_against_itself_rolls_out_each_episode_once(monkeypatch):
+    tasks, oracles = battery(n=20)
+    calls = []
+    monkeypatch.setattr(evaluation, "rollout",
+                        lambda *a, _rollout=evaluation.rollout, **k:
+                        calls.append(1) or _rollout(*a, **k))
+    report = optimality_gap(tasks, oracles, oracles, Rng(7), rollouts_per_task=30)
+    assert len(calls) == 600
+    # handles equal to the oracles but not the same objects take both rollouts
+    copies = [PolicyHandle.oracle(o.solution) for o in oracles]
+    assert optimality_gap(tasks, oracles, copies, Rng(7), rollouts_per_task=30) == report
+    assert len(calls) == 600 + 1200
+
+
 def test_external_policies_require_serial_evaluation():
     tasks, oracles = battery(n=2)
     fake_external = PolicyHandle(kind="external", client=None)
@@ -117,11 +134,13 @@ def test_external_policies_require_serial_evaluation():
 
 
 def test_t_interval_matches_direct_formula():
-    values = np.array([0.1, 0.4, 0.3, 0.2, 0.5])
-    lo, hi = _t_interval(values)
-    half = stats.t.ppf(0.975, 4) * values.std(ddof=1) / math.sqrt(5)
-    assert lo == pytest.approx(values.mean() - half, rel=1e-12)
-    assert hi == pytest.approx(values.mean() + half, rel=1e-12)
+    # bit for bit against stats.t.ppf, for every n from 2 to 500
+    values = np.random.default_rng(0).normal(0.2, 0.1, 500)
+    for n in range(2, 501):
+        head = values[:n]
+        mean = float(head.mean())
+        half = float(stats.t.ppf(0.975, n - 1) * head.std(ddof=1) / math.sqrt(n))
+        assert _t_interval(head) == (mean - half, mean + half), n
     # a single value gives a collapsed interval
     assert _t_interval(np.array([0.3])) == (pytest.approx(0.3), pytest.approx(0.3))
 
@@ -164,6 +183,26 @@ def test_reference_policy_falls_back_to_qmdp_on_budget():
     from decisionlab.solvers import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         solve_pomdp(task, tight)
+
+
+def test_fallback_handle_lets_the_failed_solve_go(monkeypatch):
+    task = generate_tasks("pomdp", 1, EnergyParams(horizon=8),
+                          AmbiguityConfig(), Rng(6))[0]
+    started = []
+    solve = RobustSolution._solve
+
+    def traced_solve(self):
+        started.append(weakref.ref(self))
+        solve(self)
+
+    monkeypatch.setattr(RobustSolution, "_solve", traced_solve)
+    handle, ref = reference_policy(task, BeliefSolverConfig(node_budget=50))
+    assert ref == "qmdp-fallback" and len(started) == 1
+    gc.collect()
+    assert started[0]() is None  # no traceback keeps its frames or tables alive
+    assert handle.fallback.__traceback__ is None
+    assert (handle.fallback.budget, handle.fallback.period) == (50, 3)
+    assert handle.fallback.nodes > 50
 
 
 def test_report_reference_is_derived_from_the_oracle_handles():
