@@ -98,6 +98,9 @@ class Rng:
     def standard_normal(self, size=None, out=None):
         return self.gen.standard_normal(size, out=out)
 
+    def chisquare(self, df, size=None):
+        return self.gen.chisquare(df, size)
+
     def dirichlet(self, alpha):
         return self.gen.dirichlet(alpha)
 

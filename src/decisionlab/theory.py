@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -416,25 +417,33 @@ def _log_spaced_cov(dim: int, kappa: float) -> np.ndarray:
     return np.diag(np.geomspace(1.0 / kappa, 1.0, dim))
 
 
-def _e2_cell(args, buf: np.ndarray | None = None) -> dict:
-    """One grid cell.  Its prompt features are drawn into the front of
-    ``buf`` (float64, at least tasks_per_cell * M * dim entries) when one is
-    given, else into a fresh array."""
+def _gram_factor(rng: Rng, count: int, prompt_length: int, dim: int) -> np.ndarray:
+    """``count`` Bartlett factors R of shape (min(M, d), d): R_ii = sqrt(chi^2(M - i)),
+    then N(0, 1) above the diagonal.  R is the QR factor of an M x d standard
+    normal Z, so R^T R has the law of Z^T Z, at a cost free of M."""
+    k = min(prompt_length, dim)
+    rows, cols = np.triu_indices(k, 1, dim)
+    diag = np.arange(k)
+    factor = np.zeros((count, k, dim))
+    factor[:, diag, diag] = np.sqrt(rng.chisquare(prompt_length - diag, (count, k)))
+    factor[:, rows, cols] = rng.standard_normal((count, rows.size))
+    return factor
+
+
+def _e2_cell(args) -> dict:
+    """One grid cell.  The prompts enter only through X^T X, which is drawn
+    through its Bartlett factor rather than from M x d features."""
     cfg, kappa, train_length, prompt_length, stream = args
     rng = Rng(cfg.seed, stream)
     d, T, A, n = cfg.dim, cfg.horizon, cfg.num_actions, cfg.tasks_per_cell
     lam = _log_spaced_cov(d, kappa)
     sd = np.sqrt(np.diag(lam))
-    gam = gamma_matrix(lam, train_length)
     from scipy.linalg import cho_factor, cho_solve
-    cho = cho_factor(gam)
+    cho = cho_factor(gamma_matrix(lam, train_length))
     w = rng.standard_normal((n, d))
-    shape = (n, prompt_length, d)
-    xs = np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
-    rng.standard_normal(out=xs)
-    xs *= sd
-    ys = np.einsum("nmd,nd->nm", xs, w)
-    moment = np.einsum("nm,nmd->nd", ys, xs) / prompt_length
+    r = _gram_factor(rng, n, prompt_length, d)
+    rv = np.einsum("nkd,nd->nk", r, sd * w)
+    moment = sd * np.einsum("nkd,nk->nd", r, rv) / prompt_length
     coef = cho_solve(cho, moment.T).T
     # per period, candidate features for each action, drawn independently
     phi = rng.standard_normal((n, T, A, d))
@@ -471,24 +480,15 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
 
     Cell generators are derived by stream splitting from (seed, cell index),
     so results do not depend on scheduling; means use numpy's pairwise
-    summation, keeping parallel and serial runs identical.  A serial run
-    draws every cell's prompt features into one buffer sized for the largest
-    cell; a worker process draws each cell's into a fresh array.
+    summation, keeping parallel and serial runs identical.
     """
     cfg = config or E2Config()
-    tasks = []
-    idx = 0
     root = Rng(cfg.seed)
-    for kappa in cfg.condition_numbers:
-        for N in cfg.train_lengths:
-            for M in cfg.prompt_lengths:
-                tasks.append((cfg, kappa, N, M, root.split(idx).stream))
-                idx += 1
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_e2_cell, tasks))
-    else:
-        buf = np.empty(cfg.tasks_per_cell * max(cfg.prompt_lengths) * cfg.dim)
-        rows = [_e2_cell(t, buf) for t in tasks]
-    return rows
+    cells = product(cfg.condition_numbers, cfg.train_lengths, cfg.prompt_lengths)
+    tasks = [(cfg, kappa, N, M, root.split(idx).stream)
+             for idx, (kappa, N, M) in enumerate(cells)]
+    if jobs <= 1:
+        return [_e2_cell(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_e2_cell, tasks))

@@ -7,6 +7,7 @@ exercised exactly as a shell invocation would see them.
 
 import hashlib
 import json
+import math
 import resource
 import socket
 import subprocess
@@ -704,6 +705,20 @@ def test_theory_sim_check_passes(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "theory check: pass" in stdout
     assert "0 bound violation(s)" in stdout
+
+
+def test_theory_sim_prompts_shorter_than_the_dimension(tmp_path):
+    cfg = write_config(tmp_path, theory={"dim": 10, "prompt_lengths": [2, 5]})
+    csv = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["theory-sim", "--jobs", jobs, "--config", cfg, "--out", str(out)]) == 0
+        csv[jobs] = (out / "reports" / "theory_e2.csv").read_bytes()
+    assert csv["2"] == csv["1"]
+    lines = csv["1"].decode().splitlines()
+    assert len(lines) == 1 + 3 * 3 * 2  # header + default kappa x N, two M
+    for line in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
 
 def test_darkroom_check_oracle(tmp_path, capsys):

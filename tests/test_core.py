@@ -82,6 +82,13 @@ def test_rng_draws_the_philox_stream_of_its_key(monkeypatch, seed, stream):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 7)])
+def test_rng_chisquare_is_the_philox_generator_chisquare(seed, stream):
+    df = np.array([50.0, 49.0, 3.0, 1.0])
+    want = np.random.Generator(np.random.Philox(key=seed | stream << 64)).chisquare(df, (64, 4))
+    assert Rng(seed, stream).chisquare(df, (64, 4)).tobytes() == want.tobytes()
+
+
 def test_pickled_rng_continues_its_stream():
     fresh, used = Rng(21, 4), Rng(21, 4)
     used.uniform(size=5)

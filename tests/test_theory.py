@@ -29,7 +29,7 @@ from decisionlab.theory import (
     sample_prompt,
     train_lsa,
 )
-from decisionlab.theory import _lsa_batch_grads
+from decisionlab.theory import _e2_cell, _gram_factor, _lsa_batch_grads
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +371,74 @@ def test_e2_parallel_equals_serial():
     assert serial == parallel
 
 
-# the cell after the longest prompts reuses the front of its draw buffer
-PIN_E2 = E2Config(dim=4, num_actions=3, horizon=5, prompt_lengths=(10, 100, 20),
+# M = 3 < d draws a trapezoidal Bartlett factor, M = 10 and 100 a triangular one
+PIN_E2 = E2Config(dim=4, num_actions=3, horizon=5, prompt_lengths=(3, 10, 100),
                   train_lengths=(100, 1000), condition_numbers=(1, 25),
                   tasks_per_cell=200, seed=3)
-PIN_E2_SHA256 = "5338d9602fad140c86587196571a6a2022348ccef0a6ecd4c479d8cc02bb641a"
+PIN_E2_SHA256 = "8b685b3e629a3ea431993c7a650ad248fc6fae3b0a9351dbbd8949e7d471c89f"
 
 
 def test_e2_rows_match_pinned_digest_serial_and_parallel():
     for jobs in (1, 2):
         rows = run_e2_simulation(PIN_E2, jobs=jobs)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == PIN_E2_SHA256
+
+
+def _direct_gram_products(rng, count, prompt_length, sd, w, chunk=10_000):
+    """X^T X w for ``count`` prompts X = Z diag(sd), Z drawn as M x d normals."""
+    out = []
+    for start in range(0, count, chunk):
+        xs = rng.standard_normal((min(chunk, count - start), prompt_length, sd.size)) * sd
+        out.append(np.einsum("nmd,nm->nd", xs, xs @ w))
+    return np.concatenate(out)
+
+
+def _moment_z(a, b):
+    """Per entry: difference of the sample means over its standard error."""
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    return (a.mean(axis=0) - b.mean(axis=0)) / se
+
+
+@pytest.mark.parametrize("d, m", [(4, 50), (10, 5)])
+def test_bartlett_factor_has_the_law_of_the_prompt_gram(d, m):
+    n = 100_000
+    sd = np.sqrt(np.geomspace(0.2, 1.0, d))
+    w = np.linspace(1.0, -0.5, d)
+    r = _gram_factor(Rng(d, m), n, m, d)
+    assert r.shape == (n, min(m, d), d)
+    assert np.all(r[:, np.arange(min(m, d)), np.arange(min(m, d))] > 0.0)
+    assert np.all(np.tril(r[:, :, :min(m, d)], -1) == 0.0)
+    bartlett = sd * np.einsum("nkd,nk->nd", r, r @ (sd * w))
+    direct = _direct_gram_products(Rng(d, m + 1), n, m, sd, w)
+    # the reference itself: E[X^T X w] = M Lambda w
+    se = direct.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(direct.mean(axis=0) - m * sd ** 2 * w) < 4.0 * se)
+    assert np.abs(_moment_z(bartlett, direct)).max() < 4.0
+    # covariances: each entry is the mean of a centred product, so its
+    # standard error comes from the same n draws; 5 of them over the 10 + 55
+    # distinct entries of the two shapes
+    rows, cols = np.triu_indices(d)
+
+    def products(v):
+        c = v - v.mean(axis=0)
+        return c[:, rows] * c[:, cols]
+    assert np.abs(_moment_z(products(bartlett), products(direct))).max() < 5.0
+
+
+def test_e2_cell_memory_does_not_grow_with_prompt_length():
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401 -- its import is not the cell's memory
+    cfg = E2Config()
+    tracemalloc.start()
+    try:
+        row = _e2_cell((cfg, 1, 100, 1000, Rng(cfg.seed).split(0).stream))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["M"] == 1000
+    # 500 prompts of 1000 x 10 features would take 40 MB
+    assert peak < 8 * 2 ** 20
 
 
 def test_e2_csv_roundtrip(tmp_path):
