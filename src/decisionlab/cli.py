@@ -13,6 +13,10 @@ directories are laid out as
     <out>/reports/*.json|*.csv          (eval, theory-sim, darkroom)
     <out>/<command>.manifest.json       (every command)
 
+``solve``, ``export`` and ``eval`` build their tasks from (config, seed) too;
+the task files ``gen`` writes are an audit trail, which they check against
+the tasks they build and never read a task from.
+
 ``export`` and ``eval`` take a belief task's reference from what ``solve``
 stored for it when the record's digests match the task, the ``solver``
 section and the arrays, and solve the task again otherwise.
@@ -258,59 +262,42 @@ def _build_tasks(cfg: dict) -> tuple[list, list[dict]]:
     return tasks, metas
 
 
-def _load_or_build_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
-    """``TabularTask``s from the files ``gen`` wrote (audit trail), else
-    re-derived; a Darkroom spec becomes its tabular task here.  Task files of
-    another setting than the configured one, energy-task files whose count,
-    horizon or state count disagree with the config, and Darkroom task files
-    whose size, horizon or goals disagree with it are a configuration error."""
+def _checked_tasks(cfg: dict, out: Path) -> tuple[list, list[dict]]:
+    """``_build_tasks``' tasks, a Darkroom spec as its tabular task, once any
+    files in ``<out>/tasks`` are found to be exactly what ``gen`` writes."""
+    tasks, metas = _build_tasks(cfg)
     tasks_dir = out / "tasks"
-    paths = sorted(tasks_dir.glob("task_*.json")) if tasks_dir.is_dir() else []
-    if paths:
-        loaded = [load_task(p) for p in paths]
-        tasks, metas = [task for task, _ in loaded], [meta for _, meta in loaded]
-        for path, task in zip(paths, tasks):
-            kind = "darkroom" if isinstance(task, DarkroomTask) else task.kind
-            if kind != cfg["setting"]:
-                raise ConfigError(f"task file {path} holds a {kind} task, "
-                                  f"but the setting is {cfg['setting']}")
-        if cfg["setting"] == "darkroom":
-            _check_darkroom_task_files(cfg, paths, tasks)
-        else:
-            _check_energy_task_files(cfg, paths, tasks)
-    else:
-        tasks, metas = _build_tasks(cfg)
+    names = sorted(p.name for p in tasks_dir.glob("task_*.json"))
+    expected = [f"task_{i:04d}.json" for i in range(len(tasks))]
+    if names and names != expected:
+        raise ConfigError(f"{tasks_dir} holds {len(names)} task file(s), {names[0]} to "
+                          f"{names[-1]}, but (config, seed) builds {len(expected)}, "
+                          f"{expected[0]} to {expected[-1]}")
+    for name, task, meta in zip(names, tasks, metas):
+        path = tasks_dir / name
+        try:
+            have = task_to_dict(*load_task(path))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"task file {path} cannot be read: "
+                              f"{type(exc).__name__}: {exc}") from None
+        if have != (want := task_to_dict(task, meta)):
+            raise ConfigError(f"task file {path} {_first_difference(have, want)}")
     return [t.to_mdp() if isinstance(t, DarkroomTask) else t for t in tasks], metas
 
 
-def _check_energy_task_files(cfg: dict, paths: list[Path], tasks: list):
-    if len(paths) != cfg["num_tasks"]:
-        raise ConfigError(f"{paths[0].parent} holds {len(paths)} task file(s), "
-                          f"but field 'num_tasks' is {cfg['num_tasks']}")
-    horizon, cap = cfg["env"]["horizon"], cfg["env"]["energy_cap"]
-    for path, task in zip(paths, tasks):
-        if task.horizon != horizon:
-            raise ConfigError(f"task file {path} has horizon {task.horizon}, "
-                              f"but field 'env.horizon' is {horizon}")
-        if task.num_states != cap + 1:
-            raise ConfigError(f"task file {path} has {task.num_states} states, "
-                              f"but field 'env.energy_cap' is {cap}")
+def _first_difference(have: dict, want: dict) -> str:
+    """The first key where two task dicts differ, with both values unless one
+    is an array (a list of non-ints; a goal is none).  ``kind`` comes first, as
+    it decides the other keys, and arrays last, each group in sorted order."""
+    def array(key):
+        return any(isinstance(v, list) and not all(type(x) is int for x in v)
+                   for v in (have.get(key), want.get(key)))
 
-
-def _check_darkroom_task_files(cfg: dict, paths: list[Path], tasks: list):
-    dk, goals = cfg["darkroom"], _darkroom_goals(cfg)
-    for path, task in zip(paths, tasks):
-        for name in ("size", "horizon"):
-            if getattr(task, name) != dk[name]:
-                raise ConfigError(f"task file {path} has {name} {getattr(task, name)}, "
-                                  f"but field 'darkroom.{name}' is {dk[name]}")
-    if len(paths) != len(goals):
-        raise ConfigError(f"{paths[0].parent} holds {len(paths)} task file(s), "
-                          f"but field 'darkroom.subset' gives {len(goals)} goal(s)")
-    for path, task, goal in zip(paths, tasks, goals):
-        if task.goal != goal:
-            raise ConfigError(f"task file {path} has goal {list(task.goal)}, "
-                              f"but field 'darkroom.subset' gives {list(goal)}")
+    key = min((k for k in have.keys() | want.keys() if have.get(k) != want.get(k)),
+              key=lambda k: (k != "kind", array(k), k))
+    if array(key):
+        return f"has another {key} than (config, seed) builds"
+    return f"has {key} {have.get(key)!r}, but (config, seed) builds {want.get(key)!r}"
 
 
 def _inputs_sha256(cfg: dict, task) -> str:
@@ -424,7 +411,7 @@ def cmd_gen(cfg: dict, args) -> int:
 def cmd_solve(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     sol_dir = out / "solutions"
-    tasks, _ = _load_or_build_tasks(cfg, out)
+    tasks, _ = _checked_tasks(cfg, out)
     sol_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     fallbacks = Counter()
@@ -459,7 +446,7 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_export(cfg: dict, args) -> int:
     out = Path(cfg["out"])
     corpus_dir = out / "corpus"
-    tasks, metas = _load_or_build_tasks(cfg, out)
+    tasks, metas = _checked_tasks(cfg, out)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     references = _reference_handles(cfg, out, tasks)
     oracles = [handle for handle, _ in references]
@@ -499,7 +486,7 @@ def cmd_eval(cfg: dict, args) -> int:
     if not grid and policy_kind == "qmdp" and cfg["setting"] in ("mdp", "darkroom"):
         raise ConfigError(f"field 'eval.policy': qmdp does not apply to {cfg['setting']}")
     if not grid and cfg["setting"] != "darkroom":
-        tasks, _ = _load_or_build_tasks(cfg, out)
+        tasks, _ = _checked_tasks(cfg, out)
     kinds = cfg["grid"]["policies"] if grid else [policy_kind]
     jobs = 1 if "external" in kinds else args.jobs or 1
     with _policy_client(cfg, kinds) as client:

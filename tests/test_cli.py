@@ -193,6 +193,16 @@ def test_qmdp_rejected_for_darkroom(tmp_path, capsys):
         assert f"qmdp does not apply to {setting}" in capsys.readouterr().err
 
 
+def _edit_task(path):
+    data = json.loads(path.read_text())
+    data["reward"][0][0] -= 0.01
+    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
 def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["gen", "--config", write_config(tmp_path), "--out", out]) == 0
@@ -200,7 +210,7 @@ def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
     for command in ("solve", "export", "eval"):
         assert main([command, "--config", pomdp, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "task_0000.json holds a mdp task, but the setting is pomdp" in err
+        assert "task_0000.json has kind 'mdp', but (config, seed) builds 'pomdp'" in err
     # the checks run before any output directory is made
     for name in ("solutions", "corpus", "reports"):
         assert not (tmp_path / "run" / name).exists()
@@ -211,57 +221,95 @@ def test_task_files_of_another_setting_are_rejected(tmp_path, capsys):
                  "--out", out]) == 0
     dark_out = str(tmp_path / "dark")
     assert main(["gen", "--config", dark, "--out", dark_out]) == 0
-    assert main(["solve", "--config", write_config(tmp_path), "--out", dark_out]) == 1
-    assert "holds a darkroom task, but the setting is mdp" in capsys.readouterr().err
+    two = write_config(tmp_path, "two.json", num_tasks=2)  # as many tasks as goals
+    assert main(["solve", "--config", two, "--out", dark_out]) == 1
+    assert ("task_0000.json has kind 'darkroom', but (config, seed) builds 'mdp'"
+            in capsys.readouterr().err)
+
+
+def _gen_run(tmp_path, name, **config):
+    """``<tmp_path>/<name>``, where ``gen`` has written the tasks of ``config``."""
+    out = tmp_path / name
+    cfg = write_config(tmp_path, f"{name}.json", **config)
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+def _meta(out):
+    return load_task(out / "tasks" / "task_0000.json")[1]
+
+
+def _assert_rejected(tmp_path, capsys, base, cases, commands):
+    """Each ``(out, override, want)`` case: every command exits 1 with ``want``
+    in its message and makes no output directory."""
+    for out, override, want in cases:
+        cfg = write_config(tmp_path, "case.json", **dict(base, **override))
+        for command in commands:
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            assert want in capsys.readouterr().err
+        for name in ("solutions", "corpus", "reports"):
+            assert not (out / name).exists()
 
 
 def test_task_files_of_another_config_are_rejected(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    gen = {"setting": "pomdp", "num_tasks": 3, "env": {"energy_cap": 3, "horizon": 4}}
-    assert main(["gen", "--config", write_config(tmp_path, "gen.json", **gen),
-                 "--out", out]) == 0
-    for name, override, want in (
-            ("count.json", {"num_tasks": 5, "seed": 7, "env": {"energy_cap": 3, "horizon": 6}},
-             "holds 3 task file(s), but field 'num_tasks' is 5"),
-            ("horizon.json", {"env": {"energy_cap": 3, "horizon": 6}},
-             "task_0000.json has horizon 4, but field 'env.horizon' is 6"),
-            ("states.json", {"env": {"energy_cap": 4, "horizon": 4}},
-             "task_0000.json has 4 states, but field 'env.energy_cap' is 4")):
-        cfg = write_config(tmp_path, name, **dict(gen, **override))
-        for command in ("solve", "export", "eval"):
-            assert main([command, "--config", cfg, "--out", out]) == 1
-            assert want in capsys.readouterr().err
-    for name in ("solutions", "corpus", "reports"):
-        assert not (tmp_path / "run" / name).exists()
+    gen = {"setting": "pomdp", "seed": 0, "num_tasks": 3,
+           "env": {"energy_cap": 3, "horizon": 4}}
+    fixed = {"env": {"energy_cap": 3, "horizon": 4, "success_prob": 0.75}}
+    run, gapped, truncated, edited = (_gen_run(tmp_path, name, **gen)
+                                      for name in ("run", "gapped", "truncated", "edited"))
+    fixed_run = _gen_run(tmp_path, "fixed", **dict(gen, **fixed))
+    # what gen writes at seed 7, for the expected messages
+    seed7 = _gen_run(tmp_path, "seed7", **dict(gen, seed=7))
+    fixed7 = _gen_run(tmp_path, "fixed7", **dict(gen, seed=7, **fixed))
+    (gapped / "tasks" / "task_0001.json").unlink()
+    _truncate(truncated / "tasks" / "task_0001.json")
+    _edit_task(edited / "tasks" / "task_0001.json")
+    _assert_rejected(tmp_path, capsys, gen, [
+        (run, {"num_tasks": 5, "seed": 7, "env": {"energy_cap": 3, "horizon": 6}},
+         f"{run / 'tasks'} holds 3 task file(s), task_0000.json to task_0002.json, "
+         "but (config, seed) builds 5, task_0000.json to task_0004.json"),
+        (run, {"env": {"energy_cap": 3, "horizon": 6}},
+         "task_0000.json has horizon 4, but (config, seed) builds 6"),
+        (run, {"env": {"energy_cap": 4, "horizon": 4}},
+         "task_0000.json has num_obs 4, but (config, seed) builds 5"),
+        (run, {"seed": 7},
+         f"task_0000.json has meta {_meta(run)!r}, but (config, seed) builds {_meta(seed7)!r}"),
+        (run, {"env": {"energy_cap": 3, "horizon": 4, "obs_prob": 0.6}},
+         "task_0000.json has another observation than (config, seed) builds"),
+        (fixed_run, dict(fixed, seed=7),
+         f"task_0000.json has meta {_meta(fixed_run)!r}, "
+         f"but (config, seed) builds {_meta(fixed7)!r}"),
+        (gapped, {"num_tasks": 2},
+         f"{gapped / 'tasks'} holds 2 task file(s), task_0000.json to task_0002.json, "
+         "but (config, seed) builds 2, task_0000.json to task_0001.json"),
+        (truncated, {}, f"task file {truncated / 'tasks' / 'task_0001.json'} cannot be "
+                        "read: JSONDecodeError: "),
+        (edited, {}, "task_0001.json has another reward than (config, seed) builds"),
+    ], ("solve", "export", "eval"))
     # the config the files were made with still runs
     assert main(["solve", "--config", write_config(tmp_path, "gen.json", **gen),
-                 "--out", out]) == 0
+                 "--out", str(run)]) == 0
 
 
 def test_darkroom_task_files_of_another_config_are_rejected(tmp_path, capsys):
-    out = str(tmp_path / "run")
     gen = {"setting": "darkroom", "seed": 0, "darkroom": {"size": 3, "horizon": 6}}
-    assert main(["gen", "--config", write_config(tmp_path, "gen.json", **gen),
-                 "--out", out]) == 0
-    for name, darkroom, want in (
-            ("size.json", {"size": 4, "horizon": 9},
-             "task_0000.json has size 3, but field 'darkroom.size' is 4"),
-            ("horizon.json", {"size": 3, "horizon": 9},
-             "task_0000.json has horizon 6, but field 'darkroom.horizon' is 9"),
-            ("count.json", {"size": 3, "horizon": 6, "subset": "all"},
-             "holds 2 task file(s), but field 'darkroom.subset' gives 9 goal(s)"),
-            ("goals.json", {"size": 3, "horizon": 6, "seed": 2},
-             "task_0001.json has goal [0, 2], but field 'darkroom.subset' gives [2, 1]")):
-        seed = darkroom.pop("seed", 0)
-        cfg = write_config(tmp_path, name, setting="darkroom", seed=seed,
-                           darkroom=darkroom)
-        for command in ("solve", "export"):
-            assert main([command, "--config", cfg, "--out", out]) == 1
-            assert want in capsys.readouterr().err
-    for name in ("solutions", "corpus"):
-        assert not (tmp_path / "run" / name).exists()
+    run, truncated = _gen_run(tmp_path, "run", **gen), _gen_run(tmp_path, "truncated", **gen)
+    _truncate(truncated / "tasks" / "task_0001.json")
+    _assert_rejected(tmp_path, capsys, gen, [
+        (run, {"darkroom": {"size": 4, "horizon": 9}},
+         f"{run / 'tasks'} holds 2 task file(s), task_0000.json to task_0001.json, "
+         "but (config, seed) builds 3, task_0000.json to task_0002.json"),
+        (run, {"darkroom": {"size": 3, "horizon": 9}},
+         "task_0000.json has horizon 6, but (config, seed) builds 9"),
+        (run, {"darkroom": {"size": 3, "horizon": 6, "subset": "all"}},
+         f"{run / 'tasks'} holds 2 task file(s), task_0000.json to task_0001.json, "
+         "but (config, seed) builds 9, task_0000.json to task_0008.json"),
+        (run, {"seed": 2}, "task_0001.json has goal [0, 2], but (config, seed) builds [2, 1]"),
+        (truncated, {}, f"task file {truncated / 'tasks' / 'task_0001.json'} cannot be "
+                        "read: JSONDecodeError: "),
+    ], ("solve", "export"))
     assert main(["solve", "--config", write_config(tmp_path, "gen.json", **gen),
-                 "--out", out]) == 0
+                 "--out", str(run)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +681,27 @@ def test_exact_belief_records_name_their_arrays(tmp_path):
     assert artifact_bytes(rerun / "solutions") == artifact_bytes(out / "solutions")
 
 
-def _edit_task(path):
-    data = json.loads(path.read_text())
-    data["reward"][0][0] -= 0.01
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
-
-
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[:-8])
-
-
 @pytest.mark.parametrize("damage", ["task", "keys", "values", "record"])
 def test_stale_or_damaged_stored_oracle_is_solved_again(tmp_path, belief_solves, damage):
+    """A record for another task, a damaged array or a damaged record is solved
+    again, once per command, and the outputs equal a fresh directory's.  (An
+    edited task file stops the command: see the task-file rejection tests.)"""
     cfg = write_config(tmp_path, **STORED_CASES["pomdp"])
     stored, fresh = tmp_path / "stored", tmp_path / "fresh"
-    _run(cfg, stored, "gen", "solve")
-    sol = stored / "solutions"
-    {"task": lambda: _edit_task(stored / "tasks" / "task_0001.json"),
-     "keys": lambda: _truncate(sol / "solution_0001.keys.npy"),
-     "values": lambda: (sol / "solution_0001.values.npy").unlink(),
-     "record": lambda: _truncate(sol / "solution_0001.json")}[damage]()
+    if damage == "task":  # both records are for seed 7's tasks, and no gen ran
+        _run(write_config(tmp_path, "seed7.json", **STORED_CASES["pomdp"], seed=7),
+             stored, "solve")
+    else:
+        _run(cfg, stored, "gen", "solve")
+        sol = stored / "solutions"
+        {"keys": lambda: _truncate(sol / "solution_0001.keys.npy"),
+         "values": lambda: (sol / "solution_0001.values.npy").unlink(),
+         "record": lambda: _truncate(sol / "solution_0001.json")}[damage]()
     del belief_solves[:]
     _run(cfg, stored, "export", "eval")
-    assert len(belief_solves) == 2  # task 1, once per command
-    (fresh / "tasks").mkdir(parents=True)
-    for path in (stored / "tasks").glob("task_*.json"):
-        (fresh / "tasks" / path.name).write_bytes(path.read_bytes())
-    _run(cfg, fresh, "export", "eval")
+    stale = 2 if damage == "task" else 1  # tasks 0 and 1, or task 1
+    assert len(belief_solves) == 2 * stale  # each stale task, once per command
+    _run(cfg, fresh, "gen", "export", "eval")
     assert _outputs(stored) == _outputs(fresh)
 
 
