@@ -18,8 +18,8 @@ from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, SamplingExhauste
                    split_goals)
 from .solvers import (BeliefSolverConfig, BudgetExceeded, MdpSolution, RobustSolution,
                       quantize_belief, solve_apomdp, solve_mdp, solve_pomdp)
-from .rollout import (ExternalPolicyClient, FewShotContext, InvalidAction,
-                      PolicyHandle, ProtocolError, RolloutResult, rollout)
+from .rollout import (ExternalPolicyClient, InvalidAction, PolicyHandle, ProtocolError,
+                      RolloutResult, rollout)
 from .dataset import (ParseError, build_context, build_dpt_dataset,
                       build_sft_corpus, decode, encode, read_jsonl, write_csv,
                       write_jsonl)

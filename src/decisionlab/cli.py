@@ -15,7 +15,13 @@ directories are laid out as
 
 ``solve``, ``export`` and ``eval`` build their tasks from (config, seed) too;
 the task files ``gen`` writes are an audit trail, which they check against
-the tasks they build and never read a task from.
+the tasks they build and never read a task from.  ``gen`` removes the task
+files of an earlier run that it does not write again.
+
+``eval``, ``theory-sim`` and ``darkroom`` take ``--jobs N``: tasks (Darkroom
+goals) or E2 cells are spread over N processes, with the serial run's bytes;
+an external policy is always evaluated in one.  No other command has the
+flag, and ``eval --grid`` takes no ``--policy`` (``grid.policies`` decides).
 
 ``export`` and ``eval`` take a belief task's reference from what ``solve``
 stored for it when the record's digests match the task, the ``solver``
@@ -398,11 +404,12 @@ def cmd_gen(cfg: dict, args) -> int:
     tasks_dir = out / "tasks"
     tasks_dir.mkdir(parents=True, exist_ok=True)
     tasks, metas = _build_tasks(cfg)
-    artifacts = []
-    for i, (task, meta) in enumerate(zip(tasks, metas)):
-        path = tasks_dir / f"task_{i:04d}.json"
+    paths = [tasks_dir / f"task_{i:04d}.json" for i in range(len(tasks))]
+    for stale in set(tasks_dir.glob("task_*.json")) - set(paths):  # of an earlier gen
+        stale.unlink()
+    for path, task, meta in zip(paths, tasks, metas):
         save_task(path, task, meta)
-        artifacts.append(str(path.relative_to(out)))
+    artifacts = [str(path.relative_to(out)) for path in paths]
     _write_manifest(out, "gen", cfg, artifacts, args)
     print(f"gen: wrote {len(tasks)} {cfg['setting']} task(s) to {tasks_dir}")
     return 0
@@ -482,6 +489,8 @@ def cmd_eval(cfg: dict, args) -> int:
     reports = out / "reports"
     rng = Rng(cfg["seed"]).split(STREAM_EVAL)
     grid = getattr(args, "grid", False)  # the darkroom command has no --grid
+    if grid and args.policy is not None:
+        raise ConfigError("--policy does not apply to --grid: grid.policies decides")
     policy_kind = cfg["eval"]["policy"]
     if not grid and policy_kind == "qmdp" and cfg["setting"] in ("mdp", "darkroom"):
         raise ConfigError(f"field 'eval.policy': qmdp does not apply to {cfg['setting']}")
@@ -501,7 +510,7 @@ def cmd_eval(cfg: dict, args) -> int:
             print(f"eval: wrote {len(rows)} grid row(s) to {path}")
             return 0
         if cfg["setting"] == "darkroom":
-            return _eval_darkroom(cfg, args, reports, out, rng, client)
+            return _eval_darkroom(cfg, args, reports, out, rng, client, jobs)
         oracles = [handle for handle, _ in _reference_handles(cfg, out, tasks)]
         handles = [evaluation_policy(policy_kind, task, oracle, client)
                    for task, oracle in zip(tasks, oracles)]
@@ -519,12 +528,12 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def _eval_darkroom(cfg: dict, args, reports: Path, out: Path, rng: Rng,
-                   client: ExternalPolicyClient | None) -> int:
+                   client: ExternalPolicyClient | None, jobs: int) -> int:
     dk = cfg["darkroom"]
     policy_kind = cfg["eval"]["policy"]
     summary = darkroom_eval(_darkroom_goals(cfg), policy_kind, rng,
-                            rollouts_per_goal=dk["rollouts_per_goal"],
-                            size=dk["size"], horizon=dk["horizon"], client=client)
+                            rollouts_per_goal=dk["rollouts_per_goal"], size=dk["size"],
+                            horizon=dk["horizon"], client=client, jobs=jobs)
     csv_path = reports / "darkroom.csv"
     write_csv(summary["rows"], DARKROOM_CSV_COLUMNS, csv_path)
     json_path = reports / "darkroom.json"
@@ -588,27 +597,27 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for in-context decision-making")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, help: str, jobs: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (defaults applied)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+        if jobs:  # only the commands that spread their work over processes
+            p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+        return p
 
-    common(sub.add_parser("gen", help="write task files"))
-    common(sub.add_parser("solve", help="write solution records"))
-    common(sub.add_parser("export", help="write an SFT or DPT corpus"))
-    p_eval = sub.add_parser("eval", help="optimality-gap evaluation")
-    common(p_eval)
+    command("gen", "write task files", jobs=False)
+    command("solve", "write solution records", jobs=False)
+    command("export", "write an SFT or DPT corpus", jobs=False)
+    p_eval = command("eval", "optimality-gap evaluation")
     p_eval.add_argument("--policy", choices=_POLICIES,
                         help="override eval.policy from the config")
     p_eval.add_argument("--grid", action="store_true",
                         help="run the full experiment grid from the config")
-    p_theory = sub.add_parser("theory-sim", help="suboptimality bound grid")
-    common(p_theory)
+    p_theory = command("theory-sim", "suboptimality bound grid")
     p_theory.add_argument("--check", action="store_true",
                           help="exit 3 if any cell violates the bound")
-    p_dark = sub.add_parser("darkroom", help="darkroom goal-set evaluation")
-    common(p_dark)
+    p_dark = command("darkroom", "darkroom goal-set evaluation")
     p_dark.add_argument("--policy", choices=("oracle", "random", "external"),
                         help="override eval.policy from the config")
     p_dark.add_argument("--check", action="store_true",

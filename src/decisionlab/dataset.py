@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 
 from .core import Rng, Trajectory
-from .rollout import FewShotContext, PolicyHandle, rollout
+from .rollout import PolicyHandle, rollout
 
 SCHEMA_VERSION = 1
 
@@ -92,10 +92,10 @@ def decode(text: str, task_id: str = "") -> Trajectory:
     return traj
 
 
-def build_context(trajectories: list[Trajectory]) -> FewShotContext:
-    """Demonstrations as numbered blocks: ``TRAJ k: <encoding>`` per line."""
-    lines = [f"TRAJ {i}: {encode(t)}" for i, t in enumerate(trajectories, start=1)]
-    return FewShotContext(list(trajectories), "\n".join(lines))
+def build_context(trajectories: list[Trajectory]) -> str:
+    """Demonstrations as numbered blocks: ``TRAJ k: <encoding>`` per line; an
+    external handle sends it as each request's ``context``."""
+    return "\n".join(f"TRAJ {i}: {encode(t)}" for i, t in enumerate(trajectories, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
         records.append({
             "schema_version": SCHEMA_VERSION,
             "task_id": task_id,
-            "context": build_context(trajs).encoded,
+            "context": build_context(trajs),
             "trajectories": encoded,
             "rollout_streams": streams,
             "meta": (metas[i] if metas else {}),

@@ -25,7 +25,7 @@ import numpy as np
 from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
-from .rollout import ExternalPolicyClient, FewShotContext, PolicyHandle, rollout
+from .rollout import ExternalPolicyClient, PolicyHandle, rollout
 from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
 
 DEGENERATE_OPT = 1e-9
@@ -66,73 +66,67 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
 
 
 def _task_gap_sums(args) -> tuple[float, float, int]:
-    """Mean oracle and policy returns for one task (episode-paired streams)."""
-    (task, oracle, handle, context, task_id, seed, stream, task_index,
-     rollouts_per_task) = args
-    task_rng = Rng(seed, stream).split(task_index)
+    """Mean oracle and policy returns over one task's episodes, and the
+    policy's invalid actions.  Episode j rolls the oracle out, then the policy,
+    both on ``task_rng.split(j)``, so they meet the same environment draws;
+    the oracle evaluated as the policy repeats its own episode, and without an
+    oracle (None) its mean is 0."""
+    task, oracle, handle, task_id, task_rng, rollouts = args
     opt_sum, eval_sum, invalid = 0.0, 0.0, 0
-    # the oracle evaluated as the policy would repeat its own episode
-    repeat = handle is oracle and context is None
-    for j in range(rollouts_per_task):
-        rng_a = task_rng.split(j)
-        rng_b = Rng(rng_a.seed, rng_a.stream)  # the same stream, drawn from afresh
-        opt = rollout(task, oracle, rng_a, task_id=task_id)
-        result = opt if repeat else rollout(task, handle, rng_b, context=context,
-                                            task_id=task_id)
-        opt_sum += opt.online_return
+    for j in range(rollouts):
+        rng = task_rng.split(j)  # rollout only splits it, so both may share it
+        opt = None if oracle is None else rollout(task, oracle, rng, task_id=task_id)
+        result = opt if handle is oracle else rollout(task, handle, rng, task_id=task_id)
+        opt_sum += 0.0 if opt is None else opt.online_return
         eval_sum += result.online_return
         invalid += result.invalid_actions
-    return opt_sum / rollouts_per_task, eval_sum / rollouts_per_task, invalid
+    return opt_sum / rollouts, eval_sum / rollouts, invalid
+
+
+def _map_tasks(work, jobs: int) -> list[tuple[float, float, int]]:
+    """``_task_gap_sums`` of each work item, in order.  ``jobs > 1`` spreads
+    the items over processes; each carries its own generator, so the results
+    are the serial run's.  Serially, ``work`` may be a lazy iterable, and each
+    item is dropped once done.  External handles hold live connections and
+    need ``jobs=1``."""
+    if jobs <= 1:
+        return [_task_gap_sums(w) for w in work]
+    work = list(work)
+    if any(w[2].kind == "external" for w in work):
+        raise ValueError("external policies require jobs=1")
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_task_gap_sums, work))
 
 
 def optimality_gap(tasks: list, oracles: list[PolicyHandle],
                    policy: list[PolicyHandle] | PolicyHandle, rng: Rng,
-                   rollouts_per_task: int = 30,
-                   contexts: list[FewShotContext] | None = None,
-                   jobs: int = 1) -> EvalReport:
+                   rollouts_per_task: int = 30, jobs: int = 1) -> EvalReport:
     """Mean oracle-relative gap of ``policy`` across tasks, with a t-interval.
 
-    ``policy`` may be a single handle (shared across tasks) or one per task.
-    Episode j of task i uses one generator pair for both the oracle and the
-    evaluated policy, so environment draws are identical.  The report's
-    ``reference`` is ``_reference_label(oracles)``.  ``jobs > 1`` distributes
-    tasks over processes; per-task streams are derived from the task index, so
-    results are identical to the serial run.  External-policy handles hold live
-    connections and must be evaluated with ``jobs=1``.
+    ``policy`` may be a single handle (shared across tasks) or one per task;
+    an external handle carries its own few-shot context.  Episode j of task i
+    uses one generator for both the oracle and the evaluated policy, so
+    environment draws are identical.  The report's ``reference`` is
+    ``_reference_label(oracles)``.  ``jobs`` is as in ``_map_tasks``.
     """
     if len(tasks) != len(oracles):
         raise ValueError("tasks and oracles must align")
     handles = policy if isinstance(policy, list) else [policy] * len(tasks)
     if len(handles) != len(tasks):
         raise ValueError("one policy handle per task (or a single shared one)")
-    work = [(task, oracles[i], handles[i], contexts[i] if contexts else None,
-             f"task_{i:04d}", rng.seed, rng.stream, i, rollouts_per_task)
-            for i, task in enumerate(tasks)]
-    if jobs > 1:
-        if any(h.kind == "external" for h in handles):
-            raise ValueError("external policies require jobs=1")
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_task_gap_sums, work))
-    else:
-        results = [_task_gap_sums(w) for w in work]
-    gaps, opts, evals = [], [], []
-    degenerate = 0
-    invalid = 0
-    for opt, ev, bad in results:
-        invalid += bad
-        if opt <= DEGENERATE_OPT:
-            degenerate += 1
-            continue
-        gaps.append((opt - ev) / opt)
-        opts.append(opt)
-        evals.append(ev)
-    if not gaps:
+    results = _map_tasks([(task, oracles[i], handles[i], f"task_{i:04d}", rng.split(i),
+                           rollouts_per_task) for i, task in enumerate(tasks)], jobs)
+    kept = [(opt, ev) for opt, ev, _ in results if opt > DEGENERATE_OPT]
+    if not kept:
         raise DegenerateOptimum("all tasks have non-positive oracle value")
+    opts, evals = map(list, zip(*kept))
+    gaps = [(opt - ev) / opt for opt, ev in kept]
     arr = np.array(gaps)
     lo, hi = _t_interval(arr)
     return EvalReport(len(gaps), rollouts_per_task, float(arr.mean()), lo, hi,
-                      gaps, opts, evals, degenerate, invalid, _reference_label(oracles))
+                      gaps, opts, evals, len(results) - len(kept),
+                      sum(bad for _, _, bad in results), _reference_label(oracles))
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +275,30 @@ DARKROOM_CSV_COLUMNS = ("goal_row", "goal_col", "policy", "mean_return",
 
 def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
                   rollouts_per_goal: int = 5, size: int = 10, horizon: int = 100,
-                  client: ExternalPolicyClient | None = None) -> dict:
+                  client: ExternalPolicyClient | None = None, jobs: int = 1) -> dict:
     """Mean cumulative reward per goal (and overall) for one policy kind.
 
     Each goal's task is ``DarkroomTask(goal, size, horizon).to_mdp()``; its
     oracle's exact return from ``solve_mdp``, ``max(0, horizon - distance)``,
     is reported alongside.  The interval is Student-t over per-goal means.
+    Goal i's episodes draw from ``rng.split(i)``; ``jobs`` is as in
+    ``_map_tasks``.
     """
-    rows = []
-    per_goal = []
-    for i, goal in enumerate(goals):
-        task = DarkroomTask(goal, size, horizon).to_mdp()
-        reference, _ = reference_policy(task)
-        handle = evaluation_policy(policy_kind, task, reference, client)
-        goal_rng = rng.split(i)
-        returns = [rollout(task, handle, goal_rng.split(j),
-                           task_id=f"darkroom_{goal[0]}_{goal[1]}").online_return
-                   for j in range(rollouts_per_goal)]
-        mean_return = float(np.mean(returns))
-        per_goal.append(mean_return)
-        rows.append({"goal_row": goal[0], "goal_col": goal[1],
-                     "policy": policy_kind, "mean_return": mean_return,
-                     "oracle_return": reference.solution.expected_return(),
-                     "rollouts": rollouts_per_goal})
+    oracle_returns = []
+
+    def work():  # one goal's task and oracle at a time when serial
+        for i, goal in enumerate(goals):
+            task = DarkroomTask(goal, size, horizon).to_mdp()
+            reference, _ = reference_policy(task)
+            oracle_returns.append(reference.solution.expected_return())
+            yield (task, None, evaluation_policy(policy_kind, task, reference, client),
+                   f"darkroom_{goal[0]}_{goal[1]}", rng.split(i), rollouts_per_goal)
+
+    per_goal = [mean for _, mean, _ in _map_tasks(work(), jobs)]
+    rows = [{"goal_row": goal[0], "goal_col": goal[1], "policy": policy_kind,
+             "mean_return": mean, "oracle_return": oracle_return,
+             "rollouts": rollouts_per_goal}
+            for goal, mean, oracle_return in zip(goals, per_goal, oracle_returns)]
     arr = np.array(per_goal)
     lo, hi = _t_interval(arr)
     return {"rows": rows, "mean_return": float(arr.mean()),

@@ -49,18 +49,6 @@ class InvalidAction(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# few-shot context
-
-
-@dataclass
-class FewShotContext:
-    """Demonstration trajectories plus their canonical text encoding."""
-
-    trajectories: list[Trajectory]
-    encoded: str
-
-
-# ---------------------------------------------------------------------------
 # external-policy client
 
 
@@ -182,7 +170,8 @@ class PolicyHandle:
     for an mdp, a RobustSolution for a belief task), and "qmdp" the MdpSolution
     of a belief task, acting by its ``qmdp_action``; ``rollout`` checks both
     against the task.  "random" draws uniform actions from the policy stream;
-    "external" sends one wire request per period through its client.  The
+    "external" sends one wire request per period through its client, with its
+    few-shot ``context`` (``build_context``'s text, "" for none).  The
     "qmdp" handle that ``reference_policy`` returns in place of an exact
     oracle carries the ``BudgetExceeded`` that stopped the solve as
     ``fallback``.
@@ -192,6 +181,7 @@ class PolicyHandle:
     solution: MdpSolution | RobustSolution | None = None
     client: ExternalPolicyClient | None = None
     fallback: BudgetExceeded | None = None
+    context: str = ""
 
     @classmethod
     def oracle(cls, solution) -> "PolicyHandle":
@@ -207,8 +197,8 @@ class PolicyHandle:
         return cls("qmdp", solution=solution, fallback=fallback)
 
     @classmethod
-    def external(cls, client: ExternalPolicyClient) -> "PolicyHandle":
-        return cls("external", client=client)
+    def external(cls, client: ExternalPolicyClient, context: str = "") -> "PolicyHandle":
+        return cls("external", client=client, context=context)
 
 
 def _check_oracle_matches(task: TabularTask, handle: PolicyHandle):
@@ -240,8 +230,7 @@ class RolloutResult:
     invalid_actions: int = 0
 
 
-def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
-               context: FewShotContext | None, task_id: str):
+def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng, task_id: str):
     """The action function ``act(t, obs, belief, history)`` of a policy handle.
 
     ``obs`` is the state for fully observed tasks; ``belief`` is the nominal
@@ -261,13 +250,12 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
     if policy.kind == "external":
         if policy.client is None:
             raise ValueError("external handle must carry a client")
-        encoded = context.encoded if context is not None else ""
 
         def act(t, obs, belief, history):
             request = {
                 "task_id": task_id,
                 "step": t,
-                "context": encoded,
+                "context": policy.context,
                 "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
                             for s in history],
                 "current_obs": int(obs),
@@ -280,7 +268,6 @@ def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng,
 
 
 def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
-            context: FewShotContext | None = None,
             task_id: str = "") -> RolloutResult:
     """Simulate one episode; the environment stream is independent of the policy.
 
@@ -293,7 +280,7 @@ def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
     if not isinstance(task, TabularTask):
         raise TypeError(f"unsupported task type {type(task).__name__}")
     env_rng = rng.split(0)
-    act = _policy_fn(task, policy, rng.split(1), context, task_id)
+    act = _policy_fn(task, policy, rng.split(1), task_id)
     traj = Trajectory(task_id)
     invalid = 0
     nominal = task.models[0]  # an ambiguous task is simulated under its first model

@@ -312,7 +312,13 @@ class RobustSolution:
         self.level_sizes = [len(v) for v in levels]
         # backward pass; pruned children read row 0 and only ever meet weight 0
         self._values = [None] * T
-        self._values[-1] = (self._beliefs(levels[-1]) @ self.task.reward).max(axis=1)
+        # the last level's rewards, ``step`` rows (two at least) at a time; a
+        # one-row remainder joins the block before it, since a one-row product
+        # (gemv) rounds differently from a batch
+        block = max(2, step)
+        self._values[-1] = np.concatenate([
+            (self._beliefs(rows) @ self.task.reward).max(axis=1)
+            for rows in np.split(levels[-1], range(block, len(levels[-1]) - 1, block))])
         for t in range(T - 2, -1, -1):
             nxt, parts = self._values[t + 1], []
             for i, (weights, pos) in enumerate(links.pop()):

@@ -193,6 +193,29 @@ def test_qmdp_rejected_for_darkroom(tmp_path, capsys):
         assert f"qmdp does not apply to {setting}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["solve", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["export", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["eval", "--grid", "--policy", "oracle"], "grid.policies decides"),
+])
+def test_no_option_is_accepted_and_then_ignored(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path)
+    try:
+        code = main([*argv, "--config", cfg, "--out", str(tmp_path / "run")])
+    except SystemExit as exc:  # a usage error, raised by the parser
+        code = exc.code
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_eval_exits_2_when_every_oracle_value_is_non_positive(tmp_path, capsys):
+    cfg = write_config(tmp_path, seed=4, num_tasks=1, env={"horizon": 1},
+                       eval={"policy": "random", "rollouts_per_task": 1})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "error: all tasks have non-positive oracle value" in capsys.readouterr().err
+
+
 def _edit_task(path):
     data = json.loads(path.read_text())
     data["reward"][0][0] -= 0.01
@@ -411,6 +434,20 @@ def test_rerun_is_byte_identical(tmp_path):
     assert files_a  # the comparison is not vacuous
     for rel in files_a:
         assert files_a[rel] == files_b[rel], f"{rel} differs between reruns"
+
+
+def test_gen_removes_the_task_files_it_does_not_write(tmp_path):
+    out = tmp_path / "run"
+    for num_tasks in (3, 2):
+        cfg = write_config(tmp_path, num_tasks=num_tasks)
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+        (out / "tasks" / "notes.txt").write_text("not a task file")
+    names = sorted(p.name for p in (out / "tasks").glob("task_*.json"))
+    assert names == ["task_0000.json", "task_0001.json"]
+    manifest = json.loads((out / "gen.manifest.json").read_text())
+    assert manifest["artifacts"] == [f"tasks/{name}" for name in names]
+    assert (out / "tasks" / "notes.txt").exists()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
 
 
 def test_solve_from_saved_tasks_matches_rederived(tmp_path):
@@ -749,6 +786,17 @@ def test_theory_sim_check_passes(tmp_path, capsys):
     assert "0 bound violation(s)" in stdout
 
 
+def test_theory_sim_check_fails_without_coverage(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        theory={"dim": 3, "num_actions": 3, "horizon": 4, "prompt_lengths": [10],
+                "train_lengths": [100], "condition_numbers": [1],
+                "tasks_per_cell": 200, "coverage": 0.0})
+    assert main(["theory-sim", "--check", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "theory check: FAIL" in capsys.readouterr().out
+
+
 def test_theory_sim_prompts_shorter_than_the_dimension(tmp_path):
     cfg = write_config(tmp_path, theory={"dim": 10, "prompt_lengths": [2, 5]})
     csv = {}
@@ -806,3 +854,26 @@ def test_darkroom_check_random(tmp_path, capsys):
     assert main(["darkroom", "--check", "--policy", "random", "--config", cfg,
                  "--out", str(out)]) == 0
     assert "darkroom check: pass" in capsys.readouterr().out
+
+
+def test_darkroom_check_fails_when_random_scores_too_well(tmp_path, capsys):
+    # on a 1x1 grid the start is the goal: each step's uniform action is
+    # stay, earning 1, one time in five, so the mean is near 4, not below 2
+    cfg = write_config(tmp_path, darkroom={"size": 1, "subset": "all", "horizon": 20,
+                                           "rollouts_per_goal": 2})
+    assert main(["darkroom", "--check", "--policy", "random", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "darkroom check: FAIL" in capsys.readouterr().out
+
+
+def test_darkroom_jobs_write_the_serial_bytes(tmp_path):
+    cfg = write_config(tmp_path, darkroom={"size": 5, "horizon": 12, "subset": "all",
+                                           "rollouts_per_goal": 2})
+    reports = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["darkroom", "--policy", "random", "--jobs", jobs, "--config", cfg,
+                     "--out", str(out)]) == 0
+        reports[jobs] = [(out / "reports" / name).read_bytes()
+                         for name in ("darkroom.csv", "darkroom.json")]
+    assert reports["1"] == reports["2"]

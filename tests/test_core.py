@@ -193,6 +193,30 @@ def test_tabular_mdp_validates_inputs():
         TabularTask("mdp", [KernelPair(P)], R, [0.5, 0.5], horizon=3, discount=1.5)
 
 
+_P = np.zeros((2, 1, 2))
+_P[:, 0, 0] = 1.0
+_Q = np.full((2, 1, 2), 0.5)
+_ONE = np.ones((2, 1, 1))  # a valid kernel of the wrong shape
+
+
+@pytest.mark.parametrize("kind, models, changes, message", [
+    ("bandit", [KernelPair(_P)], {}, "kind must be mdp, pomdp or apomdp"),
+    ("apomdp", [], {}, "models must be non-empty"),
+    ("pomdp", [KernelPair(_P, _Q)] * 2, {}, "a pomdp task has exactly one model"),
+    ("mdp", [KernelPair(_P)], {"reward": np.full((2, 1), np.inf)}, "reward: must be"),
+    ("mdp", [KernelPair(_P)], {"initial_dist": np.full(3, 1 / 3)}, "initial_dist: shape"),
+    ("mdp", [KernelPair(_ONE)], {}, r"models\[0\].transition: shape"),
+    ("mdp", [KernelPair(_P, _Q)], {}, r"models\[0\].observation: required"),
+    ("apomdp", [KernelPair(_P, _Q), KernelPair(_P, _ONE)], {},
+     r"models\[1\].observation: shape \(2, 1, 1\), expected \(2, 1, 2\)"),
+    ("apomdp", [KernelPair(_P, _Q)], {"alpha": 1.5}, "alpha must lie in"),
+])
+def test_tabular_task_rejects_each_malformed_field(kind, models, changes, message):
+    fields = {"reward": np.zeros((2, 1)), "initial_dist": [0.5, 0.5], "horizon": 3} | changes
+    with pytest.raises(ValueError, match=message):
+        TabularTask(kind, models, **fields)
+
+
 # ---------------------------------------------------------------------------
 # belief algebra
 

@@ -134,9 +134,8 @@ def test_build_context_blocks():
     t2 = make_traj([(2, 1, 0.0)])
     ctx = build_context([t1, t2])
     # step tags restart inside each block; only the TRAJ counter advances
-    assert ctx.encoded == ("TRAJ 1: <O_1> 1, <A_1> 0, <R_1> 0.50\n"
-                           "TRAJ 2: <O_1> 2, <A_1> 1, <R_1> 0.00")
-    assert ctx.trajectories == [t1, t2]
+    assert ctx == ("TRAJ 1: <O_1> 1, <A_1> 0, <R_1> 0.50\n"
+                   "TRAJ 2: <O_1> 2, <A_1> 1, <R_1> 0.00")
 
 
 # ---------------------------------------------------------------------------

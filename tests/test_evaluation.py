@@ -133,6 +133,29 @@ def test_external_policies_require_serial_evaluation():
         optimality_gap(tasks, oracles, fake_external, Rng(0), jobs=2)
 
 
+class RecordingClient:
+    """Stands in for an external policy: records each request, acts 0."""
+
+    def __init__(self):
+        self.requests = []
+
+    def query(self, request, num_actions):
+        self.requests.append(request)
+        return 0
+
+
+def test_each_external_handle_sends_its_own_context():
+    tasks, oracles = battery(n=3)
+    client = RecordingClient()
+    contexts = [f"TRAJ 1: <O_1> {i}, <A_1> 0, <R_1> 0.00" for i in range(3)]
+    handles = [PolicyHandle.external(client, context=c) for c in contexts]
+    report = optimality_gap(tasks, oracles, handles, Rng(4), rollouts_per_task=2)
+    assert report.invalid_actions == 0
+    assert len(client.requests) == 3 * 2 * 4  # tasks x episodes x periods
+    for request in client.requests:
+        assert request["context"] == contexts[int(request["task_id"].removeprefix("task_"))]
+
+
 def test_t_interval_matches_direct_formula():
     # bit for bit against stats.t.ppf, for every n from 2 to 500
     values = np.random.default_rng(0).normal(0.2, 0.1, 500)
@@ -319,6 +342,18 @@ def test_darkroom_eval_random_is_poor_and_reproducible(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("goal_row,goal_col")
+
+
+def test_darkroom_eval_jobs_equal_serial_and_roll_out_the_policy_only(monkeypatch):
+    goals = [(0, 1), (2, 3), (4, 4)]
+    kwargs = dict(rollouts_per_goal=3, size=5, horizon=12)
+    parallel = darkroom_eval(goals, "random", Rng(15), jobs=2, **kwargs)
+    calls = []
+    monkeypatch.setattr(evaluation, "rollout",
+                        lambda task, policy, *a, _rollout=evaluation.rollout, **k:
+                        calls.append(policy.kind) or _rollout(task, policy, *a, **k))
+    assert darkroom_eval(goals, "random", Rng(15), **kwargs) == parallel
+    assert calls == ["random"] * 9  # the oracle's return is exact, not rolled out
 
 
 def test_darkroom_eval_rejects_unknown_policy():

@@ -1,15 +1,16 @@
-"""README drift guard: the quick start prints what its comments show, the
-config reference equals ``DEFAULT_CONFIG``, and the corpus and wire examples
-have the keys of real records and requests."""
+"""README drift guard: the quick start prints what its comments show, every
+command line parses, the config reference equals ``DEFAULT_CONFIG``, and the
+corpus and wire examples have the keys of real records and requests."""
 
 import contextlib
 import io
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
-from decisionlab.cli import DEFAULT_CONFIG
+from decisionlab.cli import DEFAULT_CONFIG, build_parser
 from decisionlab.core import Rng
 from decisionlab.dataset import build_dpt_dataset, build_sft_corpus
 from decisionlab.evaluation import reference_policy
@@ -38,6 +39,19 @@ def test_quick_start_prints_what_its_comments_show():
     assert printed[0] == shown[0]
     assert shown[1].endswith(", ...")
     assert printed[1].startswith(shown[1].removesuffix("..."))
+
+
+def test_every_command_line_parses():
+    lines = [line for line in _block("## Command line", "bash").splitlines()
+             if line.startswith("decisionlab ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:  # the parser's usage error, already printed
+            raise AssertionError(f"README command does not parse: {line}") from None
 
 
 def test_config_reference_equals_default_config():

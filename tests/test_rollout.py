@@ -22,7 +22,6 @@ from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen
 from decisionlab.envs import AmbiguityConfig
 from decisionlab.rollout import (
     ExternalPolicyClient,
-    FewShotContext,
     InvalidAction,
     PolicyHandle,
     ProtocolError,
@@ -236,9 +235,9 @@ def test_external_policy_echo_over_tcp():
     port, received = serve(
         lambda req: {"action": req["current_obs"] % req["num_actions"]})
     with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0) as client:
-        ctx = FewShotContext([], "TRAJ 1: <O_1> 0, <A_1> 1, <R_1> 0.00")
-        res = rollout(task, PolicyHandle.external(client), Rng(21),
-                      context=ctx, task_id="probe-3")
+        ctx = "TRAJ 1: <O_1> 0, <A_1> 1, <R_1> 0.00"
+        res = rollout(task, PolicyHandle.external(client, context=ctx), Rng(21),
+                      task_id="probe-3")
     assert res.invalid_actions == 0
     for step in res.trajectory.steps:
         assert step.action == step.obs % 3
@@ -246,7 +245,7 @@ def test_external_policy_echo_over_tcp():
     assert [r["step"] for r in received] == [1, 2, 3, 4]
     first, last = received[0], received[-1]
     assert first["task_id"] == "probe-3"
-    assert first["context"] == ctx.encoded
+    assert first["context"] == ctx
     assert first["history"] == []
     assert first["num_actions"] == 3
     assert isinstance(first["current_obs"], int)

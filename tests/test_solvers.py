@@ -583,6 +583,27 @@ def test_belief_values_golden_digests():
         assert _solve_digest(tight) == want
 
 
+def test_solve_decodes_at_most_a_chunk_and_a_row_at_a_time(monkeypatch):
+    decoded = []
+    beliefs = solvers.RobustSolution._beliefs
+    monkeypatch.setattr(solvers.RobustSolution, "_beliefs",
+                        lambda self, view: decoded.append(len(view)) or beliefs(self, view))
+    sol = solve_pomdp(tiny_energy_pomdp(horizon=4), BeliefSolverConfig(expansion_chunk=16))
+    assert sol.level_sizes[-1] == 210  # 13 blocks of 16, and 2 rows
+    assert max(decoded) <= 16 + 1
+
+
+def test_last_level_values_do_not_depend_on_the_chunk():
+    task = tiny_energy_pomdp(horizon=4)
+    whole = solve_pomdp(task)  # 210 rows at the last level, one 4096-row chunk
+    want = (whole._beliefs(whole._levels[-1]) @ task.reward).max(axis=1)
+    assert whole._values[-1].tobytes() == want.tobytes()
+    # remainders 0, 1 and 2 rows; a chunk of 1 decodes two rows at a time
+    for chunk in (105, 70, 209, 19, 104, 13, 1):
+        sol = solve_pomdp(task, BeliefSolverConfig(expansion_chunk=chunk))
+        assert sol._values[-1].tobytes() == want.tobytes(), chunk
+
+
 # ---------------------------------------------------------------------------
 # QMDP
 
