@@ -95,7 +95,12 @@ def decode(text: str, task_id: str = "") -> Trajectory:
 def build_context(trajectories: list[Trajectory]) -> str:
     """Demonstrations as numbered blocks: ``TRAJ k: <encoding>`` per line; an
     external handle sends it as each request's ``context``."""
-    return "\n".join(f"TRAJ {i}: {encode(t)}" for i, t in enumerate(trajectories, start=1))
+    return _join_context([encode(t) for t in trajectories])
+
+
+def _join_context(encoded: list[str]) -> str:
+    """``build_context`` of the trajectories whose encodings are ``encoded``."""
+    return "\n".join(f"TRAJ {i}: {text}" for i, text in enumerate(encoded, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +127,14 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
         task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
         encoded, streams = [], []
-        trajs = []
         for j in range(trajectories_per_task):
             roll_rng = task_rng.split(j)
             streams.append(_stream_pair(roll_rng))
-            result = rollout(task, policy, roll_rng, task_id=task_id)
-            trajs.append(result.trajectory)
-            encoded.append(encode(result.trajectory))
+            encoded.append(encode(rollout(task, policy, roll_rng, task_id=task_id).trajectory))
         records.append({
             "schema_version": SCHEMA_VERSION,
             "task_id": task_id,
-            "context": build_context(trajs),
+            "context": _join_context(encoded),
             "trajectories": encoded,
             "rollout_streams": streams,
             "meta": (metas[i] if metas else {}),

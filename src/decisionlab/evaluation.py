@@ -17,6 +17,8 @@ a fallback reference makes "gap" relative to an approximation.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +27,7 @@ import numpy as np
 from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
-from .rollout import ExternalPolicyClient, PolicyHandle, rollout
+from .rollout import ExternalPolicyClient, PolicyHandle, episode_returns, rollout
 from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
 
 DEGENERATE_OPT = 1e-9
@@ -67,19 +69,43 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
 
 def _task_gap_sums(args) -> tuple[float, float, int]:
     """Mean oracle and policy returns over one task's episodes, and the
-    policy's invalid actions.  Episode j rolls the oracle out, then the policy,
-    both on ``task_rng.split(j)``, so they meet the same environment draws;
-    the oracle evaluated as the policy repeats its own episode, and without an
-    oracle (None) its mean is 0."""
+    policy's invalid actions.  Episode j of both sides runs on
+    ``task_rng.split(j)``, so they meet the same environment draws; the
+    oracle evaluated as the policy repeats its own episode, and without an
+    oracle (None) its mean is 0.
+
+    On an mdp, oracle and random handles step all their episodes together
+    (``episode_returns``) from block draws of the same streams, and both
+    sides read one environment block per episode.  Other handles, and every
+    handle on a belief task, roll out one episode at a time: the oracle's
+    episode j, then the policy's."""
     task, oracle, handle, task_id, task_rng, rollouts = args
+    rngs = [task_rng.split(j) for j in range(rollouts)]  # rollout only splits them
+
+    @functools.cache
+    def env_blocks():
+        return np.array([rng.split(0).gen.random(task.horizon) for rng in rngs])
+
+    def episodes(policy):
+        """(return, invalid actions) of ``policy`` on each episode, in order."""
+        if policy is None:
+            return itertools.repeat((0.0, 0), rollouts)
+        if task.kind == "mdp" and policy.kind in ("oracle", "random"):
+            actions = None if policy.kind == "oracle" else np.array(
+                [rng.split(1).integers(0, task.num_actions, size=task.horizon)
+                 for rng in rngs])
+            returns = episode_returns(task, policy, env_blocks(), actions)
+            return zip(returns.tolist(), itertools.repeat(0))
+        return ((r.online_return, r.invalid_actions) for r in
+                (rollout(task, policy, rng, task_id=task_id) for rng in rngs))
+
+    own = episodes(oracle)
+    pairs = ((o, o) for o in own) if handle is oracle else zip(own, episodes(handle))
     opt_sum, eval_sum, invalid = 0.0, 0.0, 0
-    for j in range(rollouts):
-        rng = task_rng.split(j)  # rollout only splits it, so both may share it
-        opt = None if oracle is None else rollout(task, oracle, rng, task_id=task_id)
-        result = opt if handle is oracle else rollout(task, handle, rng, task_id=task_id)
-        opt_sum += 0.0 if opt is None else opt.online_return
-        eval_sum += result.online_return
-        invalid += result.invalid_actions
+    for (opt, _), (ret, bad) in pairs:  # summed in episode order
+        opt_sum += opt
+        eval_sum += ret
+        invalid += bad
     return opt_sum / rollouts, eval_sum / rollouts, invalid
 
 

@@ -4,7 +4,8 @@
 is split so that the environment's draws depend only on the rollout generator,
 never on the policy: evaluating two policies with the same generator yields
 draw-for-draw paired episodes, which is what makes oracle-relative gaps exact
-rather than noisy.
+rather than noisy.  ``episode_returns`` steps many episodes of an mdp together
+from block draws of those streams, with ``rollout``'s returns bit for bit.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -307,3 +308,36 @@ def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
                 belief = belief_update(belief, action, obs, transition, observation)
                 beliefs.append(belief)
     return RolloutResult(traj, traj.discounted_return(task.discount), beliefs, invalid)
+
+
+def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndarray,
+                    action_blocks: np.ndarray | None = None) -> np.ndarray:
+    """Discounted returns of an mdp's episodes, stepped together, one per row.
+
+    Row j of ``env_blocks`` holds the T uniforms that ``rollout`` draws one at
+    a time from ``rng.split(0)`` (the initial state, then T - 1 transitions);
+    for a random handle, row j of ``action_blocks`` holds its T draws
+    ``integers(0, A)`` from ``rng.split(1)``.  An oracle handle acts by its
+    policy table and is checked against the task once.  Each uniform is
+    inverted against the row cumsums as ``Rng.draw_index`` inverts it, and
+    each return is accumulated in period order, so entry j equals
+    ``rollout(task, policy, rng).online_return`` bit for bit.
+    """
+    if task.kind != "mdp" or policy.kind not in ("oracle", "random"):
+        raise ValueError("episode_returns steps oracle and random handles on an mdp")
+    if policy.kind == "oracle":
+        _check_oracle_matches(task, policy)
+        table = policy.solution.policy
+    last = task.num_states - 1
+    # the count of cumsum entries <= u is searchsorted(u, side="right")
+    state = np.minimum((task.initial_dist.cumsum() <= env_blocks[:, :1]).sum(1), last)
+    cum = task.models[0].transition.cumsum(axis=-1)
+    total, weight = np.zeros(len(env_blocks)), 1.0
+    for t in range(1, task.horizon + 1):
+        action = table[t - 1, state] if policy.kind == "oracle" else action_blocks[:, t - 1]
+        total += weight * task.reward[state, action]
+        weight *= task.discount
+        if t < task.horizon:
+            u = env_blocks[:, t:t + 1]
+            state = np.minimum((cum[state, action] <= u).sum(1), last)
+    return total

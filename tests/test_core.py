@@ -99,6 +99,19 @@ def test_pickled_rng_continues_its_stream():
     assert np.array_equal(fresh.uniform(size=8), Rng(21, 4).uniform(size=16)[8:])
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 100])
+def test_block_draws_equal_successive_scalar_draws(T):
+    # batched mdp episodes draw each stream as one block where rollout draws
+    # one value per period; the two must be the same values in the same order
+    for seed in range(30):
+        block, scalar = Rng(seed, T), Rng(seed, T)
+        assert block.gen.random(T).tolist() == [scalar.gen.random() for _ in range(T)]
+        for A in range(1, 20):
+            block, scalar = Rng(seed).split(A * 1000 + T), Rng(seed).split(A * 1000 + T)
+            assert block.integers(0, A, size=T).tolist() == [
+                int(scalar.integers(0, A)) for _ in range(T)]
+
+
 def test_draw_index_matches_empirical_frequencies():
     probs = np.array([0.2, 0.5, 0.3])
     counts = np.zeros(3)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decisionlab import dataset
 from decisionlab.core import Rng, Trajectory
 from decisionlab.dataset import (
     ParseError,
@@ -167,6 +168,23 @@ def test_sft_corpus_deterministic_and_distinct_across_tasks():
     assert a == b
     # same task, different per-task streams: different data
     assert a[0]["trajectories"] != a[1]["trajectories"]
+
+
+def test_sft_corpus_encodes_each_trajectory_once(monkeypatch):
+    tasks = [tiny_energy_mdp(p=0.6 + 0.03 * i, horizon=4) for i in range(10)]
+    policies = [PolicyHandle.random()] * 10
+    expected = build_sft_corpus(tasks, policies, Rng(8), trajectories_per_task=3)
+    calls = []
+    monkeypatch.setattr(dataset, "encode",
+                        lambda traj, _encode=dataset.encode:
+                        calls.append(traj.task_id) or _encode(traj))
+    records = build_sft_corpus(tasks, policies, Rng(8), trajectories_per_task=3)
+    assert records == expected
+    assert calls == [f"task_{i:04d}" for i in range(10) for _ in range(3)]
+    # the context is build_context's text of the same trajectories
+    replays = [rollout(tasks[0], policies[0], Rng(seed, stream), task_id="task_0000")
+               for seed, stream in records[0]["rollout_streams"]]
+    assert records[0]["context"] == build_context([r.trajectory for r in replays])
 
 
 def test_sft_corpus_validates_alignment():

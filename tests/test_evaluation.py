@@ -11,7 +11,7 @@ from scipy import stats
 from decisionlab import evaluation
 from decisionlab.core import KernelPair, Rng, TabularTask
 from decisionlab.dataset import write_csv
-from decisionlab.envs import AmbiguityConfig, EnergyParams
+from decisionlab.envs import AmbiguityConfig, DarkroomTask, EnergyParams
 from decisionlab.evaluation import (
     DARKROOM_CSV_COLUMNS,
     DegenerateOptimum,
@@ -25,7 +25,7 @@ from decisionlab.evaluation import (
     run_experiment_grid,
     _t_interval,
 )
-from decisionlab.rollout import PolicyHandle
+from decisionlab.rollout import PolicyHandle, rollout
 from decisionlab.solvers import BeliefSolverConfig, RobustSolution, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, uniform_policy_value
@@ -58,9 +58,10 @@ def test_paired_episode_builds_only_the_generators_it_draws_from(monkeypatch):
     monkeypatch.setattr(np.random, "Philox",
                         lambda *a, **k: built.append(1) or philox(*a, **k))
     optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(7), rollouts_per_task=1)
-    # both episodes' environment streams and the random policy's stream; the
-    # oracle's policy stream and the split parents are never drawn from
-    assert len(built) == 3
+    # the episode's environment stream, read by both sides, and the random
+    # policy's stream; the oracle's policy stream and the split parents are
+    # never drawn from
+    assert len(built) == 2
 
 
 def test_random_policy_has_positive_gap():
@@ -112,18 +113,32 @@ def test_optimality_gap_validates_alignment():
         optimality_gap(tasks, oracles, [PolicyHandle.random()], Rng(0))
 
 
+def count_episodes(monkeypatch) -> list[str]:
+    """The policy kind of every episode evaluation steps or rolls out."""
+    kinds = []
+
+    def stepped(task, policy, env_blocks, *a, _step=evaluation.episode_returns):
+        kinds.extend([policy.kind] * len(env_blocks))
+        return _step(task, policy, env_blocks, *a)
+
+    def rolled(task, policy, *a, _rollout=evaluation.rollout, **k):
+        kinds.append(f"rollout:{policy.kind}")
+        return _rollout(task, policy, *a, **k)
+
+    monkeypatch.setattr(evaluation, "episode_returns", stepped)
+    monkeypatch.setattr(evaluation, "rollout", rolled)
+    return kinds
+
+
 def test_oracle_against_itself_rolls_out_each_episode_once(monkeypatch):
     tasks, oracles = battery(n=20)
-    calls = []
-    monkeypatch.setattr(evaluation, "rollout",
-                        lambda *a, _rollout=evaluation.rollout, **k:
-                        calls.append(1) or _rollout(*a, **k))
+    kinds = count_episodes(monkeypatch)
     report = optimality_gap(tasks, oracles, oracles, Rng(7), rollouts_per_task=30)
-    assert len(calls) == 600
-    # handles equal to the oracles but not the same objects take both rollouts
+    assert kinds == ["oracle"] * 600
+    # handles equal to the oracles but not the same objects step both sides
     copies = [PolicyHandle.oracle(o.solution) for o in oracles]
     assert optimality_gap(tasks, oracles, copies, Rng(7), rollouts_per_task=30) == report
-    assert len(calls) == 600 + 1200
+    assert kinds == ["oracle"] * (600 + 1200)
 
 
 def test_external_policies_require_serial_evaluation():
@@ -154,6 +169,29 @@ def test_each_external_handle_sends_its_own_context():
     assert len(client.requests) == 3 * 2 * 4  # tasks x episodes x periods
     for request in client.requests:
         assert request["context"] == contexts[int(request["task_id"].removeprefix("task_"))]
+
+
+def test_task_gap_sums_equal_the_per_episode_rollout_loop():
+    # batched oracle and random episodes, an external policy next to a batched
+    # oracle, and Darkroom without an oracle, against one rollout per episode
+    tasks, oracles = battery(n=3, horizon=6)
+    dark = DarkroomTask((2, 3), 5, 15).to_mdp()
+    cases = [(task, oracle, handle) for task, oracle in zip(tasks, oracles)
+             for handle in (oracle, PolicyHandle.oracle(oracle.solution),
+                            PolicyHandle.random(), PolicyHandle.external(RecordingClient()))]
+    cases += [(dark, None, PolicyHandle.random()),
+              (dark, None, PolicyHandle.oracle(solve_mdp(dark)))]
+    for i, (task, oracle, handle) in enumerate(cases):
+        task_rng = Rng(11).split(i)
+        opt_sum, eval_sum, invalid = 0.0, 0.0, 0
+        for j in range(7):
+            if oracle is not None:
+                opt_sum += rollout(task, oracle, task_rng.split(j)).online_return
+            result = rollout(task, handle, task_rng.split(j))
+            eval_sum += result.online_return
+            invalid += result.invalid_actions
+        assert evaluation._task_gap_sums((task, oracle, handle, "t", task_rng, 7)) == (
+            opt_sum / 7, eval_sum / 7, invalid)
 
 
 def test_t_interval_matches_direct_formula():
@@ -348,12 +386,9 @@ def test_darkroom_eval_jobs_equal_serial_and_roll_out_the_policy_only(monkeypatc
     goals = [(0, 1), (2, 3), (4, 4)]
     kwargs = dict(rollouts_per_goal=3, size=5, horizon=12)
     parallel = darkroom_eval(goals, "random", Rng(15), jobs=2, **kwargs)
-    calls = []
-    monkeypatch.setattr(evaluation, "rollout",
-                        lambda task, policy, *a, _rollout=evaluation.rollout, **k:
-                        calls.append(policy.kind) or _rollout(task, policy, *a, **k))
+    kinds = count_episodes(monkeypatch)
     assert darkroom_eval(goals, "random", Rng(15), **kwargs) == parallel
-    assert calls == ["random"] * 9  # the oracle's return is exact, not rolled out
+    assert kinds == ["random"] * 9  # the oracle's return is exact, not stepped
 
 
 def test_darkroom_eval_rejects_unknown_policy():

@@ -25,6 +25,7 @@ from decisionlab.rollout import (
     InvalidAction,
     PolicyHandle,
     ProtocolError,
+    episode_returns,
     rollout,
 )
 from decisionlab.evaluation import evaluation_policy, reference_policy
@@ -224,6 +225,95 @@ def test_unknown_policy_kind_rejected():
 def test_rollout_rejects_unknown_task_type():
     with pytest.raises(TypeError):
         rollout(42, PolicyHandle.random(), Rng(0))
+
+
+# ---------------------------------------------------------------------------
+# batched mdp episodes
+
+
+def _one_hot_mdp(horizon=6) -> TabularTask:
+    """Action 0 moves deterministically (one-hot rows), action 1 at random;
+    the start state is fixed, so the initial row is one-hot too."""
+    S, A = 5, 2
+    P = np.zeros((S, A, S))
+    P[np.arange(S), 0, (np.arange(S) + 1) % S] = 1.0
+    P[:, 1] = Rng(3).dirichlet(np.ones(S))
+    P[2, 1] = [0.0, 0.0, 1.0, 0.0, 0.0]
+    R = np.arange(S * A, dtype=float).reshape(S, A) / 7.0
+    return TabularTask("mdp", [KernelPair(P)], R, np.eye(S)[2], horizon, 0.9)
+
+
+def _stepped_returns(task, handle, rngs) -> list[float]:
+    """``episode_returns`` from each episode's environment and policy blocks."""
+    T = task.horizon
+    env = np.array([rng.split(0).gen.random(T) for rng in rngs])
+    actions = None if handle.kind == "oracle" else np.array(
+        [rng.split(1).integers(0, task.num_actions, size=T) for rng in rngs])
+    return episode_returns(task, handle, env, actions).tolist()
+
+
+@pytest.mark.parametrize("task", [
+    *(gen_energy_mdp(EnergyParams(horizon=T), Rng(40 + T).split(i))
+      for T in (1, 5, 10) for i in range(3)),
+    DarkroomTask(goal=(2, 3), size=5, horizon=20).to_mdp(),
+    DarkroomTask(goal=(0, 0), size=4, horizon=1).to_mdp(),
+    tiny_energy_mdp(horizon=1),
+    _one_hot_mdp(),
+], ids=lambda task: f"S{task.num_states}-T{task.horizon}-d{task.discount}")
+def test_episode_returns_equal_rollout_bit_for_bit(task):
+    task_rng = Rng(2027)
+    rngs = [task_rng.split(j) for j in range(12)]
+    for handle in (PolicyHandle.random(), PolicyHandle.oracle(solve_mdp(task))):
+        expected = [rollout(task, handle, rng).online_return for rng in rngs]
+        assert _stepped_returns(task, handle, rngs) == expected
+
+
+class _FedRng(Rng):
+    """An episode generator whose split(0) and split(1) hand out the given
+    environment uniforms and policy actions in order, as block draws would."""
+
+    def __init__(self, env, actions):
+        super().__init__(0)
+        self.blocks = (env, actions)
+
+    def split(self, index):
+        child = Rng(0, index)
+        child._gen = mock.Mock(random=iter(self.blocks[index]).__next__,
+                               integers=lambda *a, _it=iter(self.blocks[index]): next(_it))
+        return child
+
+
+def test_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does():
+    # rows of ten 0.1s sum to 0.9999999999999999: a uniform equal to a cumsum
+    # entry picks the next index, and one past the last entry the last index
+    S, A, T = 10, 2, 8
+    P = np.full((S, A, S), 0.1)
+    task = TabularTask("mdp", [KernelPair(P)], np.arange(S * A).reshape(S, A) / 3.0,
+                       np.full(S, 0.1), T, 0.9)
+    cum = np.full(S, 0.1).cumsum()
+    edges = [0.0, cum[2], np.nextafter(1.0, 0.0), cum[8], 0.5, cum[0], cum[9], 0.25]
+    env = np.array([edges, edges[::-1], np.roll(edges, 3), np.roll(edges, -2)])
+    actions = np.array([[0, 1] * 4, [1] * 8, [1, 0, 0, 1, 1, 0, 1, 0], [0] * 8])
+    expected = [rollout(task, PolicyHandle.random(), _FedRng(e.tolist(), a.tolist())
+                        ).online_return for e, a in zip(env, actions)]
+    assert episode_returns(task, PolicyHandle.random(), env, actions).tolist() == expected
+
+
+def test_episode_returns_rejects_what_rollout_rejects():
+    mdp = tiny_energy_mdp(p=0.55)
+    rngs = [Rng(0).split(j) for j in range(2)]
+    for handle, error in ((PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(p=0.95))), ValueError),
+                          (PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(horizon=5))),
+                           ValueError),
+                          (PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp())), TypeError)):
+        with pytest.raises(error):
+            rollout(mdp, handle, rngs[0])
+        with pytest.raises(error):
+            _stepped_returns(mdp, handle, rngs)
+    with pytest.raises(ValueError):  # belief tasks and other kinds keep rollout
+        _stepped_returns(tiny_energy_pomdp(), PolicyHandle.random(), rngs)
+    with pytest.raises(ValueError):
+        episode_returns(mdp, PolicyHandle.qmdp(solve_mdp(mdp)), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
