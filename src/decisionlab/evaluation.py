@@ -27,7 +27,7 @@ import numpy as np
 from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
-from .rollout import ExternalPolicyClient, PolicyHandle, episode_returns, rollout
+from .rollout import ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout
 from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
 
 DEGENERATE_OPT = 1e-9
@@ -74,24 +74,23 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
     oracle evaluated as the policy repeats its own episode, and without an
     oracle (None) its mean is 0.
 
-    On an mdp, oracle and random handles step all their episodes together
+    Every handle but an external one steps all its episodes together
     (``episode_returns``) from block draws of the same streams, and both
-    sides read one environment block per episode.  Other handles, and every
-    handle on a belief task, roll out one episode at a time: the oracle's
-    episode j, then the policy's."""
+    sides read one environment block per episode.  An external policy rolls
+    out one episode at a time."""
     task, oracle, handle, task_id, task_rng, rollouts = args
     rngs = [task_rng.split(j) for j in range(rollouts)]  # rollout only splits them
 
     @functools.cache
     def env_blocks():
-        return np.array([rng.split(0).gen.random(task.horizon) for rng in rngs])
+        return np.array([rng.split(0).gen.random(env_draws(task)) for rng in rngs])
 
     def episodes(policy):
         """(return, invalid actions) of ``policy`` on each episode, in order."""
         if policy is None:
             return itertools.repeat((0.0, 0), rollouts)
-        if task.kind == "mdp" and policy.kind in ("oracle", "random"):
-            actions = None if policy.kind == "oracle" else np.array(
+        if policy.kind != "external":
+            actions = None if policy.kind != "random" else np.array(
                 [rng.split(1).integers(0, task.num_actions, size=task.horizon)
                  for rng in rngs])
             returns = episode_returns(task, policy, env_blocks(), actions)

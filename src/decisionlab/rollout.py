@@ -4,8 +4,11 @@
 is split so that the environment's draws depend only on the rollout generator,
 never on the policy: evaluating two policies with the same generator yields
 draw-for-draw paired episodes, which is what makes oracle-relative gaps exact
-rather than noisy.  ``episode_returns`` steps many episodes of an mdp together
-from block draws of those streams, with ``rollout``'s returns bit for bit.
+rather than noisy.  ``episode_returns`` steps many episodes of a task together
+from block draws of those streams, with ``rollout``'s returns bit for bit; on
+a belief task it keeps all episodes' beliefs in one array, and an oracle or
+QMDP handle answers each period's distinct beliefs in one query.  Only
+external policies are left to ``rollout`` alone.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -33,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, Rng, TabularTask, Trajectory, belief_update
-from .solvers import BudgetExceeded, MdpSolution, RobustSolution
+from .core import (Belief, Rng, TabularTask, Trajectory, ZeroLikelihood, _validated_probs,
+                   belief_update)
+from .solvers import BudgetExceeded, MdpSolution, RobustSolution, planning_models
 
 DEFAULT_TIMEOUT = 60.0
 CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
@@ -204,18 +208,26 @@ class PolicyHandle:
 
 def _check_oracle_matches(task: TabularTask, handle: PolicyHandle):
     """Reject a solution of the wrong type for the handle and task, or one whose
-    horizon, discount, reward or nominal kernels differ from the task's."""
+    horizon, discount, reward or nominal kernels differ from the task's.  A
+    RobustSolution must also plan over every model at the alpha that
+    ``planning_models`` gives for the task."""
     if handle.kind == "qmdp" and task.kind == "mdp":
         raise TypeError("a qmdp handle needs a belief task")
     expected = MdpSolution if handle.kind == "qmdp" or task.kind == "mdp" else RobustSolution
-    if not isinstance(handle.solution, expected):
+    solution = handle.solution
+    if not isinstance(solution, expected):
         raise TypeError(f"this {handle.kind} handle must wrap a {expected.__name__}")
-    solved = handle.solution.task
-    mine, theirs = task.models[0], solved.models[0]
+    solved = solution.task
+    if expected is RobustSolution:
+        (mine, alpha), theirs = planning_models(task), solution.models
+    else:  # an MdpSolution has no alpha and acts through the nominal model alone
+        mine, alpha, theirs = task.models[:1], None, solved.models[:1]
     if not (solved.horizon == task.horizon and solved.discount == task.discount
             and np.array_equal(solved.reward, task.reward)
-            and np.array_equal(theirs.transition, mine.transition)
-            and np.array_equal(theirs.observation, mine.observation)):
+            and getattr(solution, "alpha", None) == alpha and len(theirs) == len(mine)
+            and all(np.array_equal(a.transition, b.transition)
+                    and np.array_equal(a.observation, b.observation)
+                    for a, b in zip(theirs, mine))):
         raise ValueError(f"{handle.kind} solution was solved for a different task")
 
 
@@ -310,34 +322,83 @@ def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
     return RolloutResult(traj, traj.discounted_return(task.discount), beliefs, invalid)
 
 
+def env_draws(task: TabularTask) -> int:
+    """How many uniforms one episode of ``task`` draws from its environment
+    stream: T on an mdp, 2T on a belief task."""
+    return task.horizon if task.kind == "mdp" else 2 * task.horizon
+
+
 def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndarray,
                     action_blocks: np.ndarray | None = None) -> np.ndarray:
-    """Discounted returns of an mdp's episodes, stepped together, one per row.
+    """Discounted returns of a task's episodes, stepped together, one per row.
 
-    Row j of ``env_blocks`` holds the T uniforms that ``rollout`` draws one at
-    a time from ``rng.split(0)`` (the initial state, then T - 1 transitions);
-    for a random handle, row j of ``action_blocks`` holds its T draws
-    ``integers(0, A)`` from ``rng.split(1)``.  An oracle handle acts by its
-    policy table and is checked against the task once.  Each uniform is
-    inverted against the row cumsums as ``Rng.draw_index`` inverts it, and
-    each return is accumulated in period order, so entry j equals
-    ``rollout(task, policy, rng).online_return`` bit for bit.
+    Row j of ``env_blocks`` holds the ``env_draws(task)`` uniforms that
+    ``rollout`` draws one at a time from ``rng.split(0)``: on an mdp the
+    initial state, then T - 1 transitions; on a belief task the initial state
+    and the first observation (which no belief reads), then a transition and
+    an observation per later period.  For a random handle, row j of
+    ``action_blocks`` holds its T draws ``integers(0, A)`` from
+    ``rng.split(1)``.  Oracle and qmdp handles are checked against the task
+    once; on a belief task they answer each period's beliefs in one query
+    (``RobustSolution.actions``, ``MdpSolution.qmdp_actions``).  Each uniform
+    is inverted against the row cumsums as ``Rng.draw_index`` inverts it,
+    beliefs are updated as ``belief_update`` updates them, and each return is
+    accumulated in period order, so entry j equals ``rollout(task, policy,
+    rng).online_return`` bit for bit; a handle that ``rollout`` rejects
+    raises the same error.
     """
-    if task.kind != "mdp" or policy.kind not in ("oracle", "random"):
-        raise ValueError("episode_returns steps oracle and random handles on an mdp")
-    if policy.kind == "oracle":
+    if policy.kind not in ("oracle", "random", "qmdp"):
+        raise ValueError(f"episode_returns steps oracle, random and qmdp handles, "
+                         f"not {policy.kind!r}")
+    if env_blocks.ndim != 2 or env_blocks.shape[1] != env_draws(task):
+        raise ValueError(f"each row of env_blocks must hold {env_draws(task)} uniforms")
+    if policy.kind != "random":
         _check_oracle_matches(task, policy)
-        table = policy.solution.policy
-    last = task.num_states - 1
-    # the count of cumsum entries <= u is searchsorted(u, side="right")
-    state = np.minimum((task.initial_dist.cumsum() <= env_blocks[:, :1]).sum(1), last)
-    cum = task.models[0].transition.cumsum(axis=-1)
+    solution = policy.solution
+    nominal = task.models[0]  # an ambiguous task is simulated under its first model
+    transition, observation = nominal.transition, nominal.observation
+    cum = transition.cumsum(axis=-1)
+
+    def draw(rows, u):  # the count of cumsum entries <= u is searchsorted(u, side="right")
+        return np.minimum((rows <= u[:, None]).sum(1), rows.shape[-1] - 1)
+
+    state = draw(task.initial_dist.cumsum(), env_blocks[:, 0])
+    if observation is not None:
+        obs_cum = observation.cumsum(axis=-1)
+        beliefs = _validated_probs(np.tile(task.initial_dist, (len(env_blocks), 1)), "belief")
     total, weight = np.zeros(len(env_blocks)), 1.0
     for t in range(1, task.horizon + 1):
-        action = table[t - 1, state] if policy.kind == "oracle" else action_blocks[:, t - 1]
+        if policy.kind == "random":
+            action = action_blocks[:, t - 1]
+        elif policy.kind == "qmdp":
+            action = solution.qmdp_actions(t, beliefs)
+        elif observation is None:
+            action = solution.policy[t - 1, state]
+        else:
+            action = solution.actions(t, beliefs)
         total += weight * task.reward[state, action]
         weight *= task.discount
-        if t < task.horizon:
-            u = env_blocks[:, t:t + 1]
-            state = np.minimum((cum[state, action] <= u).sum(1), last)
+        if t < task.horizon and observation is None:
+            state = draw(cum[state, action], env_blocks[:, t])
+        elif t < task.horizon:
+            state = draw(cum[state, action], env_blocks[:, 2 * t])
+            obs = draw(obs_cum[state, action], env_blocks[:, 2 * t + 1])
+            beliefs = _belief_updates(beliefs, action, obs, transition, observation)
     return total
+
+
+def _belief_updates(beliefs: np.ndarray, action: np.ndarray, obs: np.ndarray,
+                    transition: np.ndarray, observation: np.ndarray) -> np.ndarray:
+    """``belief_update`` of each row of ``beliefs`` (n, S), bit for bit.
+
+    Each prediction stays a one-row product: BLAS rounds a batch (gemm)
+    differently from a row (gemv).  The rest is elementwise or row-wise.
+    """
+    pred = np.array([b @ transition[:, a, :] for b, a in zip(beliefs, action.tolist())])
+    post = pred * observation[:, action, obs].T
+    mass = post.sum(axis=1)
+    if (mass <= 0.0).any():
+        j = int(np.argmax(mass <= 0.0))
+        raise ZeroLikelihood(f"observation {obs[j]} has zero predictive probability "
+                             f"under action {action[j]}")
+    return _validated_probs(post / mass[:, None], "belief")

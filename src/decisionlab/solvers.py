@@ -81,7 +81,14 @@ class MdpSolution:
         """QMDP (Littman et al. 1995): argmax_a belief . Q_t(., a).  It assumes
         the state is observed after the next step, so it never plans to gather
         information; the fallback reference on belief tasks."""
-        return int((belief.probs @ self.q_values(t)).argmax())
+        return int(self.qmdp_actions(t, belief.probs[None, :])[0])
+
+    def qmdp_actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
+        """``qmdp_action`` at each row of ``beliefs`` (n, S): Q_t is computed
+        once, and each distinct row is scored by its own one-row product."""
+        q = self.q_values(t)
+        rows, inverse = _distinct_rows(beliefs)
+        return np.array([(row @ q).argmax() for row in rows])[inverse]
 
 
 def solve_mdp(task: TabularTask) -> MdpSolution:
@@ -130,6 +137,15 @@ def quantize_belief(belief: Belief, step: float) -> Belief:
     return Belief(key.astype(np.float64) / ticks)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a float64 array (n, S), byte for byte, and the
+    index of each row among them."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    view = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
 def _row_order_view(keys: np.ndarray) -> np.ndarray:
     """View int32 rows as fixed-width byte scalars whose memcmp order is
     numeric lexicographic order (big-endian, non-negative entries only)."""
@@ -174,11 +190,13 @@ class RobustSolution:
     ``value(t, belief)`` evaluates the quantized representative of ``belief``
     at period ``t``; ``action(t, belief)`` is a one-step lookahead at the exact
     belief against the stored next-level values.  Beliefs outside the solved
-    tree are handled by lazily solving the missing subtree.  Only the solve
+    tree are handled by lazily solving the missing subtree.  ``actions(t,
+    beliefs)`` answers a batch of beliefs as one query, each as ``action``
+    would; ``action`` and ``value`` are queries of one belief.  Only the solve
     is held to ``node_budget``; lazily built nodes still count in
-    ``node_count``, and their cache is emptied at the start of a query once it
-    holds more than ``node_budget`` entries (a node's value depends only on
-    its period and key, so answers do not change).  ``to_arrays`` and
+    ``node_count``, and their cache is emptied at the start of a query batch
+    once it holds more than ``node_budget`` entries (a node's value depends
+    only on its period and key, so answers do not change).  ``to_arrays`` and
     ``from_arrays`` store a solved tree and restore it without solving.
     """
 
@@ -223,8 +241,7 @@ class RobustSolution:
                 and keys.dtype == ">i4" and values.shape == (n,)
                 and values.dtype == np.float64):
             raise ValueError("stored arrays do not fit the task and level sizes")
-        models, alpha = ((task.models[:1], 1.0) if task.kind == "pomdp"
-                         else (task.models, task.alpha))
+        models, alpha = planning_models(task)
         ends = np.cumsum(level_sizes)[:-1]
         levels = [rows.view(f"V{4 * S}").ravel() for rows in np.split(keys, ends)]
         return cls(task, models, alpha, config, (levels, np.split(values, ends)))
@@ -405,9 +422,18 @@ class RobustSolution:
         Ties break toward the lowest action index, so truly redundant actions
         resolve identically on every platform.
         """
+        return int(self.actions(t, belief.probs[None, :])[0])
+
+    def actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
+        """``action`` at each row of ``beliefs`` (n, S), as one query: the
+        distinct rows are backed up together, ``expansion_chunk`` at a time.
+        A row's action values do not depend on the rows that share its batch
+        (see ``_backup``), so each answer is the one-row query's."""
         self._start_query(t)
-        b = np.asarray(belief.probs, dtype=np.float64)[None, :]
-        return int(self._backup(t - 1, b)[0].argmax())
+        rows, inverse = _distinct_rows(beliefs)
+        step = self.config.expansion_chunk
+        return np.concatenate([self._backup(t - 1, rows[i:i + step]).argmax(axis=1)
+                               for i in range(0, len(rows), step)])[inverse]
 
     def to_summary(self) -> dict:
         return {
@@ -420,6 +446,13 @@ class RobustSolution:
             "node_budget": self.config.node_budget,
             "obs_prune": self.config.obs_prune,
         }
+
+
+def planning_models(task: TabularTask) -> tuple[list[KernelPair], float]:
+    """The models and pessimism weight that a belief task's oracle plans over:
+    the nominal model at alpha 1 for a pomdp, every model at the task's alpha
+    for an apomdp."""
+    return (task.models[:1], 1.0) if task.kind == "pomdp" else (task.models, task.alpha)
 
 
 def solve_pomdp(task: TabularTask,

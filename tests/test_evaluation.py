@@ -1,6 +1,7 @@
 """Optimality-gap evaluation: paired streams, intervals, grids."""
 
 import gc
+import json
 import math
 import weakref
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from decisionlab import evaluation
+from decisionlab import cli, evaluation
 from decisionlab.core import KernelPair, Rng, TabularTask
 from decisionlab.dataset import write_csv
 from decisionlab.envs import AmbiguityConfig, DarkroomTask, EnergyParams
@@ -61,6 +62,13 @@ def test_paired_episode_builds_only_the_generators_it_draws_from(monkeypatch):
     # the episode's environment stream, read by both sides, and the random
     # policy's stream; the oracle's policy stream and the split parents are
     # never drawn from
+    assert len(built) == 2
+    # a belief episode too: its observations come from the same block
+    pomdps = generate_tasks("pomdp", 1, EnergyParams(energy_cap=3, horizon=4),
+                            AmbiguityConfig(), Rng(2))
+    exact = [reference_policy(pomdps[0])[0]]
+    built.clear()
+    optimality_gap(pomdps, exact, PolicyHandle.random(), Rng(7), rollouts_per_task=1)
     assert len(built) == 2
 
 
@@ -171,9 +179,20 @@ def test_each_external_handle_sends_its_own_context():
         assert request["context"] == contexts[int(request["task_id"].removeprefix("task_"))]
 
 
+def _belief_battery():
+    """A pomdp and an apomdp task, each with its exact oracle and a
+    QMDP-fallback oracle from a tight budget."""
+    tasks = [generate_tasks(setting, 1, EnergyParams(energy_cap=3, horizon=5),
+                            AmbiguityConfig(num_models=3, alpha=0.5), Rng(21))[0]
+             for setting in ("pomdp", "apomdp")]
+    return [(task, reference_policy(task, config)[0]) for task in tasks
+            for config in (None, BeliefSolverConfig(node_budget=40))]
+
+
 def test_task_gap_sums_equal_the_per_episode_rollout_loop():
-    # batched oracle and random episodes, an external policy next to a batched
-    # oracle, and Darkroom without an oracle, against one rollout per episode
+    # stepped oracle, random and qmdp episodes, an external policy next to a
+    # stepped oracle, and Darkroom without an oracle, against one rollout per
+    # episode
     tasks, oracles = battery(n=3, horizon=6)
     dark = DarkroomTask((2, 3), 5, 15).to_mdp()
     cases = [(task, oracle, handle) for task, oracle in zip(tasks, oracles)
@@ -181,6 +200,11 @@ def test_task_gap_sums_equal_the_per_episode_rollout_loop():
                             PolicyHandle.random(), PolicyHandle.external(RecordingClient()))]
     cases += [(dark, None, PolicyHandle.random()),
               (dark, None, PolicyHandle.oracle(solve_mdp(dark)))]
+    cases += [(task, oracle, handle) for task, oracle in _belief_battery()
+              for handle in (oracle, PolicyHandle.random(),
+                             evaluation_policy("qmdp", task, oracle),
+                             PolicyHandle.external(RecordingClient()))]
+    assert {o.kind for _, o, _ in cases if o is not None} == {"oracle", "qmdp"}
     for i, (task, oracle, handle) in enumerate(cases):
         task_rng = Rng(11).split(i)
         opt_sum, eval_sum, invalid = 0.0, 0.0, 0
@@ -192,6 +216,48 @@ def test_task_gap_sums_equal_the_per_episode_rollout_loop():
             invalid += result.invalid_actions
         assert evaluation._task_gap_sums((task, oracle, handle, "t", task_rng, 7)) == (
             opt_sum / 7, eval_sum / 7, invalid)
+
+
+def test_each_stepped_belief_return_is_the_rollout_return(monkeypatch):
+    stepped = []
+
+    def record(task, policy, *a, _step=evaluation.episode_returns):
+        returns = _step(task, policy, *a)
+        stepped.append((task, policy, returns.tolist()))
+        return returns
+
+    monkeypatch.setattr(evaluation, "episode_returns", record)
+    for i, (task, oracle) in enumerate(_belief_battery()):
+        task_rng = Rng(12).split(i)
+        for handle in (PolicyHandle.random(), evaluation_policy("qmdp", task, oracle)):
+            stepped.clear()
+            evaluation._task_gap_sums((task, oracle, handle, "t", task_rng, 9))
+            assert [policy for _, policy, _ in stepped] == [oracle, handle]
+            for _, policy, returns in stepped:
+                assert returns == [rollout(task, policy, task_rng.split(j)).online_return
+                                   for j in range(9)]
+
+
+def test_eval_steps_the_oracle_that_solve_stored(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "pomdp", "num_tasks": 1,
+                                  "env": {"energy_cap": 3, "horizon": 4},
+                                  "eval": {"policy": "oracle", "rollouts_per_task": 2}}))
+    out = str(tmp_path / "run")
+    for command in ("gen", "solve"):
+        assert cli.main([command, "--config", str(config), "--out", out]) == 0
+    kinds, queries = count_episodes(monkeypatch), []
+
+    def actions(self, t, beliefs, _actions=RobustSolution.actions):
+        queries.append(len(beliefs))
+        return _actions(self, t, beliefs)
+
+    monkeypatch.setattr(RobustSolution, "actions", actions)
+    assert cli.main(["eval", "--config", str(config), "--out", out]) == 0
+    # the oracle as the policy reuses the oracle's episodes, stepped together:
+    # one query per period, each for both episodes' beliefs
+    assert kinds == ["oracle"] * 2
+    assert queries == [2] * 4
 
 
 def test_t_interval_matches_direct_formula():

@@ -8,6 +8,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,11 +26,13 @@ from decisionlab.rollout import (
     InvalidAction,
     PolicyHandle,
     ProtocolError,
+    _belief_updates,
+    env_draws,
     episode_returns,
     rollout,
 )
 from decisionlab.evaluation import evaluation_policy, reference_policy
-from decisionlab.solvers import BeliefSolverConfig, solve_mdp, solve_pomdp
+from decisionlab.solvers import BeliefSolverConfig, solve_apomdp, solve_mdp, solve_pomdp
 
 from conftest import tiny_energy_mdp, tiny_energy_pomdp
 
@@ -217,6 +220,20 @@ def test_oracle_solved_for_another_task_is_rejected():
     rollout(pomdp_a, PolicyHandle.qmdp(solve_mdp(tiny_energy_pomdp(p=0.55))), Rng(0))
 
 
+def test_robust_oracle_must_plan_over_the_tasks_models_and_alpha():
+    task = gen_energy_apomdp(EnergyParams(energy_cap=3, horizon=3),
+                             AmbiguityConfig(num_models=3, alpha=0.5), Rng(17))
+    rollout(task, PolicyHandle.oracle(solve_apomdp(task)), Rng(0))
+    # the same nominal model, but another pessimism weight or model set
+    for other in (replace(task, alpha=1.0), replace(task, models=task.models[:2])):
+        with pytest.raises(ValueError):
+            rollout(task, PolicyHandle.oracle(solve_apomdp(other)), Rng(0))
+        # QMDP acts through the nominal model alone and is checked on it alone
+        rollout(task, PolicyHandle.qmdp(solve_mdp(other)), Rng(0))
+    with pytest.raises(ValueError):  # a pomdp solve plans over the nominal model only
+        rollout(task, PolicyHandle.oracle(solve_pomdp(task)), Rng(0))
+
+
 def test_unknown_policy_kind_rejected():
     with pytest.raises(ValueError):
         rollout(tiny_energy_mdp(), PolicyHandle(kind="hope"), Rng(0))
@@ -245,10 +262,9 @@ def _one_hot_mdp(horizon=6) -> TabularTask:
 
 def _stepped_returns(task, handle, rngs) -> list[float]:
     """``episode_returns`` from each episode's environment and policy blocks."""
-    T = task.horizon
-    env = np.array([rng.split(0).gen.random(T) for rng in rngs])
-    actions = None if handle.kind == "oracle" else np.array(
-        [rng.split(1).integers(0, task.num_actions, size=T) for rng in rngs])
+    env = np.array([rng.split(0).gen.random(env_draws(task)) for rng in rngs])
+    actions = None if handle.kind != "random" else np.array(
+        [rng.split(1).integers(0, task.num_actions, size=task.horizon) for rng in rngs])
     return episode_returns(task, handle, env, actions).tolist()
 
 
@@ -300,20 +316,130 @@ def test_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does():
 
 
 def test_episode_returns_rejects_what_rollout_rejects():
-    mdp = tiny_energy_mdp(p=0.55)
+    mdp, pomdp = tiny_energy_mdp(p=0.55), tiny_energy_pomdp(p=0.55)
+    apomdp = gen_energy_apomdp(EnergyParams(energy_cap=2, horizon=3),
+                               AmbiguityConfig(num_models=3, alpha=0.5), Rng(8))
     rngs = [Rng(0).split(j) for j in range(2)]
-    for handle, error in ((PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(p=0.95))), ValueError),
-                          (PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(horizon=5))),
-                           ValueError),
-                          (PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp())), TypeError)):
+    for task, handle, error in (
+            (mdp, PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(p=0.95))), ValueError),
+            (mdp, PolicyHandle.oracle(solve_mdp(tiny_energy_mdp(horizon=5))), ValueError),
+            (mdp, PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp())), TypeError),
+            (mdp, PolicyHandle.qmdp(solve_mdp(mdp)), TypeError),
+            (pomdp, PolicyHandle.oracle(solve_mdp(pomdp)), TypeError),
+            (pomdp, PolicyHandle.oracle(solve_pomdp(tiny_energy_pomdp(p=0.95))), ValueError),
+            (pomdp, PolicyHandle.qmdp(solve_mdp(tiny_energy_pomdp(obs_prob=0.7))),
+             ValueError),
+            (apomdp, PolicyHandle.oracle(solve_pomdp(apomdp)), ValueError),
+            (apomdp, PolicyHandle.oracle(solve_apomdp(replace(apomdp, alpha=1.0))),
+             ValueError),
+            (apomdp, PolicyHandle.external(None), ValueError),
+            (pomdp, PolicyHandle(kind="hope"), ValueError)):
         with pytest.raises(error):
-            rollout(mdp, handle, rngs[0])
+            rollout(task, handle, rngs[0])
         with pytest.raises(error):
-            _stepped_returns(mdp, handle, rngs)
-    with pytest.raises(ValueError):  # belief tasks and other kinds keep rollout
-        _stepped_returns(tiny_energy_pomdp(), PolicyHandle.random(), rngs)
-    with pytest.raises(ValueError):
-        episode_returns(mdp, PolicyHandle.qmdp(solve_mdp(mdp)), np.zeros((2, 3)))
+            _stepped_returns(task, handle, rngs)
+    with pytest.raises(ValueError):  # a belief episode draws 2T uniforms
+        episode_returns(pomdp, PolicyHandle.random(), np.zeros((2, pomdp.horizon)),
+                        np.zeros((2, pomdp.horizon), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# batched belief episodes
+
+
+def _belief_tasks():
+    """pomdp and apomdp tasks over horizons 1, 2 and longer ones."""
+    tasks = [gen_energy_pomdp(EnergyParams(energy_cap=E, horizon=T), Rng(60 + T).split(E))
+             for E, T in ((3, 1), (3, 2), (5, 5), (9, 4), (3, 8))]
+    tasks += [gen_energy_apomdp(EnergyParams(energy_cap=E, horizon=T),
+                                AmbiguityConfig(num_models=3, alpha=0.5), Rng(70 + T))
+              for E, T in ((2, 1), (3, 2), (4, 4))]
+    return tasks
+
+
+def _handles(task):
+    """Random, exact oracle, qmdp, and (past horizon 1, where the tree is the
+    root alone) a QMDP-fallback oracle from a tight budget."""
+    exact, _ = reference_policy(task)
+    handles = {"random": PolicyHandle.random(), "oracle": exact,
+               "qmdp": evaluation_policy("qmdp", task, exact)}
+    if task.horizon > 1:
+        handles["fallback"], label = reference_policy(task, BeliefSolverConfig(node_budget=1))
+        assert label == "qmdp-fallback"
+    return handles
+
+
+def _edge_pomdp(horizon=6) -> TabularTask:
+    """Ten-entry 0.1 rows, whose cumsum ends below 1, and observation rows
+    with zeros inside them; every row's last entry is positive, so a draw
+    past the end of a row still names a possible outcome."""
+    S, A = 10, 2
+    P = np.full((S, A, S), 0.1)
+    P[:, 1] = Rng(5).dirichlet(np.ones(S))
+    Q = np.full((S, A, S), 0.1)
+    Q[1::2, :] = [0.2, 0.0, 0.1, 0.1, 0.0, 0.3, 0.1, 0.0, 0.1, 0.1]
+    Q[:, 1, :3] = [0.0, 0.3, 0.0]
+    Q[:, 1] /= Q[:, 1].sum(axis=1, keepdims=True)
+    return TabularTask("pomdp", [KernelPair(P, Q)], np.arange(S * A).reshape(S, A) / 3.0,
+                       np.full(S, 0.1), horizon, 0.9)
+
+
+@pytest.mark.parametrize("task", _belief_tasks(),
+                         ids=lambda task: f"{task.kind}-S{task.num_states}-T{task.horizon}")
+def test_belief_episode_returns_equal_rollout_bit_for_bit(task):
+    task_rng = Rng(2031)
+    rngs = [task_rng.split(j) for j in range(15)]
+    for kind, handle in _handles(task).items():
+        expected = [rollout(task, handle, rng).online_return for rng in rngs]
+        assert _stepped_returns(task, handle, rngs) == expected, kind
+
+
+def test_belief_updates_replay_belief_update_bit_for_bit():
+    # the returns hide a last-bit difference in a belief unless it flips an
+    # action, so the batched update is pinned on its own
+    for task in _belief_tasks() + [_edge_pomdp()]:
+        model, rng = task.models[0], np.random.default_rng(task.num_states)
+        beliefs = rng.dirichlet(np.full(task.num_states, 0.5), size=200)
+        beliefs[:50] = task.initial_dist
+        beliefs = np.array([Belief(b).probs for b in beliefs])
+        actions = rng.integers(0, task.num_actions, size=200)
+        pred = np.array([b @ model.transition[:, a] for b, a in zip(beliefs, actions)])
+        # each belief's observation is one it can see
+        obs = np.array([rng.choice(task.num_obs, p=Belief(p @ model.observation[:, a]).probs)
+                        for p, a in zip(pred, actions)])
+        expected = [belief_update(Belief(b), a, o, model.transition, model.observation).probs
+                    for b, a, o in zip(beliefs, actions.tolist(), obs.tolist())]
+        got = _belief_updates(beliefs, actions, obs, model.transition, model.observation)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_belief_episodes_leave_the_solved_tree_as_rollout_does():
+    # two fresh oracles of one task: the stepped episodes build exactly the
+    # off-tree nodes that one rollout per episode builds
+    task = gen_energy_pomdp(EnergyParams(energy_cap=5, horizon=5), Rng(61))
+    stepped, rolled = (PolicyHandle.oracle(solve_pomdp(task)) for _ in range(2))
+    solved = stepped.solution.node_count
+    rngs = [Rng(5).split(j) for j in range(30)]
+    expected = [rollout(task, rolled, rng).online_return for rng in rngs]
+    assert _stepped_returns(task, stepped, rngs) == expected
+    assert stepped.solution.node_count == rolled.solution.node_count > solved
+
+
+def test_belief_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does():
+    task = _edge_pomdp()
+    model, T = task.models[0], task.horizon
+    edges = np.unique(np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], task.initial_dist.cumsum(),
+        model.transition.cumsum(axis=-1).ravel(), model.observation.cumsum(axis=-1).ravel()]))
+    pick = np.random.default_rng(0)
+    env = pick.choice(edges, size=(40, 2 * T))
+    actions = pick.integers(0, task.num_actions, size=(40, T))
+    exact = solve_pomdp(task, BeliefSolverConfig(quantization=0.05))
+    for handle in (PolicyHandle.random(), PolicyHandle.qmdp(solve_mdp(task)),
+                   PolicyHandle.oracle(exact)):
+        expected = [rollout(task, handle, _FedRng(e.tolist(), a.tolist())).online_return
+                    for e, a in zip(env, actions)]
+        assert episode_returns(task, handle, env, actions).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,37 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
 
 
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
+def test_a_batch_query_answers_as_one_query_per_belief(setting):
+    task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
+                          AmbiguityConfig(num_models=2), Rng(9))[0]
+    solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+    solved = solve(task)
+    rng = np.random.default_rng(5)
+    batches = []  # per period: on-tree and off-tree beliefs, some twice, shuffled
+    for t, level in enumerate(solved._levels, start=1):
+        on_tree = _view_rows(level[:4]).astype(float) / solved.ticks
+        off_tree = rng.dirichlet(np.full(task.num_states, 0.4), size=5)
+        rows = np.concatenate([on_tree, off_tree, off_tree[:2], on_tree[:1]])
+        batches.append((t, np.array([Belief(r).probs for r in rng.permutation(rows)])))
+
+    def ask(config, batched):
+        sol = solve(task, config)
+        answers = [sol.actions(t, rows).tolist() if batched else
+                   [sol.action(t, Belief(row)) for row in rows] for t, rows in batches]
+        return sol.node_count, answers, sol._extra
+
+    count, answers, built = ask(BeliefSolverConfig(), batched=False)
+    # the same lazily built nodes, with the same values bit for bit
+    assert ask(BeliefSolverConfig(), batched=True) == (count, answers, built)
+    # a budget the lazy cache outgrows, so that it is emptied between batches
+    tight = BeliefSolverConfig(node_budget=solved.node_count)
+    for batched in (True, False):
+        grown, tight_answers, _ = ask(tight, batched)
+        assert tight_answers == answers
+        assert grown > count
+
+
+@pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
 def test_stored_tree_answers_as_the_solved_one(setting):
     task = generate_tasks(setting, 1, EnergyParams(energy_cap=4, horizon=4),
                           AmbiguityConfig(num_models=2), Rng(3))[0]
