@@ -279,6 +279,28 @@ def belief_update(belief: Belief, action: int, obs: int,
     return Belief(post / mass)
 
 
+def belief_updates(beliefs: np.ndarray, action: np.ndarray, obs: np.ndarray,
+                   transition: np.ndarray, observation: np.ndarray) -> np.ndarray:
+    """``belief_update`` of each row of ``beliefs`` (n, S) under its own action
+    and observation, bit for bit, as validated probability rows.
+
+    Each prediction stays a one-row product: BLAS rounds a batch (gemm)
+    differently from a row (gemv), and a row's posterior must not depend on
+    the rows that share its batch.  The rest is elementwise or row-wise.
+    ``belief_update`` keeps its own scalar steps: one row through this batch
+    costs about three times as much, and ``rollout`` updates one belief per
+    period.
+    """
+    pred = np.array([b @ transition[:, a, :] for b, a in zip(beliefs, action.tolist())])
+    post = pred * observation[:, action, obs].T
+    mass = post.sum(axis=1)
+    if (mass <= 0.0).any():
+        j = int(np.argmax(mass <= 0.0))
+        raise ZeroLikelihood(f"observation {obs[j]} has zero predictive probability "
+                             f"under action {action[j]}")
+    return _validated_probs(post / mass[:, None], "belief")
+
+
 def belief_predictive(belief: Belief, action: int,
                       transition: np.ndarray, observation: np.ndarray) -> np.ndarray:
     """Predictive distribution over the next observation given belief and action."""

@@ -28,6 +28,8 @@ from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
                    gen_energy_mdp, gen_energy_pomdp)
 from .rollout import ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout
+# solve_pomdp is not called here, but perfbench's tracer wraps both belief
+# solvers on this module
 from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
 
 DEGENERATE_OPT = 1e-9
@@ -185,9 +187,8 @@ def reference_policy(task, solver_config: BeliefSolverConfig | None = None
     if task.kind == "mdp":
         handle = PolicyHandle.oracle(solve_mdp(task))
     else:
-        solve = solve_pomdp if task.kind == "pomdp" else solve_apomdp
         try:
-            handle = PolicyHandle.oracle(solve(task, solver_config))
+            handle = PolicyHandle.oracle(solve_apomdp(task, solver_config))
         except BudgetExceeded as exc:
             # without its traceback, whose frames hold the failed solve's tables
             handle = PolicyHandle.qmdp(solve_mdp(task), fallback=exc.with_traceback(None))

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Belief, Rng, TabularTask, Trajectory, ZeroLikelihood, _validated_probs,
-                   belief_update)
+from .core import Belief, Rng, TabularTask, Trajectory, belief_update, belief_updates
 from .solvers import BudgetExceeded, MdpSolution, RobustSolution, planning_models
 
 DEFAULT_TIMEOUT = 60.0
@@ -365,7 +364,7 @@ def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndar
     state = draw(task.initial_dist.cumsum(), env_blocks[:, 0])
     if observation is not None:
         obs_cum = observation.cumsum(axis=-1)
-        beliefs = _validated_probs(np.tile(task.initial_dist, (len(env_blocks), 1)), "belief")
+        beliefs = np.tile(Belief(task.initial_dist).probs, (len(env_blocks), 1))
     total, weight = np.zeros(len(env_blocks)), 1.0
     for t in range(1, task.horizon + 1):
         if policy.kind == "random":
@@ -383,22 +382,6 @@ def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndar
         elif t < task.horizon:
             state = draw(cum[state, action], env_blocks[:, 2 * t])
             obs = draw(obs_cum[state, action], env_blocks[:, 2 * t + 1])
-            beliefs = _belief_updates(beliefs, action, obs, transition, observation)
+            beliefs = belief_updates(beliefs, action, obs, transition, observation)
     return total
 
-
-def _belief_updates(beliefs: np.ndarray, action: np.ndarray, obs: np.ndarray,
-                    transition: np.ndarray, observation: np.ndarray) -> np.ndarray:
-    """``belief_update`` of each row of ``beliefs`` (n, S), bit for bit.
-
-    Each prediction stays a one-row product: BLAS rounds a batch (gemm)
-    differently from a row (gemv).  The rest is elementwise or row-wise.
-    """
-    pred = np.array([b @ transition[:, a, :] for b, a in zip(beliefs, action.tolist())])
-    post = pred * observation[:, action, obs].T
-    mass = post.sum(axis=1)
-    if (mass <= 0.0).any():
-        j = int(np.argmax(mass <= 0.0))
-        raise ZeroLikelihood(f"observation {obs[j]} has zero predictive probability "
-                             f"under action {action[j]}")
-    return _validated_probs(post / mass[:, None], "belief")

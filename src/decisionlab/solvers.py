@@ -3,7 +3,8 @@
 ``solve_mdp`` is plain finite-horizon backward induction under a task's
 nominal transition kernel; its solution also acts on beliefs as QMDP
 (``MdpSolution.qmdp_action``), the fallback reference.  ``solve_pomdp`` (the
-nominal model alone) and ``solve_apomdp`` (every candidate model) share one
+nominal model alone) and ``solve_apomdp`` (every candidate model, a belief
+task's oracle; see ``planning_models``) share one
 belief-tree engine: beliefs reachable from the initial distribution are
 enumerated level by level (one level per period), quantized onto a simplex
 grid so that recurring beliefs are merged, and values are computed by
@@ -85,10 +86,9 @@ class MdpSolution:
 
     def qmdp_actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
         """``qmdp_action`` at each row of ``beliefs`` (n, S): Q_t is computed
-        once, and each distinct row is scored by its own one-row product."""
+        once, and each row is scored by its own one-row product."""
         q = self.q_values(t)
-        rows, inverse = _distinct_rows(beliefs)
-        return np.array([(row @ q).argmax() for row in rows])[inverse]
+        return np.array([(row @ q).argmax() for row in beliefs])
 
 
 def solve_mdp(task: TabularTask) -> MdpSolution:
@@ -194,9 +194,10 @@ class RobustSolution:
     beliefs)`` answers a batch of beliefs as one query, each as ``action``
     would; ``action`` and ``value`` are queries of one belief.  Only the solve
     is held to ``node_budget``; lazily built nodes still count in
-    ``node_count``, and their cache is emptied at the start of a query batch
-    once it holds more than ``node_budget`` entries (a node's value depends
-    only on its period and key, so answers do not change).  ``to_arrays`` and
+    ``node_count``, and their cache is emptied at the start of a query (one
+    belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once it
+    holds more than ``node_budget`` entries (a node's value depends only on
+    its period and key, so answers do not change).  ``to_arrays`` and
     ``from_arrays`` store a solved tree and restore it without solving.
     """
 
@@ -231,8 +232,8 @@ class RobustSolution:
     @classmethod
     def from_arrays(cls, task: TabularTask, config: BeliefSolverConfig, keys: np.ndarray,
                     values: np.ndarray, level_sizes: list[int]) -> "RobustSolution":
-        """The solution that ``solve_pomdp`` (a pomdp task) or ``solve_apomdp``
-        (an apomdp task) returns for ``task`` and ``config``, rebuilt from its
+        """The solution that ``solve_apomdp`` returns for ``task`` and
+        ``config`` (planning over ``planning_models(task)``), rebuilt from its
         ``to_arrays()`` and ``level_sizes`` without solving.  Its lazy cache
         starts empty, so every answer is bit-identical to the fresh solve's.
         Arrays of another shape or dtype raise ``ValueError``."""
@@ -425,15 +426,16 @@ class RobustSolution:
         return int(self.actions(t, belief.probs[None, :])[0])
 
     def actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
-        """``action`` at each row of ``beliefs`` (n, S), as one query: the
-        distinct rows are backed up together, ``expansion_chunk`` at a time.
-        A row's action values do not depend on the rows that share its batch
-        (see ``_backup``), so each answer is the one-row query's."""
-        self._start_query(t)
+        """``action`` at each row of ``beliefs`` (n, S): the distinct rows are
+        backed up together, ``expansion_chunk`` at a time, each chunk as one
+        query.  A row's action values do not depend on the rows that share
+        its chunk (see ``_backup``), so each answer is the one-row query's."""
         rows, inverse = _distinct_rows(beliefs)
-        step = self.config.expansion_chunk
-        return np.concatenate([self._backup(t - 1, rows[i:i + step]).argmax(axis=1)
-                               for i in range(0, len(rows), step)])[inverse]
+        step, chunks = self.config.expansion_chunk, []
+        for i in range(0, len(rows), step):
+            self._start_query(t)
+            chunks.append(self._backup(t - 1, rows[i:i + step]).argmax(axis=1))
+        return np.concatenate(chunks)[inverse]
 
     def to_summary(self) -> dict:
         return {
@@ -463,5 +465,7 @@ def solve_pomdp(task: TabularTask,
 
 def solve_apomdp(task: TabularTask,
                  config: BeliefSolverConfig | None = None) -> RobustSolution:
-    """Robust belief-tree backward induction over the candidate-model set."""
-    return RobustSolution(task, task.models, task.alpha, config or BeliefSolverConfig())
+    """Robust belief-tree backward induction over the task's planning models:
+    the candidate-model set of an apomdp, the one model of a pomdp (an apomdp
+    with a single model).  This is a belief task's oracle."""
+    return RobustSolution(task, *planning_models(task), config or BeliefSolverConfig())

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decisionlab.core import Belief, KernelPair, Rng, TabularTask, belief_update
+from decisionlab.core import (Belief, KernelPair, Rng, TabularTask, belief_update,
+                              belief_updates)
 from decisionlab.dataset import encode
 from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen_energy_mdp,
                              gen_energy_pomdp, noisy_level_observation)
@@ -26,7 +27,6 @@ from decisionlab.rollout import (
     InvalidAction,
     PolicyHandle,
     ProtocolError,
-    _belief_updates,
     env_draws,
     episode_returns,
     rollout,
@@ -409,7 +409,7 @@ def test_belief_updates_replay_belief_update_bit_for_bit():
                         for p, a in zip(pred, actions)])
         expected = [belief_update(Belief(b), a, o, model.transition, model.observation).probs
                     for b, a, o in zip(beliefs, actions.tolist(), obs.tolist())]
-        got = _belief_updates(beliefs, actions, obs, model.transition, model.observation)
+        got = belief_updates(beliefs, actions, obs, model.transition, model.observation)
         assert got.tobytes() == np.array(expected).tobytes()
 
 

@@ -424,6 +424,29 @@ def test_a_batch_query_answers_as_one_query_per_belief(setting):
 
 
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
+def test_a_batch_query_checks_the_cache_budget_before_each_chunk(setting):
+    # with one belief per chunk, a batch holds the lazy cache to the budget as
+    # tightly as one query per distinct belief does: the same nodes are built
+    # and the same cache is left, which the budget has emptied on the way
+    task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
+                          AmbiguityConfig(num_models=2), Rng(9))[0]
+    solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+    budget = solve(task).node_count
+    config = BeliefSolverConfig(node_budget=budget, expansion_chunk=1)
+    rng = np.random.default_rng(11)
+    beliefs = np.array([Belief(r).probs for r in
+                        rng.dirichlet(np.full(task.num_states, 0.4), size=40)])
+    batched, one_by_one = solve(task, config), solve(task, config)
+    answers = batched.actions(2, np.concatenate([beliefs, beliefs[:3]]))
+    distinct, inverse = solvers._distinct_rows(beliefs)
+    singles = np.array([one_by_one.action(2, Belief(row)) for row in distinct])
+    assert answers.tolist() == singles[np.concatenate([inverse, inverse[:3]])].tolist()
+    assert batched.node_count == one_by_one.node_count > budget + len(beliefs)
+    assert batched._extra == one_by_one._extra
+    assert sum(map(len, batched._extra)) < batched.node_count - budget
+
+
+@pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
 def test_stored_tree_answers_as_the_solved_one(setting):
     task = generate_tasks(setting, 1, EnergyParams(energy_cap=4, horizon=4),
                           AmbiguityConfig(num_models=2), Rng(3))[0]
