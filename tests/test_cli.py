@@ -525,9 +525,29 @@ for line in sys.stdin:
 """
 
 
-def external_config(tmp_path, **overrides):
-    script = tmp_path / "echo_policy.py"
-    script.write_text(ECHO_POLICY)
+# On a 5x5 Darkroom: wastes step 1 on "left", then walks down and right to
+# the goal its task_id names ("darkroom_<row>_<col>") and stays there.
+SEEK_POLICY = """\
+import json, sys
+for line in sys.stdin:
+    request = json.loads(line)
+    row, col = map(int, request["task_id"].split("_")[1:])
+    here_row, here_col = divmod(request["current_obs"], 5)
+    if request["step"] == 1:
+        action = 2
+    elif here_row < row:
+        action = 1
+    elif here_col < col:
+        action = 3
+    else:
+        action = 4
+    print(json.dumps({"action": action}), flush=True)
+"""
+
+
+def external_config(tmp_path, policy=ECHO_POLICY, **overrides):
+    script = tmp_path / "policy.py"
+    script.write_text(policy)
     return write_config(tmp_path, eval={
         "policy": "external", "rollouts_per_task": 4,
         "external": {"transport": "child", "argv": [sys.executable, str(script)],
@@ -590,6 +610,33 @@ GOLDEN_REPORT_DIGESTS = {
     "darkroom/random/darkroom.json":
         "5b2d1a599af968f7aecafbc49a0f6ca1fc527ef1e4b19e99df081c8a52e67bf6",
 }
+
+
+# SHA-256 of ``darkroom --policy external`` reports over the child transport
+# (size 5, T 12, all goals, 2 episodes each), per policy script.
+DARKROOM_EXTERNAL_DIGESTS = {
+    "echo/darkroom.csv":
+        "6d8aafb46a1ac50159b2dd08ca798b939c4806e73be694e8fd83f1356a940470",
+    "echo/darkroom.json":
+        "047b5567c7b2f8931d805fcc5ac74722c931cf9bdfce3e1e5d1d3ac3199a1a42",
+    "seek/darkroom.csv":
+        "a8cbc53e38e1a3a0ef2c50c49186f3e7fea4ef4fb4c85a15c4f6f24c94e8a923",
+    "seek/darkroom.json":
+        "e864aa5fa4afb62e2cf441260eef5ffe9fd6ef8821049b3e7cbf6e7866d65fe8",
+}
+
+
+@pytest.mark.parametrize("name, policy", [("echo", ECHO_POLICY), ("seek", SEEK_POLICY)])
+def test_darkroom_external_golden_digests(tmp_path, name, policy):
+    cfg = external_config(tmp_path, policy, darkroom={
+        "size": 5, "horizon": 12, "subset": "all", "rollouts_per_goal": 2})
+    out = tmp_path / "run"
+    assert main(["darkroom", "--policy", "external", "--config", cfg,
+                 "--out", str(out)]) == 0
+    digests = {f"{name}/{n}": hashlib.sha256((out / "reports" / n).read_bytes()).hexdigest()
+               for n in ("darkroom.csv", "darkroom.json")}
+    assert digests == {k: v for k, v in DARKROOM_EXTERNAL_DIGESTS.items()
+                       if k.startswith(f"{name}/")}
 
 
 def test_report_golden_digests(tmp_path):
