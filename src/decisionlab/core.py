@@ -129,14 +129,16 @@ def _validated_probs(arr: np.ndarray, name: str) -> np.ndarray:
 
     Entries in ``[-PROB_ATOL, 0)`` are treated as roundoff and clipped to zero;
     anything more negative, non-finite, or with a row sum off by more than
-    ``PROB_ATOL`` is rejected.
+    ``PROB_ATOL`` is rejected.  The result is read-only: a writeable array is
+    copied, and a read-only one that needs no change is returned as it is.
     """
     arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite entries")
     if np.any(arr < -PROB_ATOL):
         raise ValueError(f"{name}: negative entries")
-    arr = np.clip(arr, 0.0, None)
+    if arr.flags.writeable or np.any(arr < 0.0):
+        arr = np.clip(arr, 0.0, None)
     sums = arr.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > PROB_ATOL):
         worst = float(np.abs(sums - 1.0).max())

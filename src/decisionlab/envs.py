@@ -12,10 +12,13 @@ Dirichlet-perturbed models constrained to a per-row KL ball.
 Darkroom: a 10x10 grid with an unknown goal cell; reward 1 only for executing
 "stay" on the goal.  Dynamics are deterministic and fully observed; a
 ``DarkroomTask`` is the task-file spec and ``to_mdp()`` the task itself.
+Every goal on a grid shares one transition kernel (``darkroom_kernel``) and
+differs only in its reward column (``darkroom_rewards``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -234,18 +237,35 @@ class DarkroomTask:
         self.goal = (int(r), int(c))
 
     def to_mdp(self) -> TabularTask:
-        """Tabular encoding: one-hot kernels, start fixed at cell 0, undiscounted."""
-        n, A = self.size, len(DARKROOM_ACTIONS)
-        states = np.arange(n * n)
-        row, col = np.divmod(states, n)
-        P = np.zeros((n * n, A, n * n))
-        for a, (dr, dc) in enumerate(_DARKROOM_DELTA):
-            nxt = np.clip(row + dr, 0, n - 1) * n + np.clip(col + dc, 0, n - 1)
-            P[states, a, nxt] = 1.0
-        R = np.zeros((n * n, A))
-        R[self.goal[0] * n + self.goal[1], DARKROOM_STAY] = 1.0
-        rho = (states == 0).astype(float)
-        return TabularTask("mdp", [KernelPair(P)], R, rho, self.horizon, 1.0)
+        """Tabular encoding: the grid's shared ``darkroom_kernel``, this goal's
+        column of ``darkroom_rewards``, start fixed at cell 0, undiscounted."""
+        rho = np.zeros(self.size * self.size)
+        rho[0] = 1.0
+        return TabularTask("mdp", [KernelPair(darkroom_kernel(self.size))],
+                           darkroom_rewards([self.goal], self.size)[:, :, 0], rho,
+                           self.horizon, 1.0)
+
+
+@functools.cache
+def darkroom_kernel(size: int) -> np.ndarray:
+    """The read-only one-hot transition kernel (S, A, S) of a ``size x size``
+    grid, built once per size and shared by every goal's task."""
+    states = np.arange(size * size)
+    row, col = np.divmod(states, size)
+    P = np.zeros((size * size, len(DARKROOM_ACTIONS), size * size))
+    for a, (dr, dc) in enumerate(_DARKROOM_DELTA):
+        nxt = np.clip(row + dr, 0, size - 1) * size + np.clip(col + dc, 0, size - 1)
+        P[states, a, nxt] = 1.0
+    P.flags.writeable = False
+    return P
+
+
+def darkroom_rewards(goals: list[tuple[int, int]], size: int) -> np.ndarray:
+    """Rewards (S, A, G) of goals on a ``size x size`` grid, one column per
+    goal: 1 for "stay" on the goal cell, else 0."""
+    R = np.zeros((size * size, len(DARKROOM_ACTIONS), len(goals)))
+    R[[r * size + c for r, c in goals], DARKROOM_STAY, np.arange(len(goals))] = 1.0
+    return R
 
 
 def all_darkroom_goals(size: int = 10) -> list[tuple[int, int]]:

@@ -25,12 +25,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Rng
-from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, gen_energy_apomdp,
-                   gen_energy_mdp, gen_energy_pomdp)
-from .rollout import ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout
+from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, darkroom_kernel,
+                   darkroom_rewards, gen_energy_apomdp, gen_energy_mdp, gen_energy_pomdp)
+from .rollout import (ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout,
+                      step_returns)
 # solve_pomdp is not called here, but perfbench's tracer wraps both belief
 # solvers on this module
-from .solvers import BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp
+from .solvers import (BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp,
+                      solve_stacked)
 
 DEGENERATE_OPT = 1e-9
 
@@ -304,29 +306,87 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
                   client: ExternalPolicyClient | None = None, jobs: int = 1) -> dict:
     """Mean cumulative reward per goal (and overall) for one policy kind.
 
-    Each goal's task is ``DarkroomTask(goal, size, horizon).to_mdp()``; its
-    oracle's exact return from ``solve_mdp``, ``max(0, horizon - distance)``,
-    is reported alongside.  The interval is Student-t over per-goal means.
-    Goal i's episodes draw from ``rng.split(i)``; ``jobs`` is as in
-    ``_map_tasks``.
+    Each goal's task is ``DarkroomTask(goal, size, horizon).to_mdp()``: the
+    grid's shared kernel and the goal's reward column.  Its oracle's exact
+    return, ``max(0, horizon - distance)``, is reported alongside; it comes
+    from one ``solve_stacked`` pass over the goals, each goal's ``solve_mdp``
+    return bit for bit.  Goal i's episode j runs on ``rng.split(i).split(j)``.
+    Random and oracle episodes of every goal are stepped together, and an
+    external policy rolls out one goal at a time.  ``jobs > 1`` spreads
+    contiguous slices of the goals over processes, each item naming its goals
+    but carrying no task, with the serial run's results; an external policy
+    needs ``jobs=1``.  The interval is Student-t over per-goal means.
     """
-    oracle_returns = []
-
-    def work():  # one goal's task and oracle at a time when serial
-        for i, goal in enumerate(goals):
-            task = DarkroomTask(goal, size, horizon).to_mdp()
-            reference, _ = reference_policy(task)
-            oracle_returns.append(reference.solution.expected_return())
-            yield (task, None, evaluation_policy(policy_kind, task, reference, client),
-                   f"darkroom_{goal[0]}_{goal[1]}", rng.split(i), rollouts_per_goal)
-
-    per_goal = [mean for _, mean, _ in _map_tasks(work(), jobs)]
+    if policy_kind not in ("oracle", "random", "external"):
+        raise ValueError(f"darkroom evaluates oracle, random and external policies, "
+                         f"not {policy_kind!r}")
+    if policy_kind == "external" and client is None:
+        raise ValueError("external evaluation requires a client")
+    if policy_kind == "external" and jobs > 1:
+        raise ValueError("external policies require jobs=1")
+    goals = [DarkroomTask(goal, size, horizon).goal for goal in goals]  # each on the grid
+    parts = max(jobs, 1)
+    cuts = [len(goals) * k // parts for k in range(parts + 1)]
+    work = [(a, goals[a:b], size, horizon, policy_kind, rng, rollouts_per_goal, client)
+            for a, b in zip(cuts, cuts[1:]) if b > a]
+    if jobs <= 1:
+        results = [_goal_means(w) for w in work]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_goal_means, work))
+    per_goal = [pair for part in results for pair in part]
     rows = [{"goal_row": goal[0], "goal_col": goal[1], "policy": policy_kind,
              "mean_return": mean, "oracle_return": oracle_return,
              "rollouts": rollouts_per_goal}
-            for goal, mean, oracle_return in zip(goals, per_goal, oracle_returns)]
-    arr = np.array(per_goal)
+            for goal, (oracle_return, mean) in zip(goals, per_goal)]
+    arr = np.array([mean for _, mean in per_goal])
     lo, hi = _t_interval(arr)
     return {"rows": rows, "mean_return": float(arr.mean()),
             "ci_low": lo, "ci_high": hi, "policy": policy_kind,
             "num_goals": len(goals)}
+
+
+def _goal_means(args) -> list[tuple[float, float]]:
+    """Oracle return and mean policy return of each goal in one contiguous
+    slice of a ``darkroom_eval``, from ``(first, goals, size, horizon,
+    policy_kind, rng, rollouts, client)``: the slice starts at goal ``first``
+    of the evaluation, and each goal's returns are summed in episode order."""
+    first, goals, size, horizon, policy_kind, rng, rollouts, client = args
+    rewards = darkroom_rewards(goals, size)
+    values, policy = solve_stacked(darkroom_kernel(size), rewards, horizon)
+    if policy_kind == "external":
+        handle = PolicyHandle.external(client)
+        means = [_task_gap_sums((DarkroomTask(goal, size, horizon).to_mdp(), None, handle,
+                                 f"darkroom_{goal[0]}_{goal[1]}", rng.split(first + i),
+                                 rollouts))[1]
+                 for i, goal in enumerate(goals)]
+    else:
+        rngs = [rng.split(first + i).split(j)
+                for i in range(len(goals)) for j in range(rollouts)]
+        dynamics = DarkroomTask(goals[0], size, horizon).to_mdp()  # rewards come per row
+        returns = _goal_returns(policy_kind, dynamics, rewards, policy, rngs)
+        means = [sum(row) / rollouts for row in returns.reshape(len(goals), -1).tolist()]
+    return list(zip(values[0].tolist(), means))  # the start is cell 0
+
+
+def _goal_returns(policy_kind: str, task, rewards: np.ndarray, policy: np.ndarray,
+                  rngs: list[Rng]) -> np.ndarray:
+    """Returns of random or oracle episodes on goals that share ``task``'s
+    kernel, stepped together (``step_returns``), one per generator of
+    ``rngs``: goal g's rows are a contiguous block, in order, and act by its
+    ``policy`` (T, S, G) column and earn its ``rewards`` (S, A, G) column.
+    Each row reads the block draws of ``_task_gap_sums`` from its generator."""
+    goal = np.repeat(np.arange(rewards.shape[2]), len(rngs) // rewards.shape[2])
+    env_blocks = np.array([r.split(0).gen.random(env_draws(task)) for r in rngs])
+    if policy_kind == "random":
+        actions = np.array([r.split(1).integers(0, task.num_actions, size=task.horizon)
+                            for r in rngs])
+
+        def act(t, state, beliefs):
+            return actions[:, t - 1]
+    else:
+        def act(t, state, beliefs):
+            return policy[t - 1, state, goal]
+    return step_returns(task, env_blocks, act,
+                        lambda state, action: rewards[state, action, goal])

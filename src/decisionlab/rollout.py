@@ -7,8 +7,10 @@ draw-for-draw paired episodes, which is what makes oracle-relative gaps exact
 rather than noisy.  ``episode_returns`` steps many episodes of a task together
 from block draws of those streams, with ``rollout``'s returns bit for bit; on
 a belief task it keeps all episodes' beliefs in one array, and an oracle or
-QMDP handle answers each period's distinct beliefs in one query.  Only
-external policies are left to ``rollout`` alone.
+QMDP handle answers each period's distinct beliefs in one query.  Its
+stepper, ``step_returns``, also steps the episodes of many Darkroom goals
+together, each row with its goal's actions and rewards.  Only external
+policies are left to ``rollout`` alone.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -339,21 +341,47 @@ def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndar
     ``action_blocks`` holds its T draws ``integers(0, A)`` from
     ``rng.split(1)``.  Oracle and qmdp handles are checked against the task
     once; on a belief task they answer each period's beliefs in one query
-    (``RobustSolution.actions``, ``MdpSolution.qmdp_actions``).  Each uniform
-    is inverted against the row cumsums as ``Rng.draw_index`` inverts it,
-    beliefs are updated as ``belief_update`` updates them, and each return is
-    accumulated in period order, so entry j equals ``rollout(task, policy,
+    (``RobustSolution.actions``, ``MdpSolution.qmdp_actions``).  The episodes
+    are ``step_returns``', so entry j equals ``rollout(task, policy,
     rng).online_return`` bit for bit; a handle that ``rollout`` rejects
     raises the same error.
     """
     if policy.kind not in ("oracle", "random", "qmdp"):
         raise ValueError(f"episode_returns steps oracle, random and qmdp handles, "
                          f"not {policy.kind!r}")
-    if env_blocks.ndim != 2 or env_blocks.shape[1] != env_draws(task):
-        raise ValueError(f"each row of env_blocks must hold {env_draws(task)} uniforms")
     if policy.kind != "random":
         _check_oracle_matches(task, policy)
     solution = policy.solution
+    if policy.kind == "random":
+        def act(t, state, beliefs):
+            return action_blocks[:, t - 1]
+    elif policy.kind == "qmdp":
+        def act(t, state, beliefs):
+            return solution.qmdp_actions(t, beliefs)
+    elif task.kind == "mdp":
+        def act(t, state, beliefs):
+            return solution.policy[t - 1, state]
+    else:
+        def act(t, state, beliefs):
+            return solution.actions(t, beliefs)
+    return step_returns(task, env_blocks, act)
+
+
+def step_returns(task: TabularTask, env_blocks: np.ndarray, act, reward=None) -> np.ndarray:
+    """Discounted returns of episodes of ``task``'s dynamics, stepped together
+    from the uniforms of ``env_blocks`` (laid out as in ``episode_returns``),
+    one per row.  ``act(t, state, beliefs)`` gives every row's action in
+    period t (``beliefs`` is None on an mdp), and ``reward(state, action)``
+    every row's reward, ``task.reward[state, action]`` unless given.  Each
+    uniform is inverted against the row cumsums as ``Rng.draw_index`` inverts
+    it, beliefs are updated as ``belief_update`` updates them, and each return
+    is accumulated in period order, as ``rollout`` accumulates it.
+    """
+    if env_blocks.ndim != 2 or env_blocks.shape[1] != env_draws(task):
+        raise ValueError(f"each row of env_blocks must hold {env_draws(task)} uniforms")
+    if reward is None:
+        def reward(state, action):
+            return task.reward[state, action]
     nominal = task.models[0]  # an ambiguous task is simulated under its first model
     transition, observation = nominal.transition, nominal.observation
     cum = transition.cumsum(axis=-1)
@@ -362,20 +390,14 @@ def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndar
         return np.minimum((rows <= u[:, None]).sum(1), rows.shape[-1] - 1)
 
     state = draw(task.initial_dist.cumsum(), env_blocks[:, 0])
+    beliefs = None
     if observation is not None:
         obs_cum = observation.cumsum(axis=-1)
         beliefs = np.tile(Belief(task.initial_dist).probs, (len(env_blocks), 1))
     total, weight = np.zeros(len(env_blocks)), 1.0
     for t in range(1, task.horizon + 1):
-        if policy.kind == "random":
-            action = action_blocks[:, t - 1]
-        elif policy.kind == "qmdp":
-            action = solution.qmdp_actions(t, beliefs)
-        elif observation is None:
-            action = solution.policy[t - 1, state]
-        else:
-            action = solution.actions(t, beliefs)
-        total += weight * task.reward[state, action]
+        action = act(t, state, beliefs)
+        total += weight * reward(state, action)
         weight *= task.discount
         if t < task.horizon and observation is None:
             state = draw(cum[state, action], env_blocks[:, t])
@@ -384,4 +406,3 @@ def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndar
             obs = draw(obs_cum[state, action], env_blocks[:, 2 * t + 1])
             beliefs = belief_updates(beliefs, action, obs, transition, observation)
     return total
-

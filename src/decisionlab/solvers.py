@@ -106,6 +106,26 @@ def solve_mdp(task: TabularTask) -> MdpSolution:
     return MdpSolution(task, values, policy)
 
 
+def solve_stacked(transition: np.ndarray, rewards: np.ndarray,
+                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_mdp`` of G undiscounted tasks that share ``transition`` (S, A, S)
+    and differ only in their rewards (S, A, G), in one backward induction with
+    one (S·A, S) @ (S, G) product per period.  Returns period 1's values
+    (S, G) and the policy (T, S, G), row i for period i + 1; only two value
+    rows are alive at a time.  Where every sum is an exact integer (0/1
+    rewards, as on a Darkroom grid), column g is task g's ``solve_mdp`` tables
+    bit for bit."""
+    S, A, G = rewards.shape
+    transition = transition.reshape(S * A, S)
+    values = np.zeros((S, G))
+    policy = np.zeros((horizon, S, G), dtype=np.min_scalar_type(A - 1))
+    for t in range(horizon - 1, -1, -1):
+        q = rewards + (transition @ values).reshape(S, A, G)
+        policy[t] = q.argmax(axis=1)
+        values = q.max(axis=1)
+    return values, policy
+
+
 # ---------------------------------------------------------------------------
 # simplex quantization
 

@@ -916,11 +916,12 @@ def test_darkroom_check_fails_when_random_scores_too_well(tmp_path, capsys):
 def test_darkroom_jobs_write_the_serial_bytes(tmp_path):
     cfg = write_config(tmp_path, darkroom={"size": 5, "horizon": 12, "subset": "all",
                                            "rollouts_per_goal": 2})
-    reports = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["darkroom", "--policy", "random", "--jobs", jobs, "--config", cfg,
-                     "--out", str(out)]) == 0
-        reports[jobs] = [(out / "reports" / name).read_bytes()
-                         for name in ("darkroom.csv", "darkroom.json")]
-    assert reports["1"] == reports["2"]
+    for policy in ("random", "oracle"):
+        reports = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / policy / f"jobs{jobs}"
+            assert main(["darkroom", "--policy", policy, "--jobs", jobs, "--config", cfg,
+                         "--out", str(out)]) == 0
+            reports[jobs] = [(out / "reports" / name).read_bytes()
+                             for name in ("darkroom.csv", "darkroom.json")]
+        assert reports["1"] == reports["2"]

@@ -179,6 +179,16 @@ def test_validated_probs_is_idempotent_bitwise():
     assert np.array_equal(once, twice)
 
 
+def test_validated_probs_keeps_a_read_only_array_and_copies_a_writeable_one():
+    raw = np.array([[0.25, 0.75]])
+    locked = _validated_probs(raw, "p")
+    assert locked is not raw and raw.flags.writeable  # the caller's array stays theirs
+    assert _validated_probs(locked, "p") is locked
+    drifted = np.array([[0.5 + 2e-10, 0.5]])
+    drifted.flags.writeable = False
+    assert _validated_probs(drifted, "p") is not drifted  # a row to renormalize
+
+
 def test_validated_probs_clips_tiny_negative():
     p = _validated_probs(np.array([[-5e-10, 1.0]]), "p")
     assert p[0, 0] == 0.0

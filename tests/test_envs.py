@@ -10,6 +10,8 @@ from decisionlab.envs import (
     EnergyParams,
     SamplingExhausted,
     all_darkroom_goals,
+    darkroom_kernel,
+    darkroom_rewards,
     energy_kernels,
     gen_energy_apomdp,
     gen_energy_mdp,
@@ -237,6 +239,17 @@ def test_darkroom_to_mdp_consistent_with_step():
             assert mdp.reward[s, a] == (1.0 if (r, c) == (1, 3) and a == 4 else 0.0)
     assert mdp.initial_dist[0] == 1.0
     assert (mdp.horizon, mdp.discount) == (6, 1.0)
+
+
+def test_darkroom_goals_share_one_kernel():
+    tasks = [DarkroomTask(goal, size=4, horizon=6).to_mdp() for goal in ((0, 0), (3, 2))]
+    kernel = darkroom_kernel(4)
+    assert all(t.models[0].transition is kernel for t in tasks)
+    assert not kernel.flags.writeable and darkroom_kernel(4) is kernel
+    rewards = darkroom_rewards([(0, 0), (3, 2)], 4)
+    assert rewards.shape == (16, 5, 2)
+    for g, task in enumerate(tasks):
+        assert np.array_equal(rewards[:, :, g], task.reward)
 
 
 def test_darkroom_goal_validation():

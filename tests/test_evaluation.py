@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -12,7 +13,8 @@ from scipy import stats
 from decisionlab import cli, evaluation
 from decisionlab.core import KernelPair, Rng, TabularTask
 from decisionlab.dataset import write_csv
-from decisionlab.envs import AmbiguityConfig, DarkroomTask, EnergyParams
+from decisionlab.envs import (AmbiguityConfig, DarkroomTask, EnergyParams, all_darkroom_goals,
+                              darkroom_kernel, darkroom_rewards)
 from decisionlab.evaluation import (
     DARKROOM_CSV_COLUMNS,
     DegenerateOptimum,
@@ -27,7 +29,8 @@ from decisionlab.evaluation import (
     _t_interval,
 )
 from decisionlab.rollout import PolicyHandle, rollout
-from decisionlab.solvers import BeliefSolverConfig, RobustSolution, solve_mdp, solve_pomdp
+from decisionlab.solvers import (BeliefSolverConfig, RobustSolution, solve_mdp, solve_pomdp,
+                                 solve_stacked)
 
 from conftest import tiny_energy_mdp, uniform_policy_value
 
@@ -133,8 +136,13 @@ def count_episodes(monkeypatch) -> list[str]:
         kinds.append(f"rollout:{policy.kind}")
         return _rollout(task, policy, *a, **k)
 
+    def stacked(policy_kind, task, rewards, policy, rngs, _step=evaluation._goal_returns):
+        kinds.extend([policy_kind] * len(rngs))  # Darkroom episodes of many goals
+        return _step(policy_kind, task, rewards, policy, rngs)
+
     monkeypatch.setattr(evaluation, "episode_returns", stepped)
     monkeypatch.setattr(evaluation, "rollout", rolled)
+    monkeypatch.setattr(evaluation, "_goal_returns", stacked)
     return kinds
 
 
@@ -455,6 +463,51 @@ def test_darkroom_eval_jobs_equal_serial_and_roll_out_the_policy_only(monkeypatc
     kinds = count_episodes(monkeypatch)
     assert darkroom_eval(goals, "random", Rng(15), **kwargs) == parallel
     assert kinds == ["random"] * 9  # the oracle's return is exact, not stepped
+
+
+@pytest.mark.parametrize("size, horizon", [(5, 12), (2, 8)])
+def test_stacked_darkroom_episodes_equal_rollout_bit_for_bit(size, horizon):
+    goals, per_goal = [(0, 0), (1, 1), (size - 1, 0)], 4
+    rewards = darkroom_rewards(goals, size)
+    _, policy = solve_stacked(darkroom_kernel(size), rewards, horizon)
+    rngs = [Rng(21).split(i).split(j) for i in range(len(goals)) for j in range(per_goal)]
+    tasks = [DarkroomTask(goal, size, horizon).to_mdp() for goal in goals]
+    for kind in ("random", "oracle"):
+        returns = evaluation._goal_returns(kind, tasks[0], rewards, policy, rngs)
+        expected = [rollout(tasks[k // per_goal],
+                            PolicyHandle.random() if kind == "random"
+                            else PolicyHandle.oracle(solve_mdp(tasks[k // per_goal])),
+                            rng).online_return
+                    for k, rng in enumerate(rngs)]
+        assert returns.tolist() == expected
+        assert any(expected)
+
+
+def test_darkroom_jobs_hand_out_goal_slices_not_tasks(monkeypatch):
+    items = []
+
+    class SerialPool:  # records the work items a process pool would be handed
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, work):
+            items.extend(work)
+            return map(fn, items)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    goals = all_darkroom_goals(10)
+    for kind in ("random", "oracle"):
+        items.clear()
+        assert darkroom_eval(goals, kind, Rng(16), jobs=2) == darkroom_eval(goals, kind, Rng(16))
+        assert len(items) == 2
+        assert all(len(pickle.dumps(item)) < 1024 for item in items)
 
 
 def test_darkroom_eval_rejects_unknown_policy():

@@ -22,6 +22,9 @@ from decisionlab.envs import (
     AmbiguityConfig,
     DarkroomTask,
     EnergyParams,
+    all_darkroom_goals,
+    darkroom_kernel,
+    darkroom_rewards,
     energy_kernels,
     gen_energy_apomdp,
     gen_energy_mdp,
@@ -37,6 +40,7 @@ from decisionlab.solvers import (
     solve_apomdp,
     solve_mdp,
     solve_pomdp,
+    solve_stacked,
     _row_order_view,
     _view_rows,
 )
@@ -93,6 +97,24 @@ def test_solve_mdp_darkroom_equals_closed_form():
         task = DarkroomTask(goal=(1, 3), size=4, horizon=horizon)
         assert want == max(0, horizon - darkroom_bfs_distance((1, 3), 4))
         assert solve_mdp(task.to_mdp()).expected_return() == want
+
+
+@pytest.mark.parametrize("size, horizon", [(10, 100), (10, 6), (1, 4)])
+def test_solve_stacked_is_each_goals_solve_mdp_bit_for_bit(size, horizon):
+    goals = all_darkroom_goals(size)
+    values, policy = solve_stacked(darkroom_kernel(size), darkroom_rewards(goals, size),
+                                   horizon)
+    assert values.shape == (size * size, len(goals))
+    assert policy.shape == (horizon, size * size, len(goals))
+    for g, goal in enumerate(goals):
+        own = solve_mdp(DarkroomTask(goal, size, horizon).to_mdp())
+        assert values[:, g].tobytes() == own.values[0].tobytes()
+        assert np.array_equal(policy[:, :, g], own.policy)
+    if horizon == 6:
+        # goals 6 or more moves from the start are out of reach from it: every
+        # action ties at value 0 there, and the tie goes to action 0
+        far = [g for g, (r, c) in enumerate(goals) if r + c >= 6]
+        assert far and not values[0, far].any() and not policy[0, 0, far].any()
 
 
 def _solve_mdp_3d_reference(task):
