@@ -18,8 +18,8 @@ differs only in its reward column (``darkroom_rewards``).
 
 from __future__ import annotations
 
-import functools
 import json
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -246,17 +246,25 @@ class DarkroomTask:
                            self.horizon, 1.0)
 
 
-@functools.cache
+# size -> kernel, kept only while a task or caller holds it: a kernel held for
+# the life of the process raised the peak RSS of later work (fragmented heap)
+_DARKROOM_KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def darkroom_kernel(size: int) -> np.ndarray:
     """The read-only one-hot transition kernel (S, A, S) of a ``size x size``
-    grid, built once per size and shared by every goal's task."""
-    states = np.arange(size * size)
-    row, col = np.divmod(states, size)
-    P = np.zeros((size * size, len(DARKROOM_ACTIONS), size * size))
-    for a, (dr, dc) in enumerate(_DARKROOM_DELTA):
-        nxt = np.clip(row + dr, 0, size - 1) * size + np.clip(col + dc, 0, size - 1)
-        P[states, a, nxt] = 1.0
-    P.flags.writeable = False
+    grid, shared by every goal's task: built once, and again only after
+    nothing holds it any more."""
+    P = _DARKROOM_KERNELS.get(size)
+    if P is None:
+        states = np.arange(size * size)
+        row, col = np.divmod(states, size)
+        P = np.zeros((size * size, len(DARKROOM_ACTIONS), size * size))
+        for a, (dr, dc) in enumerate(_DARKROOM_DELTA):
+            nxt = np.clip(row + dr, 0, size - 1) * size + np.clip(col + dc, 0, size - 1)
+            P[states, a, nxt] = 1.0
+        P.flags.writeable = False
+        _DARKROOM_KERNELS[size] = P
     return P
 
 

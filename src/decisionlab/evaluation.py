@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Rng
-from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, darkroom_kernel,
-                   darkroom_rewards, gen_energy_apomdp, gen_energy_mdp, gen_energy_pomdp)
+from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, darkroom_rewards,
+                   gen_energy_apomdp, gen_energy_mdp, gen_energy_pomdp)
 from .rollout import (ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout,
                       step_returns)
 # solve_pomdp is not called here, but perfbench's tracer wraps both belief
@@ -84,19 +84,14 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
     out one episode at a time."""
     task, oracle, handle, task_id, task_rng, rollouts = args
     rngs = [task_rng.split(j) for j in range(rollouts)]  # rollout only splits them
-
-    @functools.cache
-    def env_blocks():
-        return np.array([rng.split(0).gen.random(env_draws(task)) for rng in rngs])
+    env_blocks = functools.cache(lambda: _env_blocks(task, rngs))
 
     def episodes(policy):
         """(return, invalid actions) of ``policy`` on each episode, in order."""
         if policy is None:
             return itertools.repeat((0.0, 0), rollouts)
         if policy.kind != "external":
-            actions = None if policy.kind != "random" else np.array(
-                [rng.split(1).integers(0, task.num_actions, size=task.horizon)
-                 for rng in rngs])
+            actions = _action_blocks(task, rngs) if policy.kind == "random" else None
             returns = episode_returns(task, policy, env_blocks(), actions)
             return zip(returns.tolist(), itertools.repeat(0))
         return ((r.online_return, r.invalid_actions) for r in
@@ -110,6 +105,24 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
         eval_sum += ret
         invalid += bad
     return opt_sum / rollouts, eval_sum / rollouts, invalid
+
+
+def _env_blocks(task, rngs: list[Rng]) -> np.ndarray:
+    """Row j: the ``env_draws(task)`` uniforms that episode j draws from
+    ``rngs[j].split(0)``, as ``rollout`` draws them."""
+    blocks = np.empty((len(rngs), env_draws(task)))
+    for row, rng in zip(blocks, rngs):
+        rng.split(0).gen.random(out=row)
+    return blocks
+
+
+def _action_blocks(task, rngs: list[Rng]) -> np.ndarray:
+    """Row j: the T actions ``integers(0, A)`` that a random policy draws in
+    episode j from ``rngs[j].split(1)``, as ``rollout`` draws them."""
+    actions = np.empty((len(rngs), task.horizon), dtype=np.min_scalar_type(task.num_actions - 1))
+    for row, rng in zip(actions, rngs):
+        row[:] = rng.split(1).integers(0, task.num_actions, size=task.horizon)
+    return actions
 
 
 def _map_tasks(work, jobs: int) -> list[tuple[float, float, int]]:
@@ -353,8 +366,11 @@ def _goal_means(args) -> list[tuple[float, float]]:
     policy_kind, rng, rollouts, client)``: the slice starts at goal ``first``
     of the evaluation, and each goal's returns are summed in episode order."""
     first, goals, size, horizon, policy_kind, rng, rollouts, client = args
+    dynamics = DarkroomTask(goals[0], size, horizon).to_mdp()  # holds the shared kernel
     rewards = darkroom_rewards(goals, size)
-    values, policy = solve_stacked(darkroom_kernel(size), rewards, horizon)
+    values, policy = solve_stacked(dynamics.models[0].transition, rewards, horizon)
+    if policy_kind != "oracle":
+        policy = None  # only oracle episodes act by it; the oracle return is in values
     if policy_kind == "external":
         handle = PolicyHandle.external(client)
         means = [_task_gap_sums((DarkroomTask(goal, size, horizon).to_mdp(), None, handle,
@@ -364,29 +380,27 @@ def _goal_means(args) -> list[tuple[float, float]]:
     else:
         rngs = [rng.split(first + i).split(j)
                 for i in range(len(goals)) for j in range(rollouts)]
-        dynamics = DarkroomTask(goals[0], size, horizon).to_mdp()  # rewards come per row
         returns = _goal_returns(policy_kind, dynamics, rewards, policy, rngs)
         means = [sum(row) / rollouts for row in returns.reshape(len(goals), -1).tolist()]
     return list(zip(values[0].tolist(), means))  # the start is cell 0
 
 
-def _goal_returns(policy_kind: str, task, rewards: np.ndarray, policy: np.ndarray,
+def _goal_returns(policy_kind: str, task, rewards: np.ndarray, policy: np.ndarray | None,
                   rngs: list[Rng]) -> np.ndarray:
     """Returns of random or oracle episodes on goals that share ``task``'s
     kernel, stepped together (``step_returns``), one per generator of
-    ``rngs``: goal g's rows are a contiguous block, in order, and act by its
-    ``policy`` (T, S, G) column and earn its ``rewards`` (S, A, G) column.
-    Each row reads the block draws of ``_task_gap_sums`` from its generator."""
+    ``rngs``: goal g's rows are a contiguous block, in order, and earn its
+    ``rewards`` (S, A, G) column; oracle rows act by its ``policy`` (T, S, G)
+    column.  Each row draws its blocks from its generator as
+    ``_task_gap_sums`` draws them."""
     goal = np.repeat(np.arange(rewards.shape[2]), len(rngs) // rewards.shape[2])
-    env_blocks = np.array([r.split(0).gen.random(env_draws(task)) for r in rngs])
     if policy_kind == "random":
-        actions = np.array([r.split(1).integers(0, task.num_actions, size=task.horizon)
-                            for r in rngs])
+        actions = _action_blocks(task, rngs)
 
         def act(t, state, beliefs):
             return actions[:, t - 1]
     else:
         def act(t, state, beliefs):
             return policy[t - 1, state, goal]
-    return step_returns(task, env_blocks, act,
+    return step_returns(task, _env_blocks(task, rngs), act,
                         lambda state, action: rewards[state, action, goal])

@@ -120,7 +120,8 @@ def solve_stacked(transition: np.ndarray, rewards: np.ndarray,
     values = np.zeros((S, G))
     policy = np.zeros((horizon, S, G), dtype=np.min_scalar_type(A - 1))
     for t in range(horizon - 1, -1, -1):
-        q = rewards + (transition @ values).reshape(S, A, G)
+        q = (transition @ values).reshape(S, A, G)
+        q += rewards  # in place: one (S, A, G) array per period
         policy[t] = q.argmax(axis=1)
         values = q.max(axis=1)
     return values, policy
