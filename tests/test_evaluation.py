@@ -1,5 +1,6 @@
 """Optimality-gap evaluation: paired streams, intervals, grids."""
 
+import concurrent.futures
 import gc
 import json
 import math
@@ -500,7 +501,6 @@ def test_darkroom_jobs_hand_out_goal_slices_not_tasks(monkeypatch):
             items.extend(work)
             return map(fn, items)
 
-    import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     goals = all_darkroom_goals(10)
     for kind in ("random", "oracle"):
