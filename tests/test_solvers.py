@@ -659,6 +659,61 @@ def test_belief_values_golden_digests():
         assert _solve_digest(tight) == want
 
 
+# SHA-256 of to_arrays() (key bytes, then value bytes) per GOLDEN_SOLVES task,
+# as configured and at expansion_chunk=3 under a budget the tree just fits,
+# which folds many chunks into a non-empty table
+GOLDEN_TREES = [
+    "a278e0c25f8bcb6bc82828cedadef0331120f04356151fd8e7e62e40c054e949",
+    "7bda26bbe9155d6cef1fdc735b91e38cb2b698828e0962220329942ca42038f2",
+    "313d64fbfc6d2c29f544ad0733837f22e4649db64e487a27553ec39a0c281037",
+    "8d02840335039940c107dcf7755cb9d9bab3064c3537688ad3b69107646b6975",
+    "bc9c17fc53459f1de4a8776766be47f7cfabd4ffb2db543522c2e7511a75ac65",
+    "8ab246d98096be9ed5a2220a3014d7fe485898c0aca71792a6ce3edaeb04be88",
+]
+
+
+def _merged_runs(monkeypatch):
+    """A list that records, per ``_merge`` call, how many sorted runs it folds
+    (the table, if not empty, and each fresh chunk)."""
+    runs = []
+    merge = solvers.RobustSolution._merge
+    monkeypatch.setattr(solvers.RobustSolution, "_merge", lambda self, period, table, done, fresh:
+                        runs.append(bool(len(table)) + len(fresh))
+                        or merge(self, period, table, done, fresh))
+    return runs
+
+
+def test_belief_tree_keys_golden_digests(monkeypatch):
+    runs = _merged_runs(monkeypatch)
+    for i, ((setting, env, models, alpha, solver, _), want) in enumerate(
+            zip(GOLDEN_SOLVES, GOLDEN_TREES)):
+        task = generate_tasks(setting, 1, EnergyParams(**env),
+                              AmbiguityConfig(num_models=models, alpha=alpha),
+                              Rng(31).split(i))[0]
+        solve = solve_pomdp if setting == "pomdp" else solve_apomdp
+        sol = solve(task, BeliefSolverConfig(**solver))
+        runs.clear()
+        tight = solve(task, BeliefSolverConfig(**{**solver, "expansion_chunk": 3},
+                                               node_budget=sol.node_count))
+        assert max(runs) > 1
+        for s in (sol, tight):
+            keys, values = s.to_arrays()
+            assert hashlib.sha256(keys.tobytes() + values.tobytes()).hexdigest() == want
+
+
+def test_budget_exceeded_in_a_multi_run_merge(monkeypatch):
+    # the merge that raises folds several chunks (and a non-empty table)
+    runs = _merged_runs(monkeypatch)
+    pomdp = tiny_energy_pomdp(horizon=4)
+    for budget, chunk, period, nodes in ((30, 3, 3, 43), (80, 3, 4, 95), (120, 3, 4, 130),
+                                         (150, 4, 4, 160)):
+        runs.clear()
+        with pytest.raises(BudgetExceeded) as info:
+            solve_pomdp(pomdp, BeliefSolverConfig(node_budget=budget, expansion_chunk=chunk))
+        assert (info.value.period, info.value.nodes) == (period, nodes)
+        assert runs[-1] > 1
+
+
 def test_solve_decodes_at_most_a_chunk_and_a_row_at_a_time(monkeypatch):
     decoded = []
     beliefs = solvers.RobustSolution._beliefs
