@@ -20,11 +20,14 @@ worst-case (alpha = 1) and best-case (alpha = 0) planning.
 
 Values are stored at quantized representatives: ``value(t, b)`` returns the
 value of the grid point nearest ``b`` under largest-remainder rounding.  Each
-level is stored once, as the sorted byte view of its keys that deduplication
-and lookups share, and expanded once; actions with equal kernels in every
-model are expanded once; and the node budget is checked while a level is
-built (see ``RobustSolution``).  Queries off the solved tree lazily expand the
-missing subtree and are not held to the budget.
+level is stored once, as the sorted byte view of its keys, and expanded
+once.  Deduplication ranks the keys as packed integers (``_unique_keys``),
+where a byte sort of the view would be slower, and lookups still search the
+shared byte view; a level built from one chunk of parents is that chunk's
+distinct children as ranked, not sorted again.  Actions with equal kernels in
+every model are expanded once, and the node budget is checked while a level
+is built (see ``RobustSolution``).  Queries off the solved tree lazily expand
+the missing subtree and are not held to the budget.
 """
 
 from __future__ import annotations
@@ -179,6 +182,31 @@ def _view_rows(view: np.ndarray) -> np.ndarray:
     return view.view(">i4").reshape(len(view), view.dtype.itemsize // 4)
 
 
+def _unique_keys(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(view, return_inverse=True)`` of a ``_row_order_view``, with
+    an int32 inverse, by integer ranks instead of a byte sort.
+
+    With ``radix`` one above the largest entry, each pass packs the rank of
+    the columns so far and as many next columns as keep the pack below 2**62
+    (always one at least) into one int64, whose rank ``np.unique`` takes as a
+    number; two passes cover ten columns of entries up to 1000.  Columns are
+    packed one at a time, in place, so no (n, k) int64 copy is made."""
+    rows = _view_rows(view)
+    rank = np.zeros(len(view), dtype=np.int64)
+    radix, distinct = int(rows.max(initial=0)) + 1, 1
+    for col in range(rows.shape[1]):
+        if distinct * radix > 2 ** 62:  # the pack is full: rank it
+            uniq, rank = np.unique(rank, return_inverse=True)
+            distinct = len(uniq)
+        rank *= radix
+        rank += rows[:, col]
+        distinct *= radix
+    uniq, rank = np.unique(rank, return_inverse=True)
+    first = np.empty(len(uniq), dtype=np.int64)
+    first[rank] = np.arange(len(view))  # equal ranks are equal rows
+    return view[first], rank.astype(np.int32)
+
+
 # ---------------------------------------------------------------------------
 # belief-tree engine
 
@@ -280,9 +308,16 @@ class RobustSolution:
             raise BudgetExceeded(self.config.node_budget, period, nodes)
 
     def _merge(self, period: int, table: np.ndarray, done: list, fresh: list):
-        """Fold ``fresh`` chunks (weights, distinct rows, inverse) into the sorted
-        view ``table``, checking the budget; returns the merged table and every
-        chunk's (weights, positions of its unpruned children in that table)."""
+        """Fold ``fresh`` chunks (weights, sorted distinct rows, inverse) into
+        the sorted view ``table``, checking the budget; returns the merged table
+        and every chunk's (weights, positions of its unpruned children in that
+        table).  One chunk into an empty table is the table as it stands, its
+        inverse the positions; two or more runs are sorted together in place
+        and located by ``searchsorted``."""
+        if not len(table) and len(fresh) == 1:
+            weights, rows, inverse = fresh[0]
+            self._check_budget(period, self.node_count + len(rows))
+            return rows, [(weights, inverse)]
         merged = np.concatenate([table] + [rows for _, rows, _ in fresh])
         merged.sort()  # np.unique would sort a copy
         first = np.concatenate(([True], merged[1:] != merged[:-1]))
@@ -337,9 +372,8 @@ class RobustSolution:
             limit = min(4_000_000, cfg.node_budget - self.node_count)
             for start in range(0, len(parents), step):
                 keys, weights = self._expand_chunk(self._beliefs(parents[start:start + step]))
-                rows, inverse = np.unique(_row_order_view(keys[weights > 0.0]),
-                                          return_inverse=True)
-                fresh.append((weights, rows, inverse.astype(np.int32)))
+                rows, inverse = _unique_keys(_row_order_view(keys[weights > 0.0]))
+                fresh.append((weights, rows, inverse))
                 pending += len(rows)
                 if pending > max(limit, 1.5 * len(table)) or start + step >= len(parents):
                     table, done = self._merge(period, table, done, fresh)
@@ -405,7 +439,7 @@ class RobustSolution:
         if not missing.any():
             return vals
         cache = self._extra[t]
-        uniq, inverse = np.unique(view[missing], return_inverse=True)
+        uniq, inverse = _unique_keys(view[missing])
         names = uniq.tolist()
         found = [cache.get(name) for name in names]
         new = [i for i, v in enumerate(found) if v is None]

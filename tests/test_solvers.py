@@ -42,6 +42,7 @@ from decisionlab.solvers import (
     solve_pomdp,
     solve_stacked,
     _row_order_view,
+    _unique_keys,
     _view_rows,
 )
 
@@ -201,6 +202,41 @@ def test_byte_view_dedupe_matches_row_unique(rows, cut):
     np.testing.assert_array_equal(_view_rows(table), np.unique(rows, axis=0))
     for (_, pos), part in zip(done, parts):
         assert np.array_equal(table[pos], part)
+
+
+def _assert_unique_keys(rows):
+    view = _row_order_view(rows)
+    uniq, inverse = _unique_keys(view)
+    want_uniq, want_inverse = np.unique(view, return_inverse=True)
+    assert uniq.dtype == view.dtype and uniq.tobytes() == want_uniq.tobytes()
+    assert inverse.dtype == np.int32 and np.array_equal(inverse, want_inverse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.int32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
+                  elements=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1))),
+       st.integers(0, 3))
+def test_unique_keys_is_the_byte_views_unique(rows, repeat):
+    _assert_unique_keys(np.concatenate([rows, rows[::-1][:repeat]]))
+
+
+def test_unique_keys_of_zero_rows_one_row_and_one_column():
+    for rows in (np.zeros((0, 3)), np.zeros((0, 1)), [[7, 0, 2]], [[5]], [[2], [0], [2], [9]],
+                 [[2 ** 31 - 1] * 3] * 2):
+        _assert_unique_keys(np.array(rows, dtype=np.int32))
+
+
+def test_a_one_chunk_level_is_the_chunk_as_the_general_merge_builds_it():
+    sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
+    rows = np.random.default_rng(5).integers(0, 4, size=(300, 3)).astype(np.int32)
+    uniq, inverse = _unique_keys(_row_order_view(rows))
+    table, done = sol._merge(2, uniq[:0], [], [("w", uniq, inverse)])
+    assert table is uniq and done[0][0] == "w" and done[0][1] is inverse
+    # a second, empty chunk sends the same rows through the sort and searchsorted
+    empty = (None, uniq[:0], inverse[:0])
+    general, moved = sol._merge(2, uniq[:0], [], [("w", uniq, inverse), empty])
+    assert general.tobytes() == table.tobytes()
+    assert moved[0][1].dtype == np.int32 and np.array_equal(moved[0][1], inverse)
 
 
 def test_quantize_belief_roundtrip():
