@@ -21,10 +21,10 @@ worst-case (alpha = 1) and best-case (alpha = 0) planning.
 Values are stored at quantized representatives: ``value(t, b)`` returns the
 value of the grid point nearest ``b`` under largest-remainder rounding.  Each
 level is stored once, as the sorted byte view of its keys, and expanded
-once.  Deduplication ranks the keys as packed integers (``_unique_keys``),
-where a byte sort of the view would be slower, and lookups still search the
-shared byte view; a level built from one chunk of parents is that chunk's
-distinct children as ranked, not sorted again.  Actions with equal kernels in
+once.  Deduplication ranks the keys as packed integers (``_unique_keys``)
+instead of sorting their bytes, and lookups still search the shared byte
+view; a level built from one chunk of parents is that chunk's distinct
+children as ranked, not sorted again.  Actions with equal kernels in
 every model are expanded once, and the node budget is checked while a level
 is built (see ``RobustSolution``).  Queries off the solved tree lazily expand
 the missing subtree and are not held to the budget.

@@ -197,8 +197,8 @@ def test_byte_view_dedupe_matches_row_unique(rows, cut):
     table, done = view[:0], []
     sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
     for part in parts:
-        uniq, inverse = np.unique(part, return_inverse=True)
-        table, done = sol._merge(2, table, done, [(None, uniq, inverse.astype(np.int32))])
+        uniq, inverse = _unique_keys(part)
+        table, done = sol._merge(2, table, done, [(None, uniq, inverse)])
     np.testing.assert_array_equal(_view_rows(table), np.unique(rows, axis=0))
     for (_, pos), part in zip(done, parts):
         assert np.array_equal(table[pos], part)
@@ -738,7 +738,8 @@ def test_belief_tree_keys_golden_digests(monkeypatch):
 
 
 def test_budget_exceeded_in_a_multi_run_merge(monkeypatch):
-    # the merge that raises folds several chunks (and a non-empty table)
+    # the merge that raises folds two or more sorted runs: fresh chunks, or
+    # fresh chunks and a non-empty table
     runs = _merged_runs(monkeypatch)
     pomdp = tiny_energy_pomdp(horizon=4)
     for budget, chunk, period, nodes in ((30, 3, 3, 43), (80, 3, 4, 95), (120, 3, 4, 130),
