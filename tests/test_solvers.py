@@ -16,8 +16,9 @@ from decisionlab.core import (
     TabularTask,
     belief_predictive,
     belief_update,
+    belief_updates,
 )
-from decisionlab.core import Rng
+from decisionlab.core import Rng, _validated_probs
 from decisionlab.envs import (
     AmbiguityConfig,
     DarkroomTask,
@@ -448,6 +449,38 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
     small, grown_small, answers_small = ask(range(len(queries)), tight)
     assert answers_small == answers
     assert grown_small > grown
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 64), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_one_row_products_are_the_per_row_loops_bit_for_bit(S, A, n, O, fortran, seed):
+    # the immediate reward of a lazily built node, a QMDP score and a belief
+    # prediction are each one row's own product, whatever rows share its
+    # batch and however the batch lies in memory
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(S), size=(S, A))
+    Q = rng.dirichlet(np.ones(O), size=(S, A))
+    task = TabularTask("pomdp", [KernelPair(P, Q)], rng.standard_normal((S, A)),
+                       np.full(S, 1.0 / S), 2, 0.9)
+    P, Q = task.models[0].transition, task.models[0].observation
+    beliefs = _validated_probs(rng.dirichlet(np.full(S, 0.5), size=n), "belief")
+    if fortran:
+        beliefs = np.asfortranarray(beliefs)
+    action, obs = rng.integers(0, A, size=n), rng.integers(0, O, size=n)
+
+    now = solve_pomdp(task)._backup(task.horizon - 1, beliefs)
+    assert now.tobytes() == np.array([row @ task.reward for row in beliefs]).tobytes()
+
+    mdp = solve_mdp(task)
+    q = mdp.q_values(1)
+    want = [int((row @ q).argmax()) for row in beliefs]
+    assert mdp.qmdp_actions(1, beliefs).tolist() == want
+
+    pred = np.array([row @ P[:, a, :] for row, a in zip(beliefs, action.tolist())])
+    post = pred * Q[:, action, obs].T
+    want = _validated_probs(post / post.sum(axis=1)[:, None], "belief")
+    assert belief_updates(beliefs, action, obs, P, Q).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
