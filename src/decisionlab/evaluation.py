@@ -152,6 +152,8 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
     environment draws are identical.  The report's ``reference`` is
     ``_reference_label(oracles)``.  ``jobs`` is as in ``_map_tasks``.
     """
+    if rollouts_per_task < 1:
+        raise ValueError("rollouts_per_task must be an integer >= 1")
     if len(tasks) != len(oracles):
         raise ValueError("tasks and oracles must align")
     handles = policy if isinstance(policy, list) else [policy] * len(tasks)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, KernelPair, TabularTask
+from .core import Belief, KernelPair, TabularTask, _row_products
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,10 +88,10 @@ class MdpSolution:
         return int(self.qmdp_actions(t, belief.probs[None, :])[0])
 
     def qmdp_actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
-        """``qmdp_action`` at each row of ``beliefs`` (n, S): Q_t is computed
-        once, and each row is scored by its own one-row product."""
-        q = self.q_values(t)
-        return np.array([(row @ q).argmax() for row in beliefs])
+        """``qmdp_action`` at each row of ``beliefs`` (n, S), an empty array
+        for zero rows: Q_t is computed once, and each row is scored by its
+        own one-row product (``core._row_products``)."""
+        return _row_products(beliefs, self.q_values(t)).argmax(axis=1)
 
 
 def solve_mdp(task: TabularTask) -> MdpSolution:
@@ -410,13 +410,14 @@ class RobustSolution:
 
     def _backup(self, t: int, beliefs: np.ndarray) -> np.ndarray:
         """Action values (c, A) of a batch of beliefs at 0-based period t,
-        building the children missing from the tree on demand.
+        building the children missing from the tree on demand; at the last
+        period, the immediate rewards alone.
 
-        The immediate reward is taken one row at a time: BLAS rounds a one-row
-        product (gemv) differently from a batch (gemm), and a lazily built
-        node's value must not depend on which nodes share its batch.
+        Each immediate reward is its row's one-row product
+        (``core._row_products``), so a lazily built node's value does not
+        depend on which nodes share its batch.
         """
-        now = np.array([b @ self.task.reward for b in beliefs])
+        now = _row_products(beliefs, self.task.reward)
         if t == self.task.horizon - 1:
             return now
         keys, weights = self._expand_chunk(beliefs)
@@ -481,16 +482,17 @@ class RobustSolution:
         return int(self.actions(t, belief.probs[None, :])[0])
 
     def actions(self, t: int, beliefs: np.ndarray) -> np.ndarray:
-        """``action`` at each row of ``beliefs`` (n, S): the distinct rows are
-        backed up together, ``expansion_chunk`` at a time, each chunk as one
-        query.  A row's action values do not depend on the rows that share
-        its chunk (see ``_backup``), so each answer is the one-row query's."""
+        """``action`` at each row of ``beliefs`` (n, S), an empty array for
+        zero rows: the distinct rows are backed up together,
+        ``expansion_chunk`` at a time, each chunk as one query.  A row's
+        action values do not depend on the rows that share its chunk (see
+        ``_backup``), so each answer is the one-row query's."""
         rows, inverse = _distinct_rows(beliefs)
-        step, chunks = self.config.expansion_chunk, []
+        step, actions = self.config.expansion_chunk, np.empty(len(rows), dtype=np.intp)
         for i in range(0, len(rows), step):
             self._start_query(t)
-            chunks.append(self._backup(t - 1, rows[i:i + step]).argmax(axis=1))
-        return np.concatenate(chunks)[inverse]
+            actions[i:i + step] = self._backup(t - 1, rows[i:i + step]).argmax(axis=1)
+        return actions[inverse]
 
     def to_summary(self) -> dict:
         return {

@@ -125,6 +125,17 @@ def test_optimality_gap_validates_alignment():
         optimality_gap(tasks, oracles, [PolicyHandle.random()], Rng(0))
 
 
+@pytest.mark.parametrize("setting", ["mdp", "pomdp"])
+def test_optimality_gap_rejects_fewer_than_one_rollout(setting):
+    tasks = generate_tasks(setting, 2, EnergyParams(energy_cap=3, horizon=3),
+                           AmbiguityConfig(), Rng(2))
+    oracles = [reference_policy(task)[0] for task in tasks]
+    for rollouts in (0, -1):
+        with pytest.raises(ValueError, match="rollouts_per_task"):
+            optimality_gap(tasks, oracles, PolicyHandle.random(), Rng(0),
+                           rollouts_per_task=rollouts)
+
+
 def count_episodes(monkeypatch) -> list[str]:
     """The policy kind of every episode evaluation steps or rolls out."""
     kinds = []

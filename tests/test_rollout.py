@@ -394,6 +394,24 @@ def test_belief_episode_returns_equal_rollout_bit_for_bit(task):
         assert _stepped_returns(task, handle, rngs) == expected, kind
 
 
+@pytest.mark.parametrize("task", [tiny_energy_mdp(), *_belief_tasks()[2::3]],
+                         ids=lambda task: f"{task.kind}-S{task.num_states}-T{task.horizon}")
+def test_zero_episodes_step_to_zero_returns(task):
+    for kind, handle in _handles(task).items() if task.kind != "mdp" else (
+            ("random", PolicyHandle.random()), ("oracle", reference_policy(task)[0])):
+        actions = np.empty((0, task.horizon), dtype=np.int64) if kind == "random" else None
+        returns = episode_returns(task, handle, np.empty((0, env_draws(task))), actions)
+        assert returns.shape == (0,) and returns.dtype == np.float64, kind
+
+
+def test_belief_updates_of_zero_rows_are_empty():
+    task = tiny_energy_pomdp()
+    model, none = task.models[0], np.empty(0, dtype=np.int64)
+    got = belief_updates(np.empty((0, task.num_states)), none, none,
+                         model.transition, model.observation)
+    assert got.shape == (0, task.num_states) and got.dtype == np.float64
+
+
 def test_belief_updates_replay_belief_update_bit_for_bit():
     # the returns hide a last-bit difference in a belief unless it flips an
     # action, so the batched update is pinned on its own

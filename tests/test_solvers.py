@@ -483,6 +483,15 @@ def test_one_row_products_are_the_per_row_loops_bit_for_bit(S, A, n, O, fortran,
     assert belief_updates(beliefs, action, obs, P, Q).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("query", ["actions", "qmdp_actions"])
+def test_zero_beliefs_get_zero_actions(query):
+    task = tiny_energy_pomdp(horizon=3)
+    sol = (solve_pomdp if query == "actions" else solve_mdp)(task)
+    answers = getattr(sol, query)(2, np.empty((0, task.num_states)))
+    one = getattr(sol, query)(2, task.initial_dist[None, :])
+    assert answers.shape == (0,) and answers.dtype == one.dtype == np.intp
+
+
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
 def test_a_batch_query_answers_as_one_query_per_belief(setting):
     task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
