@@ -461,8 +461,9 @@ def test_one_row_products_are_the_per_row_loops_bit_for_bit(S, A, n, O, fortran,
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(S), size=(S, A))
     Q = rng.dirichlet(np.ones(O), size=(S, A))
-    task = TabularTask("pomdp", [KernelPair(P, Q)], rng.standard_normal((S, A)),
-                       np.full(S, 1.0 / S), 2, 0.9)
+    # reward columns a few ulps apart, so that a QMDP argmax reads rounding
+    reward = rng.standard_normal(S)[:, None] * (1.0 + rng.integers(-4, 5, A) * 2.0 ** -52)
+    task = TabularTask("pomdp", [KernelPair(P, Q)], reward, np.full(S, 1.0 / S), 2, 0.9)
     P, Q = task.models[0].transition, task.models[0].observation
     beliefs = _validated_probs(rng.dirichlet(np.full(S, 0.5), size=n), "belief")
     if fortran:
@@ -473,9 +474,10 @@ def test_one_row_products_are_the_per_row_loops_bit_for_bit(S, A, n, O, fortran,
     assert now.tobytes() == np.array([row @ task.reward for row in beliefs]).tobytes()
 
     mdp = solve_mdp(task)
-    q = mdp.q_values(1)
-    want = [int((row @ q).argmax()) for row in beliefs]
-    assert mdp.qmdp_actions(1, beliefs).tolist() == want
+    for t in (1, task.horizon):  # Q_T is the reward itself
+        q = mdp.q_values(t)
+        want = [int((row @ q).argmax()) for row in beliefs]
+        assert mdp.qmdp_actions(t, beliefs).tolist() == want
 
     pred = np.array([row @ P[:, a, :] for row, a in zip(beliefs, action.tolist())])
     post = pred * Q[:, action, obs].T
