@@ -1,9 +1,9 @@
 """Shared fixtures and independent reference computations.
 
 The reference implementations here (policy enumeration, unmemoized
-expectimax, robust hand recursion, BFS) are deliberately naive and written
-against the math directly, so solver tests compare two genuinely different
-computations.
+expectimax, robust hand recursion, BFS, a per-episode rollout loop) are
+deliberately naive and written against the math directly, so solver and
+stepper tests compare two genuinely different computations.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decisionlab.core import KernelPair, TabularTask
+from decisionlab.core import Belief, KernelPair, TabularTask, Trajectory, belief_update
 from decisionlab.envs import energy_kernels, noisy_level_observation
 
 ACCEPTANCE_LINES: list[str] = []
@@ -169,6 +169,58 @@ def darkroom_bfs_distance(goal: tuple[int, int], size: int = 10) -> int:
                 seen[(nr, nc)] = seen[(r, c)] + 1
                 queue.append((nr, nc))
     raise AssertionError("goal unreachable")
+
+
+def reference_rollout(task: TabularTask, policy, rng, task_id: str = ""):
+    """One episode, stepped one period at a time: ``rollout`` as a scalar loop.
+
+    The environment draws each uniform from ``rng.split(0)`` as it needs it
+    (``Rng.draw_index``): the initial state, on a belief task the first
+    observation (kernel slot 0), then a transition and, on a belief task, an
+    observation per later period.  A random policy draws ``integers(0, A)``
+    from ``rng.split(1)`` once per period; an oracle acts by its solution's
+    ``action`` (on the state, or on the nominal Bayes belief), a qmdp handle
+    by ``qmdp_action``, and an external one sends one request per period,
+    with invalid actions mapped to 0 and counted.  Handles are not checked
+    against the task.  Returns ``rollout``'s ``RolloutResult``.
+    """
+    from decisionlab.rollout import InvalidAction, RolloutResult
+
+    env_rng, policy_rng = rng.split(0), rng.split(1)
+    nominal = task.models[0]
+    transition, observation = nominal.transition, nominal.observation
+    traj, invalid = Trajectory(task_id), 0
+    state = env_rng.draw_index(task.initial_dist)
+    obs, belief, beliefs = state, None, None
+    if observation is not None:
+        obs = env_rng.draw_index(observation[state, 0])
+        belief = Belief(task.initial_dist)
+        beliefs = [belief]
+    for t in range(1, task.horizon + 1):
+        if policy.kind == "random":
+            action = int(policy_rng.integers(0, task.num_actions))
+        elif policy.kind == "qmdp":
+            action = policy.solution.qmdp_action(t, belief)
+        elif policy.kind == "oracle":
+            action = policy.solution.action(t, obs if belief is None else belief)
+        else:
+            request = {"task_id": task_id, "step": t, "context": policy.context,
+                       "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
+                                   for s in traj.steps],
+                       "current_obs": int(obs), "num_actions": task.num_actions}
+            try:
+                action = policy.client.query(request, task.num_actions)
+            except InvalidAction:
+                action, invalid = 0, invalid + 1
+        traj.append(obs, action, float(task.reward[state, action]))
+        if t < task.horizon:
+            state = env_rng.draw_index(transition[state, action])
+            obs = state
+            if observation is not None:
+                obs = env_rng.draw_index(observation[state, action])
+                belief = belief_update(belief, action, obs, transition, observation)
+                beliefs.append(belief)
+    return RolloutResult(traj, traj.discounted_return(task.discount), beliefs, invalid)
 
 
 @pytest.fixture

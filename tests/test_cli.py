@@ -668,6 +668,114 @@ def test_report_golden_digests(tmp_path):
     assert digests == GOLDEN_REPORT_DIGESTS
 
 
+# SHA-256 of ``export``'s corpus and its sibling manifest, per setting and
+# format; "fallback" is the pomdp with a node budget that forces qmdp-fallback
+# oracles, noisy enough that they label some steps unlike the exact ones.
+GOLDEN_CORPUS_DIGESTS = {
+    "mdp/sft/sft.jsonl":
+        "d4a69538da9886e4d7a3f83d1e404c7f8f6118f861b7a87e77f728cfef02d941",
+    "mdp/sft/sft.jsonl.manifest.json":
+        "5d6584c690bd9e38097ff357e7f4b530960836c4b8d1b17ca9f5d265d3a3032f",
+    "mdp/dpt/dpt.jsonl":
+        "bf594d1787533e7aaa61d82945fa313ac6ed2d5ad7a86a4cd8aa7dbfc1faad96",
+    "mdp/dpt/dpt.jsonl.manifest.json":
+        "d4712282b109fcb39faf86c428d076f76174153c087a6037cedcb0fdd3b16584",
+    "pomdp/sft/sft.jsonl":
+        "2cf3640759b303e970ad35b31e1f5febe0985487e61066855f1140a9db448d34",
+    "pomdp/sft/sft.jsonl.manifest.json":
+        "b7bc6e249b34e4204e398255ba28fdf3dcb39ed7bbde9f4766361a1087fdc8eb",
+    "pomdp/dpt/dpt.jsonl":
+        "ccd0fcdb393f863efa4d94f52d1809aee921f4eaf77e0a8db6131ab2b120f143",
+    "pomdp/dpt/dpt.jsonl.manifest.json":
+        "4cda601770f9777b6d978517d94960e6b08e894cabea063e44288ddf604a5ba6",
+    "apomdp/sft/sft.jsonl":
+        "d905c0d32738a5284ad1a8ad778da324199042085e9a2debfceab293bd498638",
+    "apomdp/sft/sft.jsonl.manifest.json":
+        "dd8661ad58c43a69e7b0d52b9b32f26753bda40996b7556d8d1b3db2c5e4bca2",
+    "apomdp/dpt/dpt.jsonl":
+        "a960e957a2f3fc50e4ffbfc543bc90bc2517406e3d5393d7a8e7eab45f9e14ff",
+    "apomdp/dpt/dpt.jsonl.manifest.json":
+        "a77b24ee918d5ce32ca1a40f73ee4abb5ecba855d63eb488ce1f8dfd205e2e31",
+    "fallback/sft/sft.jsonl":
+        "534ad7fc7413eb2410f94929ef2c06df0e76e78fbd63edbb6b43493d272f1796",
+    "fallback/sft/sft.jsonl.manifest.json":
+        "2b07b72aaaa2ce2b863710923f69dc3736e72915e90473a658f856631b5c36ba",
+    "fallback/dpt/dpt.jsonl":
+        "9fb9beb56f67dac881b23dc50ff1c09cbedc74e21eec8db37582965d2cb74527",
+    "fallback/dpt/dpt.jsonl.manifest.json":
+        "076febbf0b2caa6ec09344fb48340541431ced767cbeca8a16a56a98b808fbac",
+}
+
+NOISY_ENV = {"energy_cap": 4, "horizon": 4, "obs_prob": 0.6}
+CORPUS_CASES = {
+    "mdp": {"setting": "mdp"},
+    "pomdp": {"setting": "pomdp", "env": NOISY_ENV},
+    "apomdp": {"setting": "apomdp", "env": {"energy_cap": 3, "horizon": 3},
+               "ambiguity": {"num_models": 2}},
+    "fallback": {"setting": "pomdp", "env": NOISY_ENV, "solver": {"node_budget": 50}},
+}
+
+
+def test_corpus_golden_digests(tmp_path):
+    digests = {}
+    for name, case in CORPUS_CASES.items():
+        for fmt in ("sft", "dpt"):
+            cfg = write_config(tmp_path, f"{name}-{fmt}.json", **case, dataset={
+                "format": fmt, "trajectories_per_task": 3, "records_per_task": 4,
+                "context_trajectories": 2})
+            out = tmp_path / name / fmt
+            _run(cfg, out, "gen", "export")
+            labels = json.loads((out / "corpus" / f"{fmt}.jsonl.manifest.json").read_text())
+            assert labels["reference_labels"] == {
+                "qmdp-fallback" if name == "fallback" else "exact": 3}
+            for path in (out / "corpus" / f"{fmt}.jsonl",
+                         out / "corpus" / f"{fmt}.jsonl.manifest.json"):
+                digests[f"{name}/{fmt}/{path.name}"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_CORPUS_DIGESTS
+
+
+# Appends every request line it reads to the file named by argv[1], then
+# replies as ECHO_POLICY does.
+RECORD_POLICY = """\
+import json, sys
+with open(sys.argv[1], "ab") as log:
+    for line in sys.stdin.buffer:
+        log.write(line)
+        log.flush()
+        request = json.loads(line)
+        print(json.dumps({"action": request["current_obs"] % request["num_actions"]}),
+              flush=True)
+"""
+
+# SHA-256 of every byte ``eval --policy external`` sends over the child
+# transport, in order (3 tasks, 4 episodes each).
+GOLDEN_REQUEST_STREAM_DIGESTS = {
+    "mdp":
+        "45fd8efab0e0566d8532a7a448a5b52d4dbc3f8bb92e5ed4a32248305423e52f",
+    "pomdp":
+        "5330a1cb85b3fcff6cc775e34f8c772104c53e97c5bd639edb5851232b14a46b",
+}
+
+
+def test_external_request_stream_golden_digests(tmp_path):
+    script = tmp_path / "policy.py"
+    script.write_text(RECORD_POLICY)
+    digests = {}
+    for setting in ("mdp", "pomdp"):
+        log = tmp_path / f"{setting}.ndjson"
+        cfg = write_config(tmp_path, f"{setting}.json", setting=setting, eval={
+            "policy": "external", "rollouts_per_task": 4,
+            "external": {"transport": "child", "timeout": 30.0,
+                         "argv": [sys.executable, str(script), str(log)]}})
+        _run(cfg, tmp_path / setting, "gen", "eval")
+        lines = log.read_bytes().splitlines()
+        assert len(lines) == 3 * 4 * FAST_CONFIG["env"]["horizon"]
+        assert [json.loads(line)["step"] for line in lines[:4]] == [1, 2, 3, 4]
+        digests[setting] = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert digests == GOLDEN_REQUEST_STREAM_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # oracles that solve stored, loaded by export and eval
 

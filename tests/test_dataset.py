@@ -19,10 +19,10 @@ from decisionlab.dataset import (
     write_csv,
     write_jsonl,
 )
-from decisionlab.rollout import PolicyHandle, rollout
+from decisionlab.rollout import PolicyHandle
 from decisionlab.solvers import solve_mdp
 
-from conftest import tiny_energy_mdp
+from conftest import reference_rollout, tiny_energy_mdp
 
 
 def make_traj(steps):
@@ -153,7 +153,7 @@ def test_sft_corpus_replayable_from_recorded_streams():
         assert rec["context"].startswith("TRAJ 1: ")
         # audit: re-simulate every rollout from its recorded (seed, stream)
         for (seed, stream), text in zip(rec["rollout_streams"], rec["trajectories"]):
-            replay = rollout(task, policy, Rng(seed, stream), task_id=rec["task_id"])
+            replay = reference_rollout(task, policy, Rng(seed, stream), task_id=rec["task_id"])
             assert encode(replay.trajectory) == text
         # context blocks are exactly the recorded trajectories
         lines = rec["context"].split("\n")
@@ -182,9 +182,19 @@ def test_sft_corpus_encodes_each_trajectory_once(monkeypatch):
     assert records == expected
     assert calls == [f"task_{i:04d}" for i in range(10) for _ in range(3)]
     # the context is build_context's text of the same trajectories
-    replays = [rollout(tasks[0], policies[0], Rng(seed, stream), task_id="task_0000")
+    replays = [reference_rollout(tasks[0], policies[0], Rng(seed, stream), task_id="task_0000")
                for seed, stream in records[0]["rollout_streams"]]
     assert records[0]["context"] == build_context([r.trajectory for r in replays])
+
+
+def test_sft_corpus_of_zero_trajectories_has_empty_contexts():
+    tasks = [tiny_energy_mdp(horizon=3), tiny_energy_mdp(p=0.6, horizon=3)]
+    records = build_sft_corpus(tasks, [PolicyHandle.random()] * 2, Rng(2),
+                               trajectories_per_task=0)
+    assert [rec["task_id"] for rec in records] == ["task_0000", "task_0001"]
+    for rec in records:
+        assert rec["context"] == "" and rec["trajectories"] == []
+        assert rec["rollout_streams"] == []
 
 
 def test_sft_corpus_validates_alignment():
@@ -205,7 +215,7 @@ def test_dpt_records_label_is_oracle_action_at_query():
     for rec in records:
         # replay the oracle rollout and check the stored query/label pair
         seed, stream = rec["query_stream"]
-        replay = rollout(task, PolicyHandle.oracle(sol), Rng(seed, stream))
+        replay = reference_rollout(task, PolicyHandle.oracle(sol), Rng(seed, stream))
         step = replay.trajectory.steps[rec["query_step"] - 1]
         assert rec["query_obs"] == step.obs
         assert rec["label"] == step.action
@@ -228,10 +238,28 @@ def test_dpt_context_tuples_chain_within_trajectories():
                 assert row[2] == nxt[0]
         # context is replayable from its recorded streams
         for k, (seed, stream) in enumerate(rec["context_streams"]):
-            replay = rollout(task, PolicyHandle.random(), Rng(seed, stream))
+            replay = reference_rollout(task, PolicyHandle.random(), Rng(seed, stream))
             block = tuples[k * task.horizon:(k + 1) * task.horizon]
             assert [r[0] for r in block] == [s.obs for s in replay.trajectory.steps]
             assert [r[1] for r in block] == [s.action for s in replay.trajectory.steps]
+
+
+def test_dpt_records_without_context_trajectories_have_empty_contexts():
+    task = tiny_energy_mdp(horizon=4)
+    sol = solve_mdp(task)
+    records = build_dpt_dataset([task], [PolicyHandle.oracle(sol)], Rng(44),
+                                records_per_task=3, context_trajectories=0)
+    assert len(records) == 3
+    for rec in records:
+        assert rec["context"] == [] and rec["context_streams"] == []
+        # the query episode runs on the first split, the pick on the second
+        rec_rng = Rng(44).split(0).split(rec["record_index"])
+        assert rec["query_stream"] == [rec_rng.seed, rec_rng.split(0).stream]
+        replay = reference_rollout(task, PolicyHandle.oracle(sol), rec_rng.split(0))
+        t_star = int(rec_rng.split(1).integers(1, task.horizon + 1))
+        assert rec["query_step"] == t_star
+        assert rec["query_obs"] == replay.trajectory.steps[t_star - 1].obs
+        assert rec["label"] == replay.trajectory.steps[t_star - 1].action
 
 
 def test_dpt_query_period_spans_horizon():

@@ -33,7 +33,7 @@ from decisionlab.rollout import PolicyHandle, rollout
 from decisionlab.solvers import (BeliefSolverConfig, RobustSolution, solve_mdp, solve_pomdp,
                                  solve_stacked)
 
-from conftest import tiny_energy_mdp, uniform_policy_value
+from conftest import reference_rollout, tiny_energy_mdp, uniform_policy_value
 
 
 def battery(n=4, horizon=4):
@@ -230,8 +230,8 @@ def test_task_gap_sums_equal_the_per_episode_rollout_loop():
         opt_sum, eval_sum, invalid = 0.0, 0.0, 0
         for j in range(7):
             if oracle is not None:
-                opt_sum += rollout(task, oracle, task_rng.split(j)).online_return
-            result = rollout(task, handle, task_rng.split(j))
+                opt_sum += reference_rollout(task, oracle, task_rng.split(j)).online_return
+            result = reference_rollout(task, handle, task_rng.split(j))
             eval_sum += result.online_return
             invalid += result.invalid_actions
         assert evaluation._task_gap_sums((task, oracle, handle, "t", task_rng, 7)) == (
@@ -254,7 +254,7 @@ def test_each_stepped_belief_return_is_the_rollout_return(monkeypatch):
             evaluation._task_gap_sums((task, oracle, handle, "t", task_rng, 9))
             assert [policy for _, policy, _ in stepped] == [oracle, handle]
             for _, policy, returns in stepped:
-                assert returns == [rollout(task, policy, task_rng.split(j)).online_return
+                assert returns == [reference_rollout(task, policy, task_rng.split(j)).online_return
                                    for j in range(9)]
 
 
@@ -486,10 +486,10 @@ def test_stacked_darkroom_episodes_equal_rollout_bit_for_bit(size, horizon):
     tasks = [DarkroomTask(goal, size, horizon).to_mdp() for goal in goals]
     for kind in ("random", "oracle"):
         returns = evaluation._goal_returns(kind, tasks[0], rewards, policy, rngs)
-        expected = [rollout(tasks[k // per_goal],
-                            PolicyHandle.random() if kind == "random"
-                            else PolicyHandle.oracle(solve_mdp(tasks[k // per_goal])),
-                            rng).online_return
+        expected = [reference_rollout(tasks[k // per_goal],
+                                      PolicyHandle.random() if kind == "random"
+                                      else PolicyHandle.oracle(solve_mdp(tasks[k // per_goal])),
+                                      rng).online_return
                     for k, rng in enumerate(rngs)]
         assert returns.tolist() == expected
         assert any(expected)

@@ -34,7 +34,7 @@ from decisionlab.rollout import (
 from decisionlab.evaluation import evaluation_policy, reference_policy
 from decisionlab.solvers import BeliefSolverConfig, solve_apomdp, solve_mdp, solve_pomdp
 
-from conftest import tiny_energy_mdp, tiny_energy_pomdp
+from conftest import reference_rollout, tiny_energy_mdp, tiny_energy_pomdp
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_episode_returns_equal_rollout_bit_for_bit(task):
     task_rng = Rng(2027)
     rngs = [task_rng.split(j) for j in range(12)]
     for handle in (PolicyHandle.random(), PolicyHandle.oracle(solve_mdp(task))):
-        expected = [rollout(task, handle, rng).online_return for rng in rngs]
+        expected = [reference_rollout(task, handle, rng).online_return for rng in rngs]
         assert _stepped_returns(task, handle, rngs) == expected
 
 
@@ -310,8 +310,8 @@ def test_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does():
     edges = [0.0, cum[2], np.nextafter(1.0, 0.0), cum[8], 0.5, cum[0], cum[9], 0.25]
     env = np.array([edges, edges[::-1], np.roll(edges, 3), np.roll(edges, -2)])
     actions = np.array([[0, 1] * 4, [1] * 8, [1, 0, 0, 1, 1, 0, 1, 0], [0] * 8])
-    expected = [rollout(task, PolicyHandle.random(), _FedRng(e.tolist(), a.tolist())
-                        ).online_return for e, a in zip(env, actions)]
+    expected = [reference_rollout(task, PolicyHandle.random(), _FedRng(e.tolist(), a.tolist())
+                                  ).online_return for e, a in zip(env, actions)]
     assert episode_returns(task, PolicyHandle.random(), env, actions).tolist() == expected
 
 
@@ -359,8 +359,11 @@ def _belief_tasks():
 
 def _handles(task):
     """Random, exact oracle, qmdp, and (past horizon 1, where the tree is the
-    root alone) a QMDP-fallback oracle from a tight budget."""
+    root alone) a QMDP-fallback oracle from a tight budget; on an mdp, random
+    and the exact oracle alone."""
     exact, _ = reference_policy(task)
+    if task.kind == "mdp":
+        return {"random": PolicyHandle.random(), "oracle": exact}
     handles = {"random": PolicyHandle.random(), "oracle": exact,
                "qmdp": evaluation_policy("qmdp", task, exact)}
     if task.horizon > 1:
@@ -390,11 +393,13 @@ def test_belief_episode_returns_equal_rollout_bit_for_bit(task):
     task_rng = Rng(2031)
     rngs = [task_rng.split(j) for j in range(15)]
     for kind, handle in _handles(task).items():
-        expected = [rollout(task, handle, rng).online_return for rng in rngs]
+        expected = [reference_rollout(task, handle, rng).online_return for rng in rngs]
         assert _stepped_returns(task, handle, rngs) == expected, kind
 
 
-@pytest.mark.parametrize("task", _belief_tasks()[2::3],
+@pytest.mark.parametrize("task", _belief_tasks()[2::3] + [
+    gen_energy_mdp(EnergyParams(horizon=5), Rng(45)),
+    DarkroomTask(goal=(2, 3), size=5, horizon=20).to_mdp()],
                          ids=lambda task: f"{task.kind}-S{task.num_states}-T{task.horizon}")
 def test_zero_episodes_step_to_zero_returns(task):
     for kind, handle in _handles(task).items():
@@ -432,12 +437,12 @@ def test_belief_updates_replay_belief_update_bit_for_bit():
 
 def test_belief_episodes_leave_the_solved_tree_as_rollout_does():
     # two fresh oracles of one task: the stepped episodes build exactly the
-    # off-tree nodes that one rollout per episode builds
+    # off-tree nodes that one scalar episode loop per episode builds
     task = gen_energy_pomdp(EnergyParams(energy_cap=5, horizon=5), Rng(61))
     stepped, rolled = (PolicyHandle.oracle(solve_pomdp(task)) for _ in range(2))
     solved = stepped.solution.node_count
     rngs = [Rng(5).split(j) for j in range(30)]
-    expected = [rollout(task, rolled, rng).online_return for rng in rngs]
+    expected = [reference_rollout(task, rolled, rng).online_return for rng in rngs]
     assert _stepped_returns(task, stepped, rngs) == expected
     assert stepped.solution.node_count == rolled.solution.node_count > solved
 
@@ -454,8 +459,8 @@ def test_belief_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does(
     exact = solve_pomdp(task, BeliefSolverConfig(quantization=0.05))
     for handle in (PolicyHandle.random(), PolicyHandle.qmdp(solve_mdp(task)),
                    PolicyHandle.oracle(exact)):
-        expected = [rollout(task, handle, _FedRng(e.tolist(), a.tolist())).online_return
-                    for e, a in zip(env, actions)]
+        expected = [reference_rollout(task, handle, _FedRng(e.tolist(), a.tolist())
+                                      ).online_return for e, a in zip(env, actions)]
         assert episode_returns(task, handle, env, actions).tolist() == expected
 
 
