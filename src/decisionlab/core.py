@@ -304,9 +304,8 @@ def belief_updates(beliefs: np.ndarray, action: np.ndarray, obs: np.ndarray,
     ``transition[:, a, :]``, gathered as an (n, S, S) stack (see
     ``_row_products``), so a row's posterior does not depend on the rows
     that share its batch.  The rest is elementwise or row-wise.
-    ``belief_update`` keeps its own scalar steps: one row through this batch
-    costs 1.2-1.5 times as much at S = 10, and ``rollout`` updates one belief
-    per period.
+    ``belief_update`` keeps its own scalar steps for one belief; every
+    episode, ``rollout``'s one-row episodes included, is updated here.
     """
     pred = _row_products(beliefs, transition.transpose(1, 0, 2)[action])
     post = pred * observation[:, action, obs].T

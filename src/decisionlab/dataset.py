@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 
 from .core import Rng, Trajectory
-from .rollout import PolicyHandle, rollout
+from .rollout import PolicyHandle, rollout, run_episodes
 
 SCHEMA_VERSION = 1
 
@@ -111,6 +111,15 @@ def _stream_pair(rng: Rng) -> list[int]:
     return [rng.seed, rng.stream]
 
 
+def _trajectories(task, policy: PolicyHandle, rngs: list[Rng], task_id: str) -> list[Trajectory]:
+    """The trajectory of ``policy`` on ``task`` from each generator of
+    ``rngs``, stepped together (``run_episodes``); an external policy's roll
+    out one at a time, so its requests go out in episode order."""
+    if policy.kind == "external":
+        return [rollout(task, policy, rng, task_id=task_id).trajectory for rng in rngs]
+    return run_episodes(task, policy, rngs, task_id).trajectories(task_id)
+
+
 def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
                      trajectories_per_task: int = 15,
                      metas: list[dict] | None = None) -> list[dict]:
@@ -118,7 +127,7 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
 
     Each record carries the (seed, stream) pair of every rollout generator, so
     the exact trajectories can be re-simulated for audit given the task and
-    policy.
+    policy.  A task's K episodes are stepped together.
     """
     if len(tasks) != len(policies):
         raise ValueError("tasks and policies must align")
@@ -126,17 +135,14 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
     for i, (task, policy) in enumerate(zip(tasks, policies)):
         task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
-        encoded, streams = [], []
-        for j in range(trajectories_per_task):
-            roll_rng = task_rng.split(j)
-            streams.append(_stream_pair(roll_rng))
-            encoded.append(encode(rollout(task, policy, roll_rng, task_id=task_id).trajectory))
+        rngs = [task_rng.split(j) for j in range(trajectories_per_task)]
+        encoded = [encode(traj) for traj in _trajectories(task, policy, rngs, task_id)]
         records.append({
             "schema_version": SCHEMA_VERSION,
             "task_id": task_id,
             "context": _join_context(encoded),
             "trajectories": encoded,
-            "rollout_streams": streams,
+            "rollout_streams": [_stream_pair(r) for r in rngs],
             "meta": (metas[i] if metas else {}),
         })
     return records
@@ -151,7 +157,8 @@ def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
     Each record pairs ``context_trajectories`` uniform-random rollouts (as
     (obs, action, next_obs, reward) tuples; next_obs is null on final steps)
     with one query drawn from an oracle rollout: a uniformly chosen period's
-    observation, labeled with the oracle's action at that point.
+    observation, labeled with the oracle's action at that point.  A task's
+    context episodes are stepped together, and so are its query episodes.
     """
     if len(tasks) != len(oracles):
         raise ValueError("tasks and oracles must align")
@@ -159,30 +166,25 @@ def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
     for i, (task, oracle) in enumerate(zip(tasks, oracles)):
         task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
-        for j in range(records_per_task):
-            rec_rng = task_rng.split(j)
-            ctx_tuples, ctx_streams = [], []
-            for k in range(context_trajectories):
-                ctx_rng = rec_rng.split(k)
-                ctx_streams.append(_stream_pair(ctx_rng))
-                result = rollout(task, PolicyHandle.random(), ctx_rng, task_id=task_id)
-                steps = result.trajectory.steps
-                for s_idx, step in enumerate(steps):
-                    nxt = steps[s_idx + 1].obs if s_idx + 1 < len(steps) else None
-                    ctx_tuples.append([step.obs, step.action, nxt, step.reward])
-            query_rng = rec_rng.split(context_trajectories)
-            query_streams = _stream_pair(query_rng)
-            result = rollout(task, oracle, query_rng, task_id=task_id)
+        rec_rngs = [task_rng.split(j) for j in range(records_per_task)]
+        ctx_rngs = [r.split(k) for r in rec_rngs for k in range(context_trajectories)]
+        contexts = _trajectories(task, PolicyHandle.random(), ctx_rngs, task_id)
+        query_rngs = [r.split(context_trajectories) for r in rec_rngs]
+        queries = _trajectories(task, oracle, query_rngs, task_id)
+        for j, rec_rng in enumerate(rec_rngs):
+            mine = slice(j * context_trajectories, (j + 1) * context_trajectories)
+            ctx_tuples = [[step.obs, step.action, nxt, step.reward] for traj in contexts[mine]
+                          for step, nxt in zip(traj.steps, [s.obs for s in traj.steps[1:]] + [None])]
             pick_rng = rec_rng.split(context_trajectories + 1)
-            t_star = int(pick_rng.integers(1, len(result.trajectory) + 1))
-            query_step = result.trajectory.steps[t_star - 1]
+            t_star = int(pick_rng.integers(1, len(queries[j]) + 1))
+            query_step = queries[j].steps[t_star - 1]
             records.append({
                 "schema_version": SCHEMA_VERSION,
                 "task_id": task_id,
                 "record_index": j,
                 "context": ctx_tuples,
-                "context_streams": ctx_streams,
-                "query_stream": query_streams,
+                "context_streams": [_stream_pair(r) for r in ctx_rngs[mine]],
+                "query_stream": _stream_pair(query_rngs[j]),
                 "query_step": t_star,
                 "query_obs": query_step.obs,
                 "label": query_step.action,

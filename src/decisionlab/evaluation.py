@@ -27,8 +27,8 @@ import numpy as np
 from .core import Rng
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, darkroom_rewards,
                    gen_energy_apomdp, gen_energy_mdp, gen_energy_pomdp)
-from .rollout import (ExternalPolicyClient, PolicyHandle, env_draws, episode_returns, rollout,
-                      step_returns)
+from .rollout import (ExternalPolicyClient, PolicyHandle, _action_blocks, _env_blocks,
+                      policy_actor, rollout, run_episodes, step_episodes)
 # solve_pomdp is not called here, but perfbench's tracer wraps both belief
 # solvers on this module
 from .solvers import (BeliefSolverConfig, BudgetExceeded, solve_apomdp, solve_mdp, solve_pomdp,
@@ -79,9 +79,9 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
     oracle (None) its mean is 0.
 
     Every handle but an external one steps all its episodes together
-    (``episode_returns``) from block draws of the same streams, and both
-    sides read one environment block per episode.  An external policy rolls
-    out one episode at a time."""
+    (``run_episodes``), and both sides read one environment block per
+    episode.  An external policy rolls out one episode at a time, so its
+    requests go out in episode order."""
     task, oracle, handle, task_id, task_rng, rollouts = args
     rngs = [task_rng.split(j) for j in range(rollouts)]  # rollout only splits them
     env_blocks = functools.cache(lambda: _env_blocks(task, rngs))
@@ -91,9 +91,8 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
         if policy is None:
             return itertools.repeat((0.0, 0), rollouts)
         if policy.kind != "external":
-            actions = _action_blocks(task, rngs) if policy.kind == "random" else None
-            returns = episode_returns(task, policy, env_blocks(), actions)
-            return zip(returns.tolist(), itertools.repeat(0))
+            return zip(run_episodes(task, policy, rngs, task_id, env_blocks()).returns.tolist(),
+                       itertools.repeat(0))
         return ((r.online_return, r.invalid_actions) for r in
                 (rollout(task, policy, rng, task_id=task_id) for rng in rngs))
 
@@ -105,24 +104,6 @@ def _task_gap_sums(args) -> tuple[float, float, int]:
         eval_sum += ret
         invalid += bad
     return opt_sum / rollouts, eval_sum / rollouts, invalid
-
-
-def _env_blocks(task, rngs: list[Rng]) -> np.ndarray:
-    """Row j: the ``env_draws(task)`` uniforms that episode j draws from
-    ``rngs[j].split(0)``, as ``rollout`` draws them."""
-    blocks = np.empty((len(rngs), env_draws(task)))
-    for row, rng in zip(blocks, rngs):
-        rng.split(0).gen.random(out=row)
-    return blocks
-
-
-def _action_blocks(task, rngs: list[Rng]) -> np.ndarray:
-    """Row j: the T actions ``integers(0, A)`` that a random policy draws in
-    episode j from ``rngs[j].split(1)``, as ``rollout`` draws them."""
-    actions = np.empty((len(rngs), task.horizon), dtype=np.min_scalar_type(task.num_actions - 1))
-    for row, rng in zip(actions, rngs):
-        row[:] = rng.split(1).integers(0, task.num_actions, size=task.horizon)
-    return actions
 
 
 def _map_tasks(work, jobs: int) -> list[tuple[float, float, int]]:
@@ -390,19 +371,16 @@ def _goal_means(args) -> list[tuple[float, float]]:
 def _goal_returns(policy_kind: str, task, rewards: np.ndarray, policy: np.ndarray | None,
                   rngs: list[Rng]) -> np.ndarray:
     """Returns of random or oracle episodes on goals that share ``task``'s
-    kernel, stepped together (``step_returns``), one per generator of
+    kernel, stepped together (``step_episodes``), one per generator of
     ``rngs``: goal g's rows are a contiguous block, in order, and earn its
     ``rewards`` (S, A, G) column; oracle rows act by its ``policy`` (T, S, G)
     column.  Each row draws its blocks from its generator as
-    ``_task_gap_sums`` draws them."""
+    ``run_episodes`` draws them."""
     goal = np.repeat(np.arange(rewards.shape[2]), len(rngs) // rewards.shape[2])
     if policy_kind == "random":
-        actions = _action_blocks(task, rngs)
-
-        def act(t, state, beliefs):
-            return actions[:, t - 1]
+        act = policy_actor(task, PolicyHandle.random(), _action_blocks(task, rngs))
     else:
-        def act(t, state, beliefs):
+        def act(t, state, beliefs, episodes):
             return policy[t - 1, state, goal]
-    return step_returns(task, _env_blocks(task, rngs), act,
-                        lambda state, action: rewards[state, action, goal])
+    return step_episodes(task, _env_blocks(task, rngs), act,
+                         lambda state, action: rewards[state, action, goal]).returns

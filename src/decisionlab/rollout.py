@@ -1,16 +1,18 @@
 """Episode simulation and the policies that drive it.
 
-``rollout`` runs one episode of a task under a ``PolicyHandle``.  Randomness
-is split so that the environment's draws depend only on the rollout generator,
-never on the policy: evaluating two policies with the same generator yields
-draw-for-draw paired episodes, which is what makes oracle-relative gaps exact
-rather than noisy.  ``episode_returns`` steps many episodes of a task together
-from block draws of those streams, with ``rollout``'s returns bit for bit; on
-a belief task it keeps all episodes' beliefs in one array, and an oracle or
-QMDP handle answers each period's distinct beliefs in one query.  Its
-stepper, ``step_returns``, also steps the episodes of many Darkroom goals
-together, each row with its goal's actions and rewards.  Only external
-policies are left to ``rollout`` alone.
+One stepper, ``step_episodes``, simulates every episode: it steps many
+episodes of a task together, one row each, and records each period's
+observation, action and reward (and, on a belief task, its belief).
+``policy_actor`` turns a ``PolicyHandle`` into the stepper's action function.
+Randomness is split so that the environment's draws depend only on the
+episode's generator, never on the policy: evaluating two policies with the
+same generator yields draw-for-draw paired episodes, which is what makes
+oracle-relative gaps exact rather than noisy.  ``run_episodes`` steps one
+episode per generator from block draws of those streams, and ``rollout`` is
+its one-row call.  The stepper also steps the episodes of many Darkroom goals
+together, each row with its goal's actions and rewards.  An external policy
+is asked once per row and period; evaluation and the corpus builders run its
+episodes one at a time, so its requests go out in episode order.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -38,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, Rng, TabularTask, Trajectory, belief_update, belief_updates
+# belief_update is not called here, but perfbench's tracer wraps it on this module
+from .core import (Belief, Rng, Step, TabularTask, Trajectory, belief_update,
+                   belief_updates)
 from .solvers import BudgetExceeded, MdpSolution, RobustSolution, planning_models
 
 DEFAULT_TIMEOUT = 60.0
@@ -170,17 +174,17 @@ class ExternalPolicyClient:
 
 @dataclass
 class PolicyHandle:
-    """A policy kind and what it acts through; ``rollout`` makes it an action function.
+    """A policy kind and what it acts through; ``policy_actor`` makes it an action function.
 
     kind "oracle" wraps the solution of the rolled-out task (an MdpSolution
     for an mdp, a RobustSolution for a belief task), and "qmdp" the MdpSolution
-    of a belief task, acting by its ``qmdp_action``; ``rollout`` checks both
-    against the task.  "random" draws uniform actions from the policy stream;
-    "external" sends one wire request per period through its client, with its
-    few-shot ``context`` (``build_context``'s text, "" for none).  The
-    "qmdp" handle that ``reference_policy`` returns in place of an exact
-    oracle carries the ``BudgetExceeded`` that stopped the solve as
-    ``fallback``.
+    of a belief task, acting by its ``qmdp_actions``; ``policy_actor`` checks
+    both against the task.  "random" draws uniform actions from the policy
+    stream; "external" sends one wire request per episode and period through
+    its client, with its few-shot ``context`` (``build_context``'s text, ""
+    for none).  The "qmdp" handle that ``reference_policy`` returns in place
+    of an exact oracle carries the ``BudgetExceeded`` that stopped the solve
+    as ``fallback``.
     """
 
     kind: str
@@ -233,7 +237,7 @@ def _check_oracle_matches(task: TabularTask, handle: PolicyHandle):
 
 
 # ---------------------------------------------------------------------------
-# rollout
+# episodes
 
 
 @dataclass
@@ -244,83 +248,23 @@ class RolloutResult:
     invalid_actions: int = 0
 
 
-def _policy_fn(task, policy: PolicyHandle, policy_rng: Rng, task_id: str):
-    """The action function ``act(t, obs, belief, history)`` of a policy handle.
+@dataclass
+class Episodes:
+    """What ``step_episodes`` records of n episodes, one row each: every
+    period's observation, action and reward (n, T), the discounted returns
+    (n,), the invalid external actions of each row (n,) and, on a belief
+    task, every period's nominal Bayes belief (n, T, S)."""
 
-    ``obs`` is the state for fully observed tasks; ``belief`` is the nominal
-    Bayes belief for belief tasks and None otherwise.
-    """
-    num_actions = task.num_actions
-    solution = policy.solution
-    if policy.kind == "random":
-        return lambda t, obs, belief, history: int(policy_rng.integers(0, num_actions))
-    if policy.kind in ("oracle", "qmdp"):
-        _check_oracle_matches(task, policy)
-        if policy.kind == "qmdp":
-            return lambda t, obs, belief, history: solution.qmdp_action(t, belief)
-        if task.kind == "mdp":
-            return lambda t, obs, belief, history: solution.action(t, obs)
-        return lambda t, obs, belief, history: solution.action(t, belief)
-    if policy.kind == "external":
-        if policy.client is None:
-            raise ValueError("external handle must carry a client")
+    obs: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    returns: np.ndarray
+    invalid: np.ndarray
+    beliefs: np.ndarray | None = None
 
-        def act(t, obs, belief, history):
-            request = {
-                "task_id": task_id,
-                "step": t,
-                "context": policy.context,
-                "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
-                            for s in history],
-                "current_obs": int(obs),
-                "num_actions": num_actions,
-            }
-            return policy.client.query(request, num_actions)
-
-        return act
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
-
-
-def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
-            task_id: str = "") -> RolloutResult:
-    """Simulate one episode; the environment stream is independent of the policy.
-
-    The trajectory records one (obs, action, reward) step per period; an MDP's
-    observation is its state.  Belief tasks draw each observation after the
-    state and carry the per-period Bayes beliefs (under the nominal model) as
-    a side channel.  One-hot rows (Darkroom) draw from the environment stream
-    too.  Invalid external actions are mapped to action 0 and counted.
-    """
-    if not isinstance(task, TabularTask):
-        raise TypeError(f"unsupported task type {type(task).__name__}")
-    env_rng = rng.split(0)
-    act = _policy_fn(task, policy, rng.split(1), task_id)
-    traj = Trajectory(task_id)
-    invalid = 0
-    nominal = task.models[0]  # an ambiguous task is simulated under its first model
-    transition, observation, reward = nominal.transition, nominal.observation, task.reward
-    state = env_rng.draw_index(task.initial_dist)
-    obs, belief, beliefs = state, None, None
-    if observation is not None:
-        # the first observation is emitted before any action (kernel slot 0)
-        obs = env_rng.draw_index(observation[state, 0])
-        belief = Belief(task.initial_dist)
-        beliefs = [belief]
-    for t in range(1, task.horizon + 1):
-        try:
-            action = act(t, obs, belief, traj.steps)
-        except InvalidAction:
-            action, invalid = 0, invalid + 1
-        r = float(reward[state, action])
-        traj.append(obs, action, r)
-        if t < task.horizon:
-            state = env_rng.draw_index(transition[state, action])
-            obs = state
-            if observation is not None:
-                obs = env_rng.draw_index(observation[state, action])
-                belief = belief_update(belief, action, obs, transition, observation)
-                beliefs.append(belief)
-    return RolloutResult(traj, traj.discounted_return(task.discount), beliefs, invalid)
+    def trajectories(self, task_id: str = "") -> list[Trajectory]:
+        rows = zip(self.obs.tolist(), self.actions.tolist(), self.rewards.tolist())
+        return [Trajectory(task_id, list(map(Step._make, zip(*row)))) for row in rows]
 
 
 def env_draws(task: TabularTask) -> int:
@@ -329,80 +273,146 @@ def env_draws(task: TabularTask) -> int:
     return task.horizon if task.kind == "mdp" else 2 * task.horizon
 
 
-def episode_returns(task: TabularTask, policy: PolicyHandle, env_blocks: np.ndarray,
-                    action_blocks: np.ndarray | None = None) -> np.ndarray:
-    """Discounted returns of a task's episodes, stepped together, one per row.
+def _env_blocks(task: TabularTask, rngs: list[Rng]) -> np.ndarray:
+    """Row j: the ``env_draws(task)`` uniforms of episode j's environment
+    stream ``rngs[j].split(0)``.  On an mdp they are the initial state's, then
+    one per transition; on a belief task the initial state's and the first
+    observation's, then a transition's and an observation's per later period."""
+    blocks = np.empty((len(rngs), env_draws(task)))
+    for row, rng in zip(blocks, rngs):
+        rng.split(0).gen.random(out=row)
+    return blocks
 
-    Row j of ``env_blocks`` holds the ``env_draws(task)`` uniforms that
-    ``rollout`` draws one at a time from ``rng.split(0)``: on an mdp the
-    initial state, then T - 1 transitions; on a belief task the initial state
-    and the first observation (which no belief reads), then a transition and
-    an observation per later period.  For a random handle, row j of
-    ``action_blocks`` holds its T draws ``integers(0, A)`` from
-    ``rng.split(1)``.  Oracle and qmdp handles are checked against the task
-    once; on a belief task they answer each period's beliefs in one query
-    (``RobustSolution.actions``, ``MdpSolution.qmdp_actions``).  The episodes
-    are ``step_returns``', so entry j equals ``rollout(task, policy,
-    rng).online_return`` bit for bit; a handle that ``rollout`` rejects
-    raises the same error.
+
+def _action_blocks(task: TabularTask, rngs: list[Rng]) -> np.ndarray:
+    """Row j: the T actions ``integers(0, A)`` that a random policy draws in
+    episode j from its policy stream ``rngs[j].split(1)``."""
+    actions = np.empty((len(rngs), task.horizon), dtype=np.min_scalar_type(task.num_actions - 1))
+    for row, rng in zip(actions, rngs):
+        row[:] = rng.split(1).integers(0, task.num_actions, size=task.horizon)
+    return actions
+
+
+def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndarray | None = None,
+                 task_id: str = ""):
+    """``step_episodes``' action function for ``policy`` on ``task``.
+
+    A random handle reads column t of ``action_blocks``.  Oracle and qmdp
+    handles are checked against the task once; on a belief task they answer
+    a period's beliefs in one query (``RobustSolution.actions``,
+    ``MdpSolution.qmdp_actions``).  An external handle asks its client once
+    per row, in row order, with the history that ``episodes`` recorded; an
+    ``InvalidAction`` reply acts 0 and is counted in ``episodes.invalid``.
     """
-    if policy.kind not in ("oracle", "random", "qmdp"):
-        raise ValueError(f"episode_returns steps oracle, random and qmdp handles, "
-                         f"not {policy.kind!r}")
-    if policy.kind != "random":
-        _check_oracle_matches(task, policy)
-    solution = policy.solution
     if policy.kind == "random":
-        def act(t, state, beliefs):
-            return action_blocks[:, t - 1]
-    elif policy.kind == "qmdp":
-        def act(t, state, beliefs):
-            return solution.qmdp_actions(t, beliefs)
-    elif task.kind == "mdp":
-        def act(t, state, beliefs):
-            return solution.policy[t - 1, state]
-    else:
-        def act(t, state, beliefs):
-            return solution.actions(t, beliefs)
-    return step_returns(task, env_blocks, act)
+        return lambda t, state, beliefs, episodes: action_blocks[:, t - 1]
+    if policy.kind in ("oracle", "qmdp"):
+        _check_oracle_matches(task, policy)
+        if policy.kind == "qmdp":
+            return lambda t, state, beliefs, episodes: policy.solution.qmdp_actions(t, beliefs)
+        if task.kind == "mdp":
+            return lambda t, state, beliefs, episodes: policy.solution.policy[t - 1, state]
+        return lambda t, state, beliefs, episodes: policy.solution.actions(t, beliefs)
+    if policy.kind != "external":
+        raise ValueError(f"unknown policy kind {policy.kind!r}")
+    if policy.client is None:
+        raise ValueError("external handle must carry a client")
+    num_actions = task.num_actions
+
+    def act(t, state, beliefs, episodes):
+        actions = np.zeros(len(state), dtype=np.int64)
+        rows = zip(episodes.obs[:, :t].tolist(), episodes.actions[:, :t - 1].tolist(),
+                   episodes.rewards[:, :t - 1].tolist())
+        for j, (obs, past, rewards) in enumerate(rows):
+            history = [{"obs": o, "action": a, "reward": r} for o, a, r in zip(obs, past, rewards)]
+            request = {"task_id": task_id, "step": t, "context": policy.context,
+                       "history": history, "current_obs": obs[-1], "num_actions": num_actions}
+            try:
+                actions[j] = policy.client.query(request, num_actions)
+            except InvalidAction:
+                episodes.invalid[j] += 1
+        return actions
+
+    return act
 
 
-def step_returns(task: TabularTask, env_blocks: np.ndarray, act, reward=None) -> np.ndarray:
-    """Discounted returns of episodes of ``task``'s dynamics, stepped together
-    from the uniforms of ``env_blocks`` (laid out as in ``episode_returns``),
-    one per row.  ``act(t, state, beliefs)`` gives every row's action in
-    period t (``beliefs`` is None on an mdp), and ``reward(state, action)``
-    every row's reward, ``task.reward[state, action]`` unless given.  Each
-    uniform is inverted against the row cumsums as ``Rng.draw_index`` inverts
-    it, beliefs are updated as ``belief_update`` updates them, and each return
-    is accumulated in period order, as ``rollout`` accumulates it.
+def step_episodes(task: TabularTask, env_blocks: np.ndarray, act, reward=None) -> Episodes:
+    """The episodes of ``task``, one per row of ``env_blocks`` (laid out as
+    ``_env_blocks`` draws them), stepped together and recorded.
+
+    ``act(t, state, beliefs, episodes)`` gives every row's action in period
+    t (``beliefs`` is None on an mdp; ``episodes`` is recorded up to the
+    period's observations), and ``reward(state, action)`` every row's
+    reward, ``task.reward[state, action]`` unless given.  Each uniform is
+    inverted against the row cumsums as ``Rng.draw_index`` inverts it,
+    beliefs are updated as ``belief_update`` updates them, and each return is
+    accumulated in period order, as ``Trajectory.discounted_return`` does.
     """
     if env_blocks.ndim != 2 or env_blocks.shape[1] != env_draws(task):
         raise ValueError(f"each row of env_blocks must hold {env_draws(task)} uniforms")
-    if reward is None:
-        def reward(state, action):
-            return task.reward[state, action]
+    reward = reward or (lambda state, action: task.reward[state, action])
+    n, T = len(env_blocks), task.horizon
     nominal = task.models[0]  # an ambiguous task is simulated under its first model
     transition, observation = nominal.transition, nominal.observation
-    cum = transition.cumsum(axis=-1)
 
-    def draw(rows, u):  # the count of cumsum entries <= u is searchsorted(u, side="right")
-        return np.minimum((rows <= u[:, None]).sum(1), rows.shape[-1] - 1)
+    def cumsum(probs):  # ends in inf: a uniform past the last sum draws the last index
+        cum = probs.cumsum(axis=-1)
+        cum[..., -1] = np.inf
+        return cum
 
-    state = draw(task.initial_dist.cumsum(), env_blocks[:, 0])
+    def draw(rows, u):  # the first sum above u: searchsorted(u, side="right")
+        return (rows > u[:, None]).argmax(1)
+
+    episodes = Episodes(np.empty((n, T), dtype=np.int64), np.empty((n, T), dtype=np.int64),
+                        np.empty((n, T)), np.zeros(n), np.zeros(n, dtype=np.int64))
+    cum = cumsum(transition)
+    state = obs = draw(cumsum(task.initial_dist), env_blocks[:, 0])
     beliefs = None
-    if observation is not None:
-        obs_cum = observation.cumsum(axis=-1)
-        beliefs = np.tile(Belief(task.initial_dist).probs, (len(env_blocks), 1))
-    total, weight = np.zeros(len(env_blocks)), 1.0
-    for t in range(1, task.horizon + 1):
-        action = act(t, state, beliefs)
-        total += weight * reward(state, action)
+    if observation is not None:  # the first observation comes before any action (slot 0)
+        obs_cum = cumsum(observation)
+        obs = draw(obs_cum[state, 0], env_blocks[:, 1])
+        beliefs = np.tile(Belief(task.initial_dist).probs, (n, 1))
+        episodes.beliefs = np.empty((n, T, task.num_states))
+    weight = 1.0
+    for t in range(1, T + 1):
+        episodes.obs[:, t - 1] = obs
+        if beliefs is not None:
+            episodes.beliefs[:, t - 1] = beliefs
+        action = episodes.actions[:, t - 1] = act(t, state, beliefs, episodes)
+        r = episodes.rewards[:, t - 1] = reward(state, action)
+        episodes.returns += weight * r
         weight *= task.discount
-        if t < task.horizon and observation is None:
-            state = draw(cum[state, action], env_blocks[:, t])
-        elif t < task.horizon:
+        if t < T and observation is None:
+            state = obs = draw(cum[state, action], env_blocks[:, t])
+        elif t < T:
             state = draw(cum[state, action], env_blocks[:, 2 * t])
             obs = draw(obs_cum[state, action], env_blocks[:, 2 * t + 1])
             beliefs = belief_updates(beliefs, action, obs, transition, observation)
-    return total
+    return episodes
+
+
+def run_episodes(task: TabularTask, policy: PolicyHandle, rngs: list[Rng], task_id: str = "",
+                 env_blocks: np.ndarray | None = None) -> Episodes:
+    """The episodes of ``policy`` on ``task``, one per generator of ``rngs``,
+    stepped together: episode j's environment draws come from
+    ``rngs[j].split(0)`` (``env_blocks``, when given, must hold them) and a
+    random policy's actions from ``rngs[j].split(1)``, so two policies run
+    on the same generators meet the same environment draws."""
+    act = policy_actor(task, policy, _action_blocks(task, rngs) if policy.kind == "random"
+                       else None, task_id)
+    if env_blocks is None:
+        env_blocks = _env_blocks(task, rngs)
+    return step_episodes(task, env_blocks, act)
+
+
+def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
+            task_id: str = "") -> RolloutResult:
+    """One episode of ``policy`` on ``task`` from generator ``rng``: the
+    one-row ``run_episodes``, with its trajectory, return, per-period
+    beliefs (belief tasks only) and invalid external actions."""
+    if not isinstance(task, TabularTask):
+        raise TypeError(f"unsupported task type {type(task).__name__}")
+    episodes = run_episodes(task, policy, [rng], task_id)
+    beliefs = None if episodes.beliefs is None else [Belief(b) for b in episodes.beliefs[0]]
+    return RolloutResult(episodes.trajectories(task_id)[0], float(episodes.returns[0]), beliefs,
+                         int(episodes.invalid[0]))

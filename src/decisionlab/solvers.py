@@ -53,26 +53,35 @@ class BudgetExceeded(RuntimeError):
                 f"at least {self.nodes} nodes by period {self.period}")
 
 
+def _check_period(t: int, horizon: int):
+    if not 1 <= t <= horizon:
+        raise ValueError(f"t must lie in 1..{horizon}")
+
+
 # ---------------------------------------------------------------------------
 # fully observed
 
 
 @dataclass
 class MdpSolution:
-    """Backward-induction tables; row i holds period t = i + 1 (1-based time)."""
+    """Backward-induction tables; row i holds period t = i + 1 (1-based time).
+    Queries at a period outside 1..T raise ``ValueError``."""
 
     task: TabularTask
     values: np.ndarray   # (T + 1, S); final row is the zero terminal value
     policy: np.ndarray   # (T, S) greedy actions, ties broken toward index 0
 
     def value(self, t: int, state: int) -> float:
+        _check_period(t, self.task.horizon)
         return float(self.values[t - 1, state])
 
     def action(self, t: int, state: int) -> int:
+        _check_period(t, self.task.horizon)
         return int(self.policy[t - 1, state])
 
     def q_values(self, t: int) -> np.ndarray:
         """State-action values at period t, shape (S, A)."""
+        _check_period(t, self.task.horizon)
         m = self.task
         future = m.models[0].transition @ self.values[t]  # (S, A) of E[V_{t+1}]
         return m.reward + m.discount * future
@@ -241,7 +250,8 @@ class RobustSolution:
     belief against the stored next-level values.  Beliefs outside the solved
     tree are handled by lazily solving the missing subtree.  ``actions(t,
     beliefs)`` answers a batch of beliefs as one query, each as ``action``
-    would; ``action`` and ``value`` are queries of one belief.  Only the solve
+    would; ``action`` and ``value`` are queries of one belief, and a query at
+    a period outside 1..T raises ``ValueError``.  Only the solve
     is held to ``node_budget``; lazily built nodes still count in
     ``node_count``, and their cache is emptied at the start of a query (one
     belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once it
@@ -457,8 +467,7 @@ class RobustSolution:
     # -- queries -------------------------------------------------------------
 
     def _start_query(self, t: int):
-        if not (1 <= t <= self.task.horizon):
-            raise ValueError(f"t must lie in 1..{self.task.horizon}")
+        _check_period(t, self.task.horizon)
         if sum(map(len, self._extra)) > self.config.node_budget:
             for cache in self._extra:
                 cache.clear()
@@ -487,6 +496,7 @@ class RobustSolution:
         ``expansion_chunk`` at a time, each chunk as one query.  A row's
         action values do not depend on the rows that share its chunk (see
         ``_backup``), so each answer is the one-row query's."""
+        _check_period(t, self.task.horizon)
         rows, inverse = _distinct_rows(beliefs)
         step, actions = self.config.expansion_chunk, np.empty(len(rows), dtype=np.intp)
         for i in range(0, len(rows), step):

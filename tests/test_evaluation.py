@@ -140,9 +140,9 @@ def count_episodes(monkeypatch) -> list[str]:
     """The policy kind of every episode evaluation steps or rolls out."""
     kinds = []
 
-    def stepped(task, policy, env_blocks, *a, _step=evaluation.episode_returns):
-        kinds.extend([policy.kind] * len(env_blocks))
-        return _step(task, policy, env_blocks, *a)
+    def stepped(task, policy, rngs, *a, _step=evaluation.run_episodes):
+        kinds.extend([policy.kind] * len(rngs))
+        return _step(task, policy, rngs, *a)
 
     def rolled(task, policy, *a, _rollout=evaluation.rollout, **k):
         kinds.append(f"rollout:{policy.kind}")
@@ -152,7 +152,7 @@ def count_episodes(monkeypatch) -> list[str]:
         kinds.extend([policy_kind] * len(rngs))  # Darkroom episodes of many goals
         return _step(policy_kind, task, rewards, policy, rngs)
 
-    monkeypatch.setattr(evaluation, "episode_returns", stepped)
+    monkeypatch.setattr(evaluation, "run_episodes", stepped)
     monkeypatch.setattr(evaluation, "rollout", rolled)
     monkeypatch.setattr(evaluation, "_goal_returns", stacked)
     return kinds
@@ -241,12 +241,12 @@ def test_task_gap_sums_equal_the_per_episode_rollout_loop():
 def test_each_stepped_belief_return_is_the_rollout_return(monkeypatch):
     stepped = []
 
-    def record(task, policy, *a, _step=evaluation.episode_returns):
-        returns = _step(task, policy, *a)
-        stepped.append((task, policy, returns.tolist()))
-        return returns
+    def record(task, policy, *a, _step=evaluation.run_episodes):
+        episodes = _step(task, policy, *a)
+        stepped.append((task, policy, episodes.returns.tolist()))
+        return episodes
 
-    monkeypatch.setattr(evaluation, "episode_returns", record)
+    monkeypatch.setattr(evaluation, "run_episodes", record)
     for i, (task, oracle) in enumerate(_belief_battery()):
         task_rng = Rng(12).split(i)
         for handle in (PolicyHandle.random(), evaluation_policy("qmdp", task, oracle)):

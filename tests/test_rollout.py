@@ -28,8 +28,9 @@ from decisionlab.rollout import (
     PolicyHandle,
     ProtocolError,
     env_draws,
-    episode_returns,
+    policy_actor,
     rollout,
+    step_episodes,
 )
 from decisionlab.evaluation import evaluation_policy, reference_policy
 from decisionlab.solvers import BeliefSolverConfig, solve_apomdp, solve_mdp, solve_pomdp
@@ -260,12 +261,18 @@ def _one_hot_mdp(horizon=6) -> TabularTask:
     return TabularTask("mdp", [KernelPair(P)], R, np.eye(S)[2], horizon, 0.9)
 
 
+def _stepped(task, handle, env, actions=None) -> list[float]:
+    """Returns of the episodes that ``handle`` steps on ``task`` from the
+    given environment and random-policy blocks."""
+    return step_episodes(task, env, policy_actor(task, handle, actions)).returns.tolist()
+
+
 def _stepped_returns(task, handle, rngs) -> list[float]:
-    """``episode_returns`` from each episode's environment and policy blocks."""
+    """``_stepped`` from each episode's environment and policy blocks."""
     env = np.array([rng.split(0).gen.random(env_draws(task)) for rng in rngs])
     actions = None if handle.kind != "random" else np.array(
         [rng.split(1).integers(0, task.num_actions, size=task.horizon) for rng in rngs])
-    return episode_returns(task, handle, env, actions).tolist()
+    return _stepped(task, handle, env, actions)
 
 
 @pytest.mark.parametrize("task", [
@@ -312,7 +319,7 @@ def test_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does():
     actions = np.array([[0, 1] * 4, [1] * 8, [1, 0, 0, 1, 1, 0, 1, 0], [0] * 8])
     expected = [reference_rollout(task, PolicyHandle.random(), _FedRng(e.tolist(), a.tolist())
                                   ).online_return for e, a in zip(env, actions)]
-    assert episode_returns(task, PolicyHandle.random(), env, actions).tolist() == expected
+    assert _stepped(task, PolicyHandle.random(), env, actions) == expected
 
 
 def test_episode_returns_rejects_what_rollout_rejects():
@@ -339,8 +346,8 @@ def test_episode_returns_rejects_what_rollout_rejects():
         with pytest.raises(error):
             _stepped_returns(task, handle, rngs)
     with pytest.raises(ValueError):  # a belief episode draws 2T uniforms
-        episode_returns(pomdp, PolicyHandle.random(), np.zeros((2, pomdp.horizon)),
-                        np.zeros((2, pomdp.horizon), dtype=np.int64))
+        _stepped(pomdp, PolicyHandle.random(), np.zeros((2, pomdp.horizon)),
+                 np.zeros((2, pomdp.horizon), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +411,13 @@ def test_belief_episode_returns_equal_rollout_bit_for_bit(task):
 def test_zero_episodes_step_to_zero_returns(task):
     for kind, handle in _handles(task).items():
         actions = np.empty((0, task.horizon), dtype=np.int64) if kind == "random" else None
-        returns = episode_returns(task, handle, np.empty((0, env_draws(task))), actions)
-        assert returns.shape == (0,) and returns.dtype == np.float64, kind
+        episodes = step_episodes(task, np.empty((0, env_draws(task))),
+                                 policy_actor(task, handle, actions))
+        assert episodes.returns.shape == (0,) and episodes.returns.dtype == np.float64, kind
+        for recorded in (episodes.obs, episodes.actions, episodes.rewards):
+            assert recorded.shape == (0, task.horizon), kind
+        assert episodes.beliefs is None if task.kind == "mdp" else (
+            episodes.beliefs.shape == (0, task.horizon, task.num_states)), kind
 
 
 def test_belief_updates_of_zero_rows_are_empty():
@@ -461,7 +473,7 @@ def test_belief_episode_returns_invert_uniforms_on_cumsum_edges_as_rollout_does(
                    PolicyHandle.oracle(exact)):
         expected = [reference_rollout(task, handle, _FedRng(e.tolist(), a.tolist())
                                       ).online_return for e, a in zip(env, actions)]
-        assert episode_returns(task, handle, env, actions).tolist() == expected
+        assert _stepped(task, handle, env, actions) == expected
 
 
 # ---------------------------------------------------------------------------

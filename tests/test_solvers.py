@@ -641,6 +641,24 @@ def test_value_rejects_out_of_range_period():
         sol.action(4, Belief([1.0, 0.0, 0.0]))
 
 
+_MDP3, _POMDP3 = tiny_energy_mdp(horizon=3), tiny_energy_pomdp(horizon=3)
+
+
+@pytest.mark.parametrize("query", [
+    lambda: solve_mdp(_MDP3).action(0, 1),
+    lambda: solve_mdp(_MDP3).value(0, 1),
+    lambda: solve_mdp(_POMDP3).qmdp_actions(0, _POMDP3.initial_dist[None, :]),
+    lambda: solve_mdp(_MDP3).action(4, 1),
+    lambda: solve_pomdp(_POMDP3).actions(99, np.empty((0, _POMDP3.num_states))),
+], ids=["mdp-action-0", "mdp-value-0", "qmdp-actions-0", "mdp-action-T+1",
+        "robust-actions-zero-rows-99"])
+def test_queries_outside_the_horizon_raise(query):
+    # on a horizon-3 task; these used to read the tables' last row, the
+    # terminal value or Q at period 0, raise IndexError, or answer zero rows
+    with pytest.raises(ValueError, match=r"t must lie in 1\.\.3"):
+        query()
+
+
 def test_to_summary_reports_tree_shape():
     pomdp = tiny_energy_pomdp(horizon=3)
     sol = solve_pomdp(pomdp, BeliefSolverConfig(quantization=1e-3))
