@@ -120,6 +120,17 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
+def map_jobs(fn, items: list, jobs: int) -> list:
+    """``[fn(item) for item in items]``; ``jobs > 1`` spreads the items over
+    that many processes.  Each item carries its own generator (``Rng``), so
+    the results are the serial run's."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 # ---------------------------------------------------------------------------
 # probability validation
 

@@ -23,6 +23,7 @@ import re
 from pathlib import Path
 
 from .core import Rng, Trajectory
+# rollout is not called here, but perfbench's tracer wraps it on this module
 from .rollout import PolicyHandle, rollout, run_episodes
 
 SCHEMA_VERSION = 1
@@ -111,15 +112,6 @@ def _stream_pair(rng: Rng) -> list[int]:
     return [rng.seed, rng.stream]
 
 
-def _trajectories(task, policy: PolicyHandle, rngs: list[Rng], task_id: str) -> list[Trajectory]:
-    """The trajectory of ``policy`` on ``task`` from each generator of
-    ``rngs``, stepped together (``run_episodes``); an external policy's roll
-    out one at a time, so its requests go out in episode order."""
-    if policy.kind == "external":
-        return [rollout(task, policy, rng, task_id=task_id).trajectory for rng in rngs]
-    return run_episodes(task, policy, rngs, task_id).trajectories(task_id)
-
-
 def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
                      trajectories_per_task: int = 15,
                      metas: list[dict] | None = None) -> list[dict]:
@@ -127,7 +119,7 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
 
     Each record carries the (seed, stream) pair of every rollout generator, so
     the exact trajectories can be re-simulated for audit given the task and
-    policy.  A task's K episodes are stepped together.
+    policy.  A task's K episodes are one ``run_episodes`` call.
     """
     if len(tasks) != len(policies):
         raise ValueError("tasks and policies must align")
@@ -136,7 +128,8 @@ def build_sft_corpus(tasks: list, policies: list[PolicyHandle], rng: Rng,
         task_id = f"task_{i:04d}"
         task_rng = rng.split(i)
         rngs = [task_rng.split(j) for j in range(trajectories_per_task)]
-        encoded = [encode(traj) for traj in _trajectories(task, policy, rngs, task_id)]
+        trajectories = run_episodes(task, policy, rngs, task_id).trajectories(task_id)
+        encoded = [encode(traj) for traj in trajectories]
         records.append({
             "schema_version": SCHEMA_VERSION,
             "task_id": task_id,
@@ -158,7 +151,8 @@ def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
     (obs, action, next_obs, reward) tuples; next_obs is null on final steps)
     with one query drawn from an oracle rollout: a uniformly chosen period's
     observation, labeled with the oracle's action at that point.  A task's
-    context episodes are stepped together, and so are its query episodes.
+    context episodes are one ``run_episodes`` call, and its query episodes
+    another.
     """
     if len(tasks) != len(oracles):
         raise ValueError("tasks and oracles must align")
@@ -168,9 +162,10 @@ def build_dpt_dataset(tasks: list, oracles: list[PolicyHandle], rng: Rng,
         task_rng = rng.split(i)
         rec_rngs = [task_rng.split(j) for j in range(records_per_task)]
         ctx_rngs = [r.split(k) for r in rec_rngs for k in range(context_trajectories)]
-        contexts = _trajectories(task, PolicyHandle.random(), ctx_rngs, task_id)
+        contexts = run_episodes(task, PolicyHandle.random(), ctx_rngs,
+                                task_id).trajectories(task_id)
         query_rngs = [r.split(context_trajectories) for r in rec_rngs]
-        queries = _trajectories(task, oracle, query_rngs, task_id)
+        queries = run_episodes(task, oracle, query_rngs, task_id).trajectories(task_id)
         for j, rec_rng in enumerate(rec_rngs):
             mine = slice(j * context_trajectories, (j + 1) * context_trajectories)
             ctx_tuples = [[step.obs, step.action, nxt, step.reward] for traj in contexts[mine]

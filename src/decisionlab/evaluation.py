@@ -17,16 +17,15 @@ a fallback reference makes "gap" relative to an approximation.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, map_jobs
 from .envs import (AmbiguityConfig, DarkroomTask, EnergyParams, darkroom_rewards,
                    gen_energy_apomdp, gen_energy_mdp, gen_energy_pomdp)
+# rollout is not called here, but perfbench's tracer wraps it on this module
 from .rollout import (ExternalPolicyClient, PolicyHandle, _action_blocks, _env_blocks,
                       policy_actor, rollout, run_episodes, step_episodes)
 # solve_pomdp is not called here, but perfbench's tracer wraps both belief
@@ -74,52 +73,21 @@ def _t_interval(values: np.ndarray) -> tuple[float, float]:
 def _task_gap_sums(args) -> tuple[float, float, int]:
     """Mean oracle and policy returns over one task's episodes, and the
     policy's invalid actions.  Episode j of both sides runs on
-    ``task_rng.split(j)``, so they meet the same environment draws; the
-    oracle evaluated as the policy repeats its own episode, and without an
-    oracle (None) its mean is 0.
-
-    Every handle but an external one steps all its episodes together
-    (``run_episodes``), and both sides read one environment block per
-    episode.  An external policy rolls out one episode at a time, so its
-    requests go out in episode order."""
+    ``task_rng.split(j)`` and reads one shared environment block, so they
+    meet the same environment draws; the oracle evaluated as the policy is
+    stepped once, and without an oracle (None) its mean is 0.  Returns are
+    summed in episode order."""
     task, oracle, handle, task_id, task_rng, rollouts = args
-    rngs = [task_rng.split(j) for j in range(rollouts)]  # rollout only splits them
-    env_blocks = functools.cache(lambda: _env_blocks(task, rngs))
-
-    def episodes(policy):
-        """(return, invalid actions) of ``policy`` on each episode, in order."""
-        if policy is None:
-            return itertools.repeat((0.0, 0), rollouts)
-        if policy.kind != "external":
-            return zip(run_episodes(task, policy, rngs, task_id, env_blocks()).returns.tolist(),
-                       itertools.repeat(0))
-        return ((r.online_return, r.invalid_actions) for r in
-                (rollout(task, policy, rng, task_id=task_id) for rng in rngs))
-
-    own = episodes(oracle)
-    pairs = ((o, o) for o in own) if handle is oracle else zip(own, episodes(handle))
-    opt_sum, eval_sum, invalid = 0.0, 0.0, 0
-    for (opt, _), (ret, bad) in pairs:  # summed in episode order
-        opt_sum += opt
+    rngs = [task_rng.split(j) for j in range(rollouts)]
+    env_blocks = _env_blocks(task, rngs)
+    own = None if oracle is None else run_episodes(task, oracle, rngs, task_id, env_blocks)
+    episodes = own if handle is oracle else run_episodes(task, handle, rngs, task_id, env_blocks)
+    opt_sum, eval_sum = 0.0, 0.0
+    for ret in [] if own is None else own.returns.tolist():
+        opt_sum += ret
+    for ret in episodes.returns.tolist():
         eval_sum += ret
-        invalid += bad
-    return opt_sum / rollouts, eval_sum / rollouts, invalid
-
-
-def _map_tasks(work, jobs: int) -> list[tuple[float, float, int]]:
-    """``_task_gap_sums`` of each work item, in order.  ``jobs > 1`` spreads
-    the items over processes; each carries its own generator, so the results
-    are the serial run's.  Serially, ``work`` may be a lazy iterable, and each
-    item is dropped once done.  External handles hold live connections and
-    need ``jobs=1``."""
-    if jobs <= 1:
-        return [_task_gap_sums(w) for w in work]
-    work = list(work)
-    if any(w[2].kind == "external" for w in work):
-        raise ValueError("external policies require jobs=1")
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_task_gap_sums, work))
+    return opt_sum / rollouts, eval_sum / rollouts, int(episodes.invalid.sum())
 
 
 def optimality_gap(tasks: list, oracles: list[PolicyHandle],
@@ -131,7 +99,9 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
     an external handle carries its own few-shot context.  Episode j of task i
     uses one generator for both the oracle and the evaluated policy, so
     environment draws are identical.  The report's ``reference`` is
-    ``_reference_label(oracles)``.  ``jobs`` is as in ``_map_tasks``.
+    ``_reference_label(oracles)``.  ``jobs > 1`` spreads the tasks over
+    processes (``map_jobs``) with the serial run's results; external handles
+    hold live connections and need ``jobs=1``.
     """
     if rollouts_per_task < 1:
         raise ValueError("rollouts_per_task must be an integer >= 1")
@@ -140,8 +110,11 @@ def optimality_gap(tasks: list, oracles: list[PolicyHandle],
     handles = policy if isinstance(policy, list) else [policy] * len(tasks)
     if len(handles) != len(tasks):
         raise ValueError("one policy handle per task (or a single shared one)")
-    results = _map_tasks([(task, oracles[i], handles[i], f"task_{i:04d}", rng.split(i),
-                           rollouts_per_task) for i, task in enumerate(tasks)], jobs)
+    if jobs > 1 and any(h.kind == "external" for h in handles):
+        raise ValueError("external policies require jobs=1")
+    results = map_jobs(_task_gap_sums, [(task, oracles[i], handles[i], f"task_{i:04d}",
+                                         rng.split(i), rollouts_per_task)
+                                        for i, task in enumerate(tasks)], jobs)
     kept = [(opt, ev) for opt, ev, _ in results if opt > DEGENERATE_OPT]
     if not kept:
         raise DegenerateOptimum("all tasks have non-positive oracle value")
@@ -308,9 +281,10 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
     from one ``solve_stacked`` pass over the goals, each goal's ``solve_mdp``
     return bit for bit.  Goal i's episode j runs on ``rng.split(i).split(j)``.
     Random and oracle episodes of every goal are stepped together, and an
-    external policy rolls out one goal at a time.  ``jobs > 1`` spreads
-    contiguous slices of the goals over processes, each item naming its goals
-    but carrying no task, with the serial run's results; an external policy
+    external policy's goal by goal through ``run_episodes``, which asks it
+    one episode at a time.  ``jobs > 1`` spreads contiguous slices of the
+    goals over processes (``map_jobs``), each item naming its goals but
+    carrying no task, with the serial run's results; an external policy
     needs ``jobs=1``.  The interval is Student-t over per-goal means.
     """
     if policy_kind not in ("oracle", "random", "external"):
@@ -325,13 +299,7 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
     cuts = [len(goals) * k // parts for k in range(parts + 1)]
     work = [(a, goals[a:b], size, horizon, policy_kind, rng, rollouts_per_goal, client)
             for a, b in zip(cuts, cuts[1:]) if b > a]
-    if jobs <= 1:
-        results = [_goal_means(w) for w in work]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_goal_means, work))
-    per_goal = [pair for part in results for pair in part]
+    per_goal = [pair for part in map_jobs(_goal_means, work, jobs) for pair in part]
     rows = [{"goal_row": goal[0], "goal_col": goal[1], "policy": policy_kind,
              "mean_return": mean, "oracle_return": oracle_return,
              "rollouts": rollouts_per_goal}

@@ -8,11 +8,12 @@ Randomness is split so that the environment's draws depend only on the
 episode's generator, never on the policy: evaluating two policies with the
 same generator yields draw-for-draw paired episodes, which is what makes
 oracle-relative gaps exact rather than noisy.  ``run_episodes`` steps one
-episode per generator from block draws of those streams, and ``rollout`` is
-its one-row call.  The stepper also steps the episodes of many Darkroom goals
-together, each row with its goal's actions and rewards.  An external policy
-is asked once per row and period; evaluation and the corpus builders run its
-episodes one at a time, so its requests go out in episode order.
+episode per generator from block draws of those streams and is the one
+runner of evaluation and the corpus builders; ``rollout`` is its one-row
+call.  It steps every policy's episodes together but an external policy's,
+which it steps one at a time, so its requests go out in episode order.  The
+stepper also steps the episodes of many Darkroom goals together, each row
+with its goal's actions and rewards.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -36,7 +37,7 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -269,7 +270,10 @@ class Episodes:
 
 def env_draws(task: TabularTask) -> int:
     """How many uniforms one episode of ``task`` draws from its environment
-    stream: T on an mdp, 2T on a belief task."""
+    stream: T on an mdp, 2T on a belief task.  Every block draw and every
+    stepped batch asks it first, so another task type fails here."""
+    if not isinstance(task, TabularTask):
+        raise TypeError(f"unsupported task type {type(task).__name__}")
     return task.horizon if task.kind == "mdp" else 2 * task.horizon
 
 
@@ -363,7 +367,8 @@ def step_episodes(task: TabularTask, env_blocks: np.ndarray, act, reward=None) -
     def draw(rows, u):  # the first sum above u: searchsorted(u, side="right")
         return (rows > u[:, None]).argmax(1)
 
-    episodes = Episodes(np.empty((n, T), dtype=np.int64), np.empty((n, T), dtype=np.int64),
+    episodes = Episodes(np.empty((n, T), dtype=np.min_scalar_type(task.num_obs - 1)),
+                        np.empty((n, T), dtype=np.min_scalar_type(task.num_actions - 1)),
                         np.empty((n, T)), np.zeros(n), np.zeros(n, dtype=np.int64))
     cum = cumsum(transition)
     state = obs = draw(cumsum(task.initial_dist), env_blocks[:, 0])
@@ -393,16 +398,23 @@ def step_episodes(task: TabularTask, env_blocks: np.ndarray, act, reward=None) -
 
 def run_episodes(task: TabularTask, policy: PolicyHandle, rngs: list[Rng], task_id: str = "",
                  env_blocks: np.ndarray | None = None) -> Episodes:
-    """The episodes of ``policy`` on ``task``, one per generator of ``rngs``,
-    stepped together: episode j's environment draws come from
-    ``rngs[j].split(0)`` (``env_blocks``, when given, must hold them) and a
-    random policy's actions from ``rngs[j].split(1)``, so two policies run
-    on the same generators meet the same environment draws."""
+    """The episodes of ``policy`` on ``task``, one per generator of ``rngs``:
+    episode j's environment draws come from ``rngs[j].split(0)``
+    (``env_blocks``, when given, must hold them) and a random policy's
+    actions from ``rngs[j].split(1)``, so two policies run on the same
+    generators meet the same environment draws.  Every policy's episodes are
+    stepped together but an external policy's, which are stepped one at a
+    time, so its requests go out in episode order."""
+    if env_blocks is None:  # first, so that a task of another type fails before any draw
+        env_blocks = _env_blocks(task, rngs)
     act = policy_actor(task, policy, _action_blocks(task, rngs) if policy.kind == "random"
                        else None, task_id)
-    if env_blocks is None:
-        env_blocks = _env_blocks(task, rngs)
-    return step_episodes(task, env_blocks, act)
+    if policy.kind != "external" or len(env_blocks) < 2:  # one row or none: nothing to stack
+        return step_episodes(task, env_blocks, act)
+    rows = [step_episodes(task, env_blocks[j:j + 1], act) for j in range(len(env_blocks))]
+    return Episodes(**{f.name: None if getattr(rows[0], f.name) is None
+                       else np.concatenate([getattr(row, f.name) for row in rows])
+                       for f in fields(Episodes)})
 
 
 def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
@@ -410,8 +422,6 @@ def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,
     """One episode of ``policy`` on ``task`` from generator ``rng``: the
     one-row ``run_episodes``, with its trajectory, return, per-period
     beliefs (belief tasks only) and invalid external actions."""
-    if not isinstance(task, TabularTask):
-        raise TypeError(f"unsupported task type {type(task).__name__}")
     episodes = run_episodes(task, policy, [rng], task_id)
     beliefs = None if episodes.beliefs is None else [Belief(b) for b in episodes.beliefs[0]]
     return RolloutResult(episodes.trajectories(task_id)[0], float(episodes.returns[0]), beliefs,

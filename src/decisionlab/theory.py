@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, map_jobs
 
 COND_LIMIT = 1e12
 
@@ -487,8 +487,4 @@ def run_e2_simulation(config: E2Config | None = None, jobs: int = 1) -> list[dic
     cells = product(cfg.condition_numbers, cfg.train_lengths, cfg.prompt_lengths)
     tasks = [(cfg, kappa, N, M, root.split(idx).stream)
              for idx, (kappa, N, M) in enumerate(cells)]
-    if jobs <= 1:
-        return [_e2_cell(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_e2_cell, tasks))
+    return map_jobs(_e2_cell, tasks, jobs)

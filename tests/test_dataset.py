@@ -19,10 +19,10 @@ from decisionlab.dataset import (
     write_csv,
     write_jsonl,
 )
-from decisionlab.rollout import PolicyHandle
+from decisionlab.rollout import InvalidAction, PolicyHandle
 from decisionlab.solvers import solve_mdp
 
-from conftest import reference_rollout, tiny_energy_mdp
+from conftest import reference_rollout, tiny_energy_mdp, tiny_energy_pomdp
 
 
 def make_traj(steps):
@@ -195,6 +195,42 @@ def test_sft_corpus_of_zero_trajectories_has_empty_contexts():
     for rec in records:
         assert rec["context"] == "" and rec["trajectories"] == []
         assert rec["rollout_streams"] == []
+
+
+class ScriptedClient:
+    """Stands in for an external policy: records each request and answers
+    from its period and observation, now and then with an invalid action."""
+
+    def __init__(self):
+        self.requests = []
+
+    def query(self, request, num_actions):
+        self.requests.append(request)
+        action = (request["step"] + request["current_obs"]) % (num_actions + 1)
+        if action == num_actions:
+            raise InvalidAction(f"action {action} outside range 0..{num_actions - 1}")
+        return action
+
+
+def test_sft_corpus_of_an_external_policy_asks_in_episode_order():
+    tasks = [tiny_energy_mdp(p=0.6, horizon=4), tiny_energy_pomdp(horizon=4)]
+    contexts = ["TRAJ 1: <O_1> 0, <A_1> 0, <R_1> 0.00", ""]
+    client = ScriptedClient()
+    records = build_sft_corpus(tasks, [PolicyHandle.external(client, c) for c in contexts],
+                               Rng(9), trajectories_per_task=3)
+    assert [(r["task_id"], r["step"]) for r in client.requests] == [
+        (f"task_{i:04d}", t) for i in range(2) for _ in range(3) for t in range(1, 5)]
+    # one episode at a time, in record order: the requests and trajectories
+    # of a replay of every recorded stream, one period at a time
+    replay_client, invalid = ScriptedClient(), 0
+    for task, context, rec in zip(tasks, contexts, records):
+        handle = PolicyHandle.external(replay_client, context)
+        for (seed, stream), text in zip(rec["rollout_streams"], rec["trajectories"]):
+            replay = reference_rollout(task, handle, Rng(seed, stream), task_id=rec["task_id"])
+            assert encode(replay.trajectory) == text
+            invalid += replay.invalid_actions
+    assert client.requests == replay_client.requests
+    assert invalid > 0
 
 
 def test_sft_corpus_validates_alignment():

@@ -526,3 +526,7 @@ def test_darkroom_eval_rejects_unknown_policy():
         darkroom_eval([(1, 1)], "greedy", Rng(0))
     with pytest.raises(ValueError):
         darkroom_eval([(1, 1)], "external", Rng(0))
+    client = RecordingClient()  # a live connection is not sent to worker processes
+    with pytest.raises(ValueError, match="jobs=1"):
+        darkroom_eval([(1, 1)], "external", Rng(0), client=client, jobs=2)
+    assert client.requests == []

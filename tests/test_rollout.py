@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from decisionlab.core import (Belief, KernelPair, Rng, TabularTask, belief_update,
                               belief_updates)
-from decisionlab.dataset import encode
+from decisionlab.dataset import build_dpt_dataset, build_sft_corpus, encode
 from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen_energy_mdp,
                              gen_energy_pomdp, noisy_level_observation)
 from decisionlab.envs import AmbiguityConfig
@@ -32,7 +32,7 @@ from decisionlab.rollout import (
     rollout,
     step_episodes,
 )
-from decisionlab.evaluation import evaluation_policy, reference_policy
+from decisionlab.evaluation import evaluation_policy, optimality_gap, reference_policy
 from decisionlab.solvers import BeliefSolverConfig, solve_apomdp, solve_mdp, solve_pomdp
 
 from conftest import reference_rollout, tiny_energy_mdp, tiny_energy_pomdp
@@ -243,6 +243,21 @@ def test_unknown_policy_kind_rejected():
 def test_rollout_rejects_unknown_task_type():
     with pytest.raises(TypeError):
         rollout(42, PolicyHandle.random(), Rng(0))
+
+
+def test_every_episode_entry_point_rejects_a_non_tabular_task(monkeypatch):
+    # a DarkroomTask must go through to_mdp(); the check comes before any draw
+    dark = DarkroomTask(goal=(2, 3), size=5, horizon=6)
+    oracle = PolicyHandle.oracle(solve_mdp(dark.to_mdp()))
+    built = []
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1))
+    for run in (lambda: rollout(dark, PolicyHandle.random(), Rng(0)),
+                lambda: optimality_gap([dark], [oracle], PolicyHandle.random(), Rng(0)),
+                lambda: build_sft_corpus([dark], [PolicyHandle.random()], Rng(0)),
+                lambda: build_dpt_dataset([dark], [oracle], Rng(0))):
+        with pytest.raises(TypeError, match="unsupported task type DarkroomTask"):
+            run()
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
