@@ -49,6 +49,7 @@ from .solvers import BudgetExceeded, MdpSolution, RobustSolution, planning_model
 DEFAULT_TIMEOUT = 60.0
 CLOSE_GRACE_S = 5.0  # how long ``close`` waits after SIGTERM before it kills the child
 MAX_REPLY_BYTES = 1 << 20  # a reply is one small JSON object; a longer line is malformed
+_dumps = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=(",", ":"))
 
 
 class ProtocolError(RuntimeError):
@@ -63,26 +64,25 @@ class InvalidAction(ValueError):
 # external-policy client
 
 
-def _recv_line(fileobj, read, buf: bytearray, timeout: float) -> bytes:
-    """The next newline-terminated reply from ``fileobj`` (socket or pipe fd).
+def _recv_line(selector: selectors.BaseSelector, read, buf: bytearray, timeout: float) -> bytes:
+    """The next newline-terminated reply on the one file object (socket or
+    pipe fd) that ``selector`` watches for reading.
 
     ``read(n)`` returns up to n bytes, b"" at end of stream.  The whole reply
     must arrive within ``timeout`` seconds, however it is split, and its line
     may hold at most ``MAX_REPLY_BYTES`` bytes.
     """
     deadline = time.monotonic() + timeout
-    with selectors.DefaultSelector() as sel:
-        sel.register(fileobj, selectors.EVENT_READ)
-        while (nl := buf.find(b"\n", 0, MAX_REPLY_BYTES + 1)) < 0:
-            if len(buf) > MAX_REPLY_BYTES:
-                raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0 or not sel.select(remaining):
-                raise TimeoutError("external policy did not reply within the timeout")
-            chunk = read(65536)
-            if not chunk:
-                raise ProtocolError("external policy closed its output")
-            buf.extend(chunk)
+    while (nl := buf.find(b"\n", 0, MAX_REPLY_BYTES + 1)) < 0:
+        if len(buf) > MAX_REPLY_BYTES:
+            raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0 or not selector.select(remaining):
+            raise TimeoutError("external policy did not reply within the timeout")
+        chunk = read(65536)
+        if not chunk:
+            raise ProtocolError("external policy closed its output")
+        buf.extend(chunk)
     line = bytes(buf[:nl])
     del buf[:nl + 1]
     return line
@@ -91,48 +91,55 @@ def _recv_line(fileobj, read, buf: bytearray, timeout: float) -> bytes:
 class ExternalPolicyClient:
     """One connection to an external decision-maker, one request in flight.
 
-    Each instance owns a private transport (TCP socket or child process) and
-    serializes its own requests with a lock, so per-request state is never
-    shared; run several instances for concurrent episodes.
+    A line transport: ``query`` sends one request, already encoded as a line
+    of JSON text, and reads and validates one reply.  Each instance owns a
+    private transport (TCP socket or child process) and one selector on its
+    reply stream, registered here and closed by ``close``, and serializes
+    its own requests with a lock, so per-request state is never shared; run
+    several instances for concurrent episodes.
     """
 
-    def __init__(self, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, timeout: float = DEFAULT_TIMEOUT, sock: socket.socket | None = None,
+                 proc: subprocess.Popen | None = None):
         self.timeout = timeout
         self._lock = threading.Lock()
         self._buf = bytearray()
-        self._sock: socket.socket | None = None
-        self._proc: subprocess.Popen | None = None
+        self._sock, self._proc = sock, proc
+        self._selector = selectors.DefaultSelector()
+        if sock is not None:
+            self._selector.register(sock, selectors.EVENT_READ)
+            self._read = sock.recv
+        elif proc is not None:
+            self._selector.register(proc.stdout, selectors.EVENT_READ)
+            self._read = functools.partial(os.read, proc.stdout.fileno())
 
     @classmethod
     def tcp(cls, host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> "ExternalPolicyClient":
-        client = cls(timeout)
-        client._sock = socket.create_connection((host, port), timeout=timeout)
-        return client
+        return cls(timeout, sock=socket.create_connection((host, port), timeout=timeout))
 
     @classmethod
     def child_process(cls, argv: list[str],
                       timeout: float = DEFAULT_TIMEOUT) -> "ExternalPolicyClient":
-        client = cls(timeout)
-        client._proc = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        return client
+        return cls(timeout, proc=subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
 
-    def query(self, request: dict, num_actions: int) -> int:
-        """Send one request, read one reply, validate the chosen action."""
-        line = (json.dumps(request, separators=(",", ":")) + "\n").encode()
+    def query(self, line: str, num_actions: int) -> int:
+        """Send one request line (JSON text without its newline), read one
+        reply, validate the chosen action."""
+        if "\n" in line:
+            raise ValueError("a request line must not contain a newline")
+        data = (line + "\n").encode()
         with self._lock:
             if self._sock is not None:
-                self._sock.sendall(line)
-                raw = _recv_line(self._sock, self._sock.recv, self._buf, self.timeout)
+                self._sock.sendall(data)
             elif self._proc is not None:
                 if self._proc.poll() is not None:
                     raise ProtocolError("external policy process has exited")
-                self._proc.stdin.write(line)
+                self._proc.stdin.write(data)
                 self._proc.stdin.flush()
-                fd = self._proc.stdout.fileno()
-                raw = _recv_line(fd, functools.partial(os.read, fd), self._buf, self.timeout)
             else:
                 raise ProtocolError("client has no transport (already closed?)")
+            raw = _recv_line(self._selector, self._read, self._buf, self.timeout)
         try:
             reply = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -147,6 +154,7 @@ class ExternalPolicyClient:
         return action
 
     def close(self):
+        self._selector.close()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
@@ -307,6 +315,11 @@ def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndar
     ``MdpSolution.qmdp_actions``).  An external handle asks its client once
     per row, in row order, with the history that ``episodes`` recorded; an
     ``InvalidAction`` reply acts 0 and is counted in ``episodes.invalid``.
+    Its request line is the bytes of ``json.dumps(request, separators=(",",
+    ":"))``, built as the episode grows: each row keeps its completed steps
+    already encoded (one ``json.dumps`` of a step's dict when it completes),
+    the task id, context and action count are encoded once per actor, and a
+    request joins those pieces.  The history restarts at period 1.
     """
     if policy.kind == "random":
         return lambda t, state, beliefs, episodes: action_blocks[:, t - 1]
@@ -321,18 +334,30 @@ def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndar
         raise ValueError(f"unknown policy kind {policy.kind!r}")
     if policy.client is None:
         raise ValueError("external handle must carry a client")
-    num_actions = task.num_actions
+    num_actions, client = task.num_actions, policy.client
+    # a request is json.dumps(request, separators=(",", ":")) of
+    # {"task_id", "step", "context", "history", "current_obs", "num_actions"},
+    # joined from pieces: the constant ones encoded here, each completed step once
+    head = '{"task_id":%s,"step":' % _dumps(task_id)
+    middle = ',"context":%s,"history":[' % _dumps(policy.context)
+    tail = ',"num_actions":%s}' % _dumps(num_actions)
+    histories: list[list[str]] = []
 
     def act(t, state, beliefs, episodes):
+        nonlocal histories
+        if t == 1:
+            histories = [[] for _ in range(len(state))]
+        else:
+            done = zip(episodes.obs[:, t - 2].tolist(), episodes.actions[:, t - 2].tolist(),
+                       episodes.rewards[:, t - 2].tolist())
+            for history, (o, a, r) in zip(histories, done):
+                history.append(_dumps({"obs": o, "action": a, "reward": r}))
         actions = np.zeros(len(state), dtype=np.int64)
-        rows = zip(episodes.obs[:, :t].tolist(), episodes.actions[:, :t - 1].tolist(),
-                   episodes.rewards[:, :t - 1].tolist())
-        for j, (obs, past, rewards) in enumerate(rows):
-            history = [{"obs": o, "action": a, "reward": r} for o, a, r in zip(obs, past, rewards)]
-            request = {"task_id": task_id, "step": t, "context": policy.context,
-                       "history": history, "current_obs": obs[-1], "num_actions": num_actions}
+        prefix = f"{head}{t}{middle}"
+        for j, (history, obs) in enumerate(zip(histories, episodes.obs[:, t - 1].tolist())):
+            line = f'{prefix}{",".join(history)}],"current_obs":{obs}{tail}'
             try:
-                actions[j] = policy.client.query(request, num_actions)
+                actions[j] = client.query(line, num_actions)
             except InvalidAction:
                 episodes.invalid[j] += 1
         return actions

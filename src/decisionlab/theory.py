@@ -430,9 +430,25 @@ def _gram_factor(rng: Rng, count: int, prompt_length: int, dim: int) -> np.ndarr
     return factor
 
 
+def _projection_factor(sd: np.ndarray, w: np.ndarray, coef: np.ndarray):
+    """Per task, the lower Cholesky factor [[a, 0], [b, c]] of the covariance
+    of (phi . w, phi . coef) with phi ~ N(0, diag(sd^2)): a = |sd w|,
+    b = (sd w).(sd coef) / a and c = sqrt(|sd coef|^2 - b^2), clamped at 0
+    where coef is parallel to w.  A task with a = 0 gets b = 0 and
+    c = |sd coef|, so no entry is NaN."""
+    sw, sc = sd * w, sd * coef
+    a = np.sqrt(np.einsum("nd,nd->n", sw, sw))
+    b = np.divide(np.einsum("nd,nd->n", sw, sc), a, out=np.zeros_like(a), where=a > 0.0)
+    c = np.sqrt(np.maximum(np.einsum("nd,nd->n", sc, sc) - b * b, 0.0))
+    return a, b, c
+
+
 def _e2_cell(args) -> dict:
     """One grid cell.  The prompts enter only through X^T X, which is drawn
-    through its Bartlett factor rather than from M x d features."""
+    through its Bartlett factor rather than from M x d features.  A candidate
+    phi ~ N(0, Lambda) enters only through q* = phi . w and qhat = phi . coef,
+    which are drawn as that bivariate normal pair from two standard normals
+    per candidate (``_projection_factor``) rather than from d features."""
     cfg, kappa, train_length, prompt_length, stream = args
     rng = Rng(cfg.seed, stream)
     d, T, A, n = cfg.dim, cfg.horizon, cfg.num_actions, cfg.tasks_per_cell
@@ -445,11 +461,11 @@ def _e2_cell(args) -> dict:
     rv = np.einsum("nkd,nd->nk", r, sd * w)
     moment = sd * np.einsum("nkd,nk->nd", r, rv) / prompt_length
     coef = cho_solve(cho, moment.T).T
-    # per period, candidate features for each action, drawn independently
-    phi = rng.standard_normal((n, T, A, d))
-    phi *= sd
-    qhat = np.einsum("ntad,nd->nta", phi, coef)
-    qstar = np.einsum("ntad,nd->nta", phi, w)
+    # per period, the two projections of each action's candidate features
+    a, b, c = (x[:, None, None] for x in _projection_factor(sd, w, coef))
+    z1, z2 = rng.standard_normal((2, n, T, A))
+    qstar = a * z1
+    qhat = b * z1 + c * z2
     eps = np.mean((qhat - qstar) ** 2, axis=(1, 2))
     pick = lambda q, a: np.take_along_axis(q, a[..., None], axis=2)[..., 0]
     disc = cfg.discount ** np.arange(1, T + 1)

@@ -9,6 +9,7 @@ stepper tests compare two genuinely different computations.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def reference_rollout(task: TabularTask, policy, rng, task_id: str = ""):
     from ``rng.split(1)`` once per period; an oracle acts by its solution's
     ``action`` (on the state, or on the nominal Bayes belief), a qmdp handle
     by ``qmdp_action``, and an external one sends one request per period,
-    with invalid actions mapped to 0 and counted.  Handles are not checked
+    encoded by ``json.dumps``, with invalid actions mapped to 0 and counted.  Handles are not checked
     against the task.  Returns ``rollout``'s ``RolloutResult``.
     """
     from decisionlab.rollout import InvalidAction, RolloutResult
@@ -209,7 +210,8 @@ def reference_rollout(task: TabularTask, policy, rng, task_id: str = ""):
                                    for s in traj.steps],
                        "current_obs": int(obs), "num_actions": task.num_actions}
             try:
-                action = policy.client.query(request, task.num_actions)
+                line = json.dumps(request, separators=(",", ":"))
+                action = policy.client.query(line, task.num_actions)
             except InvalidAction:
                 action, invalid = 0, invalid + 1
         traj.append(obs, action, float(task.reward[state, action]))

@@ -1,5 +1,7 @@
 """Trajectory codec strictness and corpus builders."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,7 +206,8 @@ class ScriptedClient:
     def __init__(self):
         self.requests = []
 
-    def query(self, request, num_actions):
+    def query(self, line, num_actions):
+        request = json.loads(line)
         self.requests.append(request)
         action = (request["step"] + request["current_obs"]) % (num_actions + 1)
         if action == num_actions:

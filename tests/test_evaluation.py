@@ -182,8 +182,8 @@ class RecordingClient:
     def __init__(self):
         self.requests = []
 
-    def query(self, request, num_actions):
-        self.requests.append(request)
+    def query(self, line, num_actions):
+        self.requests.append(json.loads(line))
         return 0
 
 

@@ -3,6 +3,9 @@
 import hashlib
 import importlib
 import json
+import os
+import selectors
+import shutil
 import signal
 import socket
 import sys
@@ -578,7 +581,7 @@ def test_external_reply_deadline_covers_a_drip_feeding_peer():
                                       timeout=0.3) as client:
             start = time.monotonic()
             with pytest.raises(TimeoutError):
-                client.query({"x": 1}, num_actions=2)
+                client.query('{"x":1}', num_actions=2)
             assert time.monotonic() - start < 1.5
     finally:
         stop.set()
@@ -599,7 +602,7 @@ def test_external_oversize_reply_line_raises_protocol_error():
     with ExternalPolicyClient.child_process(
             [sys.executable, "-c", OVERSIZE_CHILD, str(limit)], timeout=10.0) as client:
         with pytest.raises(ProtocolError, match="exceeds"):
-            client.query({"x": 1}, num_actions=2)
+            client.query('{"x":1}', num_actions=2)
 
 
 _LINE_LIMIT = 48  # stands in for MAX_REPLY_BYTES, so that lines fall on both sides of it
@@ -620,16 +623,18 @@ def test_recv_line_reassembles_arbitrarily_split_replies(lines, sizes):
         at += len(chunks[-1])
     pending = iter(chunks)
     ready, peer = socket.socketpair()
-    with ready, peer, mock.patch.object(module, "MAX_REPLY_BYTES", limit):
+    with (ready, peer, selectors.DefaultSelector() as selector,
+          mock.patch.object(module, "MAX_REPLY_BYTES", limit)):
+        selector.register(ready, selectors.EVENT_READ)
         peer.sendall(b"!")  # keeps ``ready`` readable; ``read`` hands out the chunks
         buf = bytearray()
         for line in lines:
             if len(line) > limit:
                 with pytest.raises(ProtocolError, match="exceeds"):
-                    module._recv_line(ready, lambda n: next(pending, b""), buf, 5.0)
+                    module._recv_line(selector, lambda n: next(pending, b""), buf, 5.0)
                 assert len(buf) <= limit + max(sizes)  # it stopped reading at the limit
                 break
-            assert module._recv_line(ready, lambda n: next(pending, b""), buf, 5.0) == line
+            assert module._recv_line(selector, lambda n: next(pending, b""), buf, 5.0) == line
         else:
             assert not buf and next(pending, None) is None
 
@@ -645,9 +650,9 @@ def test_external_eof_raises_protocol_error():
 def test_external_client_query_validates_range_directly():
     port, _ = serve(lambda req: {"action": 2})
     with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0) as client:
-        assert client.query({"x": 1}, num_actions=3) == 2
+        assert client.query('{"x":1}', num_actions=3) == 2
         with pytest.raises(InvalidAction):
-            client.query({"x": 1}, num_actions=2)
+            client.query('{"x":1}', num_actions=2)
 
 
 def test_external_closed_client_refuses_queries():
@@ -655,7 +660,91 @@ def test_external_closed_client_refuses_queries():
     client = ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0)
     client.close()
     with pytest.raises(ProtocolError):
-        client.query({"x": 1}, num_actions=2)
+        client.query('{"x":1}', num_actions=2)
+
+
+class LineRecorder:
+    """Stands in for an external policy: records each request line and acts
+    by how many it has seen."""
+
+    def __init__(self):
+        self.lines = []
+
+    def query(self, line, num_actions):
+        self.lines.append(line)
+        return len(self.lines) % num_actions
+
+
+_AWKWARD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", '\\"', "\n\t\r\x00\x1f\x7f", "é☃ü", "𝄞\u2028", ""]))
+_AWKWARD_REWARD = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e16, -1e16, 5e-324, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_AWKWARD_TEXT, _AWKWARD_TEXT, st.integers(1, 12), st.integers(1, 4), st.data())
+def test_external_request_lines_are_json_dumps_of_the_request(task_id, context, horizon,
+                                                              rows, data):
+    task = tiny_energy_mdp(horizon=horizon)
+    rewards = iter(data.draw(st.lists(st.lists(_AWKWARD_REWARD, min_size=rows, max_size=rows),
+                                      min_size=horizon, max_size=horizon)))
+    uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=rows * horizon, max_size=rows * horizon))
+    client = LineRecorder()
+    act = policy_actor(task, PolicyHandle.external(client, context), task_id=task_id)
+    episodes = step_episodes(task, np.reshape(uniforms, (rows, horizon)), act,
+                             reward=lambda state, action: np.array(next(rewards)))
+    obs, actions = episodes.obs.tolist(), episodes.actions.tolist()
+    rewards = episodes.rewards.tolist()
+    want = [json.dumps({"task_id": task_id, "step": t, "context": context,
+                        "history": [{"obs": o, "action": a, "reward": r}
+                                    for o, a, r in zip(obs[j], actions[j], rewards[j][:t - 1])],
+                        "current_obs": obs[j][t - 1], "num_actions": task.num_actions},
+                       separators=(",", ":"))
+            for t in range(1, horizon + 1) for j in range(rows)]
+    assert client.lines == want
+
+
+@pytest.mark.parametrize("transport", ["tcp", "child"])
+def test_a_client_keeps_one_selector_until_close(monkeypatch, transport):
+    built, default = [], selectors.DefaultSelector
+
+    def counted():
+        built.append(default())
+        return built[-1]
+
+    monkeypatch.setattr(selectors, "DefaultSelector", counted)
+    if transport == "tcp":
+        port, received = serve(lambda req: {"action": req["step"] % 3})
+        client = ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0)
+    else:
+        client = ExternalPolicyClient.child_process(
+            [sys.executable, "-u", "-c", CHILD_POLICY], timeout=10.0)
+    with client:
+        for t in range(100):
+            assert client.query(f'{{"step":{t},"num_actions":3}}', num_actions=3) == t % 3
+        # a line with a newline in it would be two requests: refused, nothing sent
+        with pytest.raises(ValueError, match="newline"):
+            client.query('{"step":1,"num_actions":3}\n{"step":2,"num_actions":3}', 3)
+        assert client.query('{"step":101,"num_actions":3}', num_actions=3) == 101 % 3
+        assert len(built) == 1 and built[0].get_map() is not None
+    assert built[0].get_map() is None  # closed with the client
+    if transport == "tcp":
+        assert [req["step"] for req in received] == [*range(100), 101]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_opening_and_closing_clients_leaves_no_descriptor_open():
+    cat = shutil.which("cat")
+    assert cat is not None
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        # cat echoes the request line, which is a valid reply
+        with ExternalPolicyClient.child_process([cat], timeout=10.0) as client:
+            assert client.query('{"action":1}', num_actions=2) == 1
+    assert len(os.listdir("/proc/self/fd")) <= before
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +774,7 @@ def test_external_child_process_exit_detected():
             [sys.executable, "-c", "pass"], timeout=5.0) as client:
         time.sleep(0.3)
         with pytest.raises(ProtocolError):
-            client.query({"x": 1}, num_actions=2)
+            client.query('{"x":1}', num_actions=2)
 
 
 IGNORES_SIGTERM = r"""
@@ -703,14 +792,14 @@ def test_close_kills_a_child_that_ignores_sigterm(monkeypatch):
     monkeypatch.setattr(importlib.import_module("decisionlab.rollout"), "CLOSE_GRACE_S", 0.2)
     client = ExternalPolicyClient.child_process(
         [sys.executable, "-c", IGNORES_SIGTERM], timeout=10.0)
-    assert client.query({"x": 1}, num_actions=2) == 0  # SIGTERM is ignored by now
+    assert client.query('{"x":1}', num_actions=2) == 0  # SIGTERM is ignored by now
     proc = client._proc
     start = time.monotonic()
     client.close()
     assert time.monotonic() - start < 5.0
     assert proc.returncode == -signal.SIGKILL
     with pytest.raises(ProtocolError):
-        client.query({"x": 1}, num_actions=2)
+        client.query('{"x":1}', num_actions=2)
     client.close()  # a second close is a no-op
 
 

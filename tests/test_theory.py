@@ -29,7 +29,8 @@ from decisionlab.theory import (
     sample_prompt,
     train_lsa,
 )
-from decisionlab.theory import _e2_cell, _gram_factor, _lsa_batch_grads
+from decisionlab.theory import (_e2_cell, _gram_factor, _log_spaced_cov, _lsa_batch_grads,
+                               _projection_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def test_e2_parallel_equals_serial():
 PIN_E2 = E2Config(dim=4, num_actions=3, horizon=5, prompt_lengths=(3, 10, 100),
                   train_lengths=(100, 1000), condition_numbers=(1, 25),
                   tasks_per_cell=200, seed=3)
-PIN_E2_SHA256 = "8b685b3e629a3ea431993c7a650ad248fc6fae3b0a9351dbbd8949e7d471c89f"
+PIN_E2_SHA256 = "bbf17888c98216f7bb8dc9d9c1ff741e750b6b98fd92d5e71e24d0861905b5f2"
 
 
 def test_e2_rows_match_pinned_digest_serial_and_parallel():
@@ -423,6 +424,50 @@ def test_bartlett_factor_has_the_law_of_the_prompt_gram(d, m):
         c = v - v.mean(axis=0)
         return c[:, rows] * c[:, cols]
     assert np.abs(_moment_z(products(bartlett), products(direct))).max() < 5.0
+
+
+@pytest.mark.parametrize("kappa", [1, 25])
+def test_projection_pair_has_the_law_of_direct_candidate_features(kappa):
+    n, d = 100_000, 10
+    sd = np.sqrt(np.diag(_log_spaced_cov(d, kappa)))
+    w = np.linspace(1.0, -0.5, d)
+    coef = np.geomspace(0.2, 1.5, d) * w[::-1]  # neither parallel nor orthogonal to w
+    a, b, c = _projection_factor(sd, w[None], coef[None])
+    # the factor is exactly that of [w, coef]^T Lambda [w, coef]
+    cov = np.array([[w @ (sd ** 2 * w), w @ (sd ** 2 * coef)],
+                    [w @ (sd ** 2 * coef), coef @ (sd ** 2 * coef)]])
+    np.testing.assert_allclose([[a[0] ** 2, a[0] * b[0]], [a[0] * b[0], b[0] ** 2 + c[0] ** 2]],
+                               cov, rtol=1e-12)
+    z1, z2 = Rng(kappa).standard_normal((2, n))
+    pair = np.stack([a * z1, b * z1 + c * z2], axis=1)  # (q*, qhat)
+    phi = Rng(kappa, 1).standard_normal((n, d)) * sd
+    direct = np.stack([phi @ w, phi @ coef], axis=1)
+    # means, then both variances and the cross-covariance as centred products
+    assert np.abs(_moment_z(pair, direct)).max() < 4.0
+
+    def products(v):
+        c = v - v.mean(axis=0)
+        return np.stack([c[:, 0] ** 2, c[:, 1] ** 2, c[:, 0] * c[:, 1]], axis=1)
+    assert np.abs(_moment_z(products(pair), products(direct))).max() < 4.0
+
+
+@pytest.mark.parametrize("kappa", [1, 25])
+def test_projection_factor_of_degenerate_coefficients(kappa):
+    sd = np.sqrt(np.diag(_log_spaced_cov(10, kappa)))
+    w = Rng(kappa).standard_normal((200, 10))
+    zero = np.zeros_like(w)
+    for scale in (2.0, -0.5, 3.0):  # coef parallel to w: qhat is a multiple of q*
+        a, b, c = _projection_factor(sd, w, scale * w)
+        assert np.all(np.isfinite([a, b, c]))
+        np.testing.assert_allclose(b, scale * a, rtol=1e-12)
+        assert np.all(c <= 1e-7 * np.abs(b))  # 0 up to the rounding of |sd coef|^2 - b^2
+    a, b, c = _projection_factor(sd, w, zero)  # coef 0: qhat is 0
+    assert np.all(a > 0.0) and not b.any() and not c.any()
+    z1, z2 = Rng(kappa, 1).standard_normal((2, 200, 5))
+    assert not (b[:, None] * z1 + c[:, None] * z2).any()
+    a, b, c = _projection_factor(sd, zero, w)  # w 0: a = 0 gives no NaN
+    assert not a.any() and not b.any()
+    np.testing.assert_allclose(c, np.linalg.norm(sd * w, axis=1), rtol=1e-12)
 
 
 def test_e2_cell_memory_does_not_grow_with_prompt_length():
