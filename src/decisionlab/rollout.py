@@ -335,9 +335,8 @@ def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndar
     if policy.client is None:
         raise ValueError("external handle must carry a client")
     num_actions, client = task.num_actions, policy.client
-    # a request is json.dumps(request, separators=(",", ":")) of
-    # {"task_id", "step", "context", "history", "current_obs", "num_actions"},
-    # joined from pieces: the constant ones encoded here, each completed step once
+    # the pieces in the request's key order: task_id, step, context, history,
+    # current_obs, num_actions
     head = '{"task_id":%s,"step":' % _dumps(task_id)
     middle = ',"context":%s,"history":[' % _dumps(policy.context)
     tail = ',"num_actions":%s}' % _dumps(num_actions)
