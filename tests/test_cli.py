@@ -756,12 +756,24 @@ GOLDEN_REQUEST_STREAM_DIGESTS = {
     "pomdp":
         "5330a1cb85b3fcff6cc775e34f8c772104c53e97c5bd639edb5851232b14a46b",
 }
+# SHA-256 of the same request lines sorted: the bytes of each request,
+# whatever order they go out in
+GOLDEN_SORTED_REQUEST_DIGESTS = {
+    "mdp":
+        "e141948c72eab94f423a094ae770c3664b72bd0f58c2ad9cbf4315e4369b7733",
+    "pomdp":
+        "333d8a62e5cbfd5656d2ff124aedfc0c8d2d268714aafe3361c6b51e7978e64f",
+}
 
 
-def test_external_request_stream_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def external_request_logs(tmp_path_factory):
+    """Every byte ``eval --policy external`` sends over the child transport,
+    logged by a child that replies ``current_obs % num_actions``."""
+    tmp_path = tmp_path_factory.mktemp("requests")
     script = tmp_path / "policy.py"
     script.write_text(RECORD_POLICY)
-    digests = {}
+    logs = {}
     for setting in ("mdp", "pomdp"):
         log = tmp_path / f"{setting}.ndjson"
         cfg = write_config(tmp_path, f"{setting}.json", setting=setting, eval={
@@ -769,11 +781,24 @@ def test_external_request_stream_golden_digests(tmp_path):
             "external": {"transport": "child", "timeout": 30.0,
                          "argv": [sys.executable, str(script), str(log)]}})
         _run(cfg, tmp_path / setting, "gen", "eval")
-        lines = log.read_bytes().splitlines()
+        logs[setting] = log.read_bytes()
+    return logs
+
+
+def test_external_request_stream_golden_digests(external_request_logs):
+    digests = {}
+    for setting, stream in external_request_logs.items():
+        lines = stream.splitlines()
         assert len(lines) == 3 * 4 * FAST_CONFIG["env"]["horizon"]
         assert [json.loads(line)["step"] for line in lines[:4]] == [1, 2, 3, 4]
-        digests[setting] = hashlib.sha256(log.read_bytes()).hexdigest()
+        digests[setting] = hashlib.sha256(stream).hexdigest()
     assert digests == GOLDEN_REQUEST_STREAM_DIGESTS
+
+
+def test_external_request_lines_golden_digests(external_request_logs):
+    digests = {setting: hashlib.sha256(b"\n".join(sorted(stream.splitlines()))).hexdigest()
+               for setting, stream in external_request_logs.items()}
+    assert digests == GOLDEN_SORTED_REQUEST_DIGESTS
 
 
 # ---------------------------------------------------------------------------
