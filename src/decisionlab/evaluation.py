@@ -282,9 +282,10 @@ def darkroom_eval(goals: list[tuple[int, int]], policy_kind: str, rng: Rng,
     return bit for bit.  Goal i's episode j runs on ``rng.split(i).split(j)``.
     Random and oracle episodes of every goal are stepped together, and an
     external policy's goal by goal through ``run_episodes``, which asks it
-    one episode at a time.  ``jobs > 1`` spreads contiguous slices of the
-    goals over processes (``map_jobs``), each item naming its goals but
-    carrying no task, with the serial run's results; an external policy
+    once per period for all of the goal's episodes, so its requests go out
+    in period order within a goal.  ``jobs > 1`` spreads contiguous slices
+    of the goals over processes (``map_jobs``), each item naming its goals
+    but carrying no task, with the serial run's results; an external policy
     needs ``jobs=1``.  The interval is Student-t over per-goal means.
     """
     if policy_kind not in ("oracle", "random", "external"):

@@ -10,10 +10,11 @@ same generator yields draw-for-draw paired episodes, which is what makes
 oracle-relative gaps exact rather than noisy.  ``run_episodes`` steps one
 episode per generator from block draws of those streams and is the one
 runner of evaluation and the corpus builders; ``rollout`` is its one-row
-call.  It steps every policy's episodes together but an external policy's,
-which it steps one at a time, so its requests go out in episode order.  The
-stepper also steps the episodes of many Darkroom goals together, each row
-with its goal's actions and rewards.
+call.  It steps every policy's episodes together, an external policy's too,
+whose requests therefore go out in period order: period t's requests of
+every episode, in episode order, then period t + 1's.  The stepper also
+steps the episodes of many Darkroom goals together, each row with its goal's
+actions and rewards.
 
 Partially observed episodes maintain the exact Bayes belief as a side channel
 (one belief per period, starting from the task prior); planners receive it
@@ -21,9 +22,11 @@ alongside the raw observation.  Ambiguous tasks are simulated under their
 nominal model, and the maintained belief uses the nominal kernels as well.
 
 External policies speak newline-delimited JSON over TCP or a child process's
-stdio: one request object per line, one ``{"action": k}`` reply per line.
-Replies that are valid JSON but name an out-of-range action are recorded and
-mapped to action 0; malformed replies and timeouts abort the episode.
+stdio: one request object per line, one ``{"action": k}`` reply per line.  A
+period's requests are written together, and the replies must come back in
+request order, since a request carries no id.  Replies that are valid JSON
+but name an out-of-range action are recorded and mapped to action 0;
+malformed replies and timeouts abort the episodes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,47 +59,33 @@ class ProtocolError(RuntimeError):
     """Malformed traffic from an external policy (bad JSON, missing fields, EOF)."""
 
 
-class InvalidAction(ValueError):
-    """Structurally valid reply naming an action outside the task's range."""
-
-
 # ---------------------------------------------------------------------------
 # external-policy client
 
 
-def _recv_line(selector: selectors.BaseSelector, read, buf: bytearray, timeout: float) -> bytes:
-    """The next newline-terminated reply on the one file object (socket or
-    pipe fd) that ``selector`` watches for reading.
-
-    ``read(n)`` returns up to n bytes, b"" at end of stream.  The whole reply
-    must arrive within ``timeout`` seconds, however it is split, and its line
-    may hold at most ``MAX_REPLY_BYTES`` bytes.
-    """
-    deadline = time.monotonic() + timeout
-    while (nl := buf.find(b"\n", 0, MAX_REPLY_BYTES + 1)) < 0:
-        if len(buf) > MAX_REPLY_BYTES:
-            raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
-        remaining = deadline - time.monotonic()
-        if remaining <= 0.0 or not selector.select(remaining):
-            raise TimeoutError("external policy did not reply within the timeout")
-        chunk = read(65536)
-        if not chunk:
-            raise ProtocolError("external policy closed its output")
-        buf.extend(chunk)
-    line = bytes(buf[:nl])
-    del buf[:nl + 1]
-    return line
+def _action(raw: bytes, num_actions: int) -> int:
+    """The action of one reply line; -1 for an action outside ``0..num_actions - 1``."""
+    try:
+        reply = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"reply is not valid JSON: {raw[:200]!r}") from exc
+    if not isinstance(reply, dict) or "action" not in reply:
+        raise ProtocolError(f"reply missing 'action' field: {reply!r}")
+    action = reply["action"]
+    if isinstance(action, bool) or not isinstance(action, int):
+        raise ProtocolError(f"'action' must be an integer, got {action!r}")
+    return action if 0 <= action < num_actions else -1
 
 
 class ExternalPolicyClient:
-    """One connection to an external decision-maker, one request in flight.
+    """One connection to an external decision-maker.
 
-    A line transport: ``query`` sends one request, already encoded as a line
-    of JSON text, and reads and validates one reply.  Each instance owns a
-    private transport (TCP socket or child process) and one selector on its
-    reply stream, registered here and closed by ``close``, and serializes
-    its own requests with a lock, so per-request state is never shared; run
-    several instances for concurrent episodes.
+    A line transport: ``query`` writes a batch of requests, each already
+    encoded as a line of JSON text, and reads and validates one reply per
+    line, in request order.  Each instance owns a private transport (TCP
+    socket or child process), switched to non-blocking I/O, and one selector
+    on it, registered here and closed by ``close``; it serializes its own
+    batches with a lock, so per-request state is never shared.
     """
 
     def __init__(self, timeout: float = DEFAULT_TIMEOUT, sock: socket.socket | None = None,
@@ -107,11 +96,14 @@ class ExternalPolicyClient:
         self._sock, self._proc = sock, proc
         self._selector = selectors.DefaultSelector()
         if sock is not None:
+            sock.setblocking(False)
             self._selector.register(sock, selectors.EVENT_READ)
-            self._read = sock.recv
+            self._read, self._write = sock.recv, sock.send
         elif proc is not None:
+            os.set_blocking(proc.stdin.fileno(), False)
             self._selector.register(proc.stdout, selectors.EVENT_READ)
             self._read = functools.partial(os.read, proc.stdout.fileno())
+            self._write = functools.partial(os.write, proc.stdin.fileno())
 
     @classmethod
     def tcp(cls, host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> "ExternalPolicyClient":
@@ -123,35 +115,90 @@ class ExternalPolicyClient:
         return cls(timeout, proc=subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
 
-    def query(self, line: str, num_actions: int) -> int:
-        """Send one request line (JSON text without its newline), read one
-        reply, validate the chosen action."""
-        if "\n" in line:
+    def query(self, lines: list[str], num_actions: int) -> list[int]:
+        """Send request lines (JSON text without newlines), without waiting
+        for a reply between them, and return the action of each line's
+        reply, in request order; an action outside ``0..num_actions - 1``
+        reads -1."""
+        if not lines:
+            return []
+        text = "\n".join(lines) + "\n"
+        if text.count("\n") != len(lines):
             raise ValueError("a request line must not contain a newline")
-        data = (line + "\n").encode()
         with self._lock:
-            if self._sock is not None:
-                self._sock.sendall(data)
-            elif self._proc is not None:
-                if self._proc.poll() is not None:
-                    raise ProtocolError("external policy process has exited")
-                self._proc.stdin.write(data)
-                self._proc.stdin.flush()
-            else:
+            if self._proc is not None and self._proc.poll() is not None:
+                raise ProtocolError("external policy process has exited")
+            if self._sock is None and self._proc is None:
                 raise ProtocolError("client has no transport (already closed?)")
-            raw = _recv_line(self._selector, self._read, self._buf, self.timeout)
+            raws = self._exchange(text.encode(), len(lines))
+        return [_action(raw, num_actions) for raw in raws]
+
+    def _exchange(self, data: bytes, count: int) -> list[bytes]:
+        """Write ``data`` and read ``count`` newline-terminated replies, in
+        one loop on the selector: replies are read while the rest of
+        ``data`` waits for room, so neither side's buffers can fill up and
+        block the other.  Each reply must be complete within ``timeout``
+        seconds of the one before it (the first, of the call), however its
+        bytes are split, and its line may hold at most ``MAX_REPLY_BYTES``
+        bytes."""
+        pending, buf, replies, start = memoryview(data), self._buf, [], 0
+        pending = pending[self._send(pending):]
+        if pending:
+            self._watch_writes(True)
         try:
-            reply = json.loads(raw.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"reply is not valid JSON: {raw[:200]!r}") from exc
-        if not isinstance(reply, dict) or "action" not in reply:
-            raise ProtocolError(f"reply missing 'action' field: {reply!r}")
-        action = reply["action"]
-        if isinstance(action, bool) or not isinstance(action, int):
-            raise ProtocolError(f"'action' must be an integer, got {action!r}")
-        if not (0 <= action < num_actions):
-            raise InvalidAction(f"action {action} outside range 0..{num_actions - 1}")
-        return action
+            deadline = time.monotonic() + self.timeout
+            while len(replies) < count:
+                nl = buf.find(b"\n", start, start + MAX_REPLY_BYTES + 1)
+                if nl >= 0:
+                    replies.append(bytes(buf[start:nl]))
+                    start = nl + 1
+                    deadline = time.monotonic() + self.timeout
+                    continue
+                if len(buf) - start > MAX_REPLY_BYTES:
+                    raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
+                remaining = deadline - time.monotonic()
+                events = self._selector.select(remaining) if remaining > 0.0 else ()
+                if not events:
+                    raise TimeoutError("external policy did not reply within the timeout")
+                for _, mask in events:
+                    if mask & selectors.EVENT_WRITE and pending:
+                        pending = pending[self._send(pending):]
+                        if not pending:
+                            self._watch_writes(False)
+                    if mask & selectors.EVENT_READ:
+                        try:
+                            chunk = self._read(65536)
+                        except ConnectionError:  # reset by the peer: as good as closed
+                            chunk = b""
+                        if not chunk:
+                            raise ProtocolError("external policy closed its output")
+                        buf.extend(chunk)
+        finally:
+            del buf[:start]
+            if pending:
+                self._watch_writes(False)
+        if pending:
+            raise ProtocolError("external policy replied to requests it had not been sent")
+        return replies
+
+    def _send(self, data: memoryview) -> int:
+        """Write what the transport takes of ``data`` now; how many bytes it took."""
+        try:
+            return self._write(data)
+        except BlockingIOError:
+            return 0
+        except ConnectionError as exc:  # the peer stopped reading: closed, exited or reset
+            raise ProtocolError(f"external policy closed its input: {exc}") from exc
+
+    def _watch_writes(self, on: bool):
+        """Whether the selector also waits for room to write."""
+        if self._sock is not None:
+            self._selector.modify(self._sock, selectors.EVENT_READ
+                                  | (selectors.EVENT_WRITE if on else 0))
+        elif on:
+            self._selector.register(self._proc.stdin, selectors.EVENT_WRITE)
+        else:
+            self._selector.unregister(self._proc.stdin)
 
     def close(self):
         self._selector.close()
@@ -190,10 +237,11 @@ class PolicyHandle:
     of a belief task, acting by its ``qmdp_actions``; ``policy_actor`` checks
     both against the task.  "random" draws uniform actions from the policy
     stream; "external" sends one wire request per episode and period through
-    its client, with its few-shot ``context`` (``build_context``'s text, ""
-    for none).  The "qmdp" handle that ``reference_policy`` returns in place
-    of an exact oracle carries the ``BudgetExceeded`` that stopped the solve
-    as ``fallback``.
+    its client, a period's requests of all episodes in one batch, with its
+    few-shot ``context`` (``build_context``'s text, "" for none).  The
+    "qmdp" handle that ``reference_policy`` returns in place of an exact
+    oracle carries the ``BudgetExceeded`` that stopped the solve as
+    ``fallback``.
     """
 
     kind: str
@@ -313,13 +361,14 @@ def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndar
     handles are checked against the task once; on a belief task they answer
     a period's beliefs in one query (``RobustSolution.actions``,
     ``MdpSolution.qmdp_actions``).  An external handle asks its client once
-    per row, in row order, with the history that ``episodes`` recorded; an
-    ``InvalidAction`` reply acts 0 and is counted in ``episodes.invalid``.
-    Its request line is the bytes of ``json.dumps(request, separators=(",",
-    ":"))``, built as the episode grows: each row keeps its completed steps
-    already encoded (one ``json.dumps`` of a step's dict when it completes),
-    the task id, context and action count are encoded once per actor, and a
-    request joins those pieces.  The history restarts at period 1.
+    per period, with one request line per row, in row order, each with the
+    history that ``episodes`` recorded; an out-of-range reply acts 0 and is
+    counted in ``episodes.invalid``.  A request line is the bytes of
+    ``json.dumps(request, separators=(",", ":"))``, built as the episode
+    grows: each row keeps its completed steps already encoded (one
+    ``json.dumps`` of a step's dict when it completes), the task id, context
+    and action count are encoded once per actor, and a request joins those
+    pieces.  The history restarts at period 1.
     """
     if policy.kind == "random":
         return lambda t, state, beliefs, episodes: action_blocks[:, t - 1]
@@ -351,14 +400,13 @@ def policy_actor(task: TabularTask, policy: PolicyHandle, action_blocks: np.ndar
                        episodes.rewards[:, t - 2].tolist())
             for history, (o, a, r) in zip(histories, done):
                 history.append(_dumps({"obs": o, "action": a, "reward": r}))
-        actions = np.zeros(len(state), dtype=np.int64)
         prefix = f"{head}{t}{middle}"
-        for j, (history, obs) in enumerate(zip(histories, episodes.obs[:, t - 1].tolist())):
-            line = f'{prefix}{",".join(history)}],"current_obs":{obs}{tail}'
-            try:
-                actions[j] = client.query(line, num_actions)
-            except InvalidAction:
-                episodes.invalid[j] += 1
+        lines = [f'{prefix}{",".join(history)}],"current_obs":{obs}{tail}'
+                 for history, obs in zip(histories, episodes.obs[:, t - 1].tolist())]
+        actions = np.array(client.query(lines, num_actions), dtype=np.int64)
+        invalid = actions < 0  # out of range: act 0 and count it
+        episodes.invalid += invalid
+        actions[invalid] = 0
         return actions
 
     return act
@@ -427,18 +475,13 @@ def run_episodes(task: TabularTask, policy: PolicyHandle, rngs: list[Rng], task_
     (``env_blocks``, when given, must hold them) and a random policy's
     actions from ``rngs[j].split(1)``, so two policies run on the same
     generators meet the same environment draws.  Every policy's episodes are
-    stepped together but an external policy's, which are stepped one at a
-    time, so its requests go out in episode order."""
+    stepped together, so an external policy's requests go out in period
+    order, one batch per period."""
     if env_blocks is None:  # first, so that a task of another type fails before any draw
         env_blocks = _env_blocks(task, rngs)
     act = policy_actor(task, policy, _action_blocks(task, rngs) if policy.kind == "random"
                        else None, task_id)
-    if policy.kind != "external" or len(env_blocks) < 2:  # one row or none: nothing to stack
-        return step_episodes(task, env_blocks, act)
-    rows = [step_episodes(task, env_blocks[j:j + 1], act) for j in range(len(env_blocks))]
-    return Episodes(**{f.name: None if getattr(rows[0], f.name) is None
-                       else np.concatenate([getattr(row, f.name) for row in rows])
-                       for f in fields(Episodes)})
+    return step_episodes(task, env_blocks, act)
 
 
 def rollout(task: TabularTask, policy: PolicyHandle, rng: Rng,

@@ -76,13 +76,21 @@ class LinearTaskFamily:
         return z @ self._factor
 
     def sample_batch(self, count: int, prompt_length: int, rng: Rng):
-        """``count`` fresh tasks with one prompt each: prompt features (count,
-        M, d), their labels (count, M), query features (count, d) and the
-        queries' labels (count,), drawn as weights, features, then queries."""
+        """``count`` fresh tasks with one prompt each, drawn as weights w,
+        prompt features X = Z F (Z of shape (count, M, d)), then query
+        features: each prompt's (d+1)^2 Gram matrix C^T C of C = [X, X w]
+        (count, d+1, d+1), the query features (count, d) and the queries'
+        labels (count,).  The LSA loss and its gradients read a prompt only
+        through that Gram matrix, so X is never formed: C = Z P with
+        P = F [I, w], and C^T C = P^T (Z^T Z) P."""
         ws = rng.standard_normal((count, self.dim))
-        xs = self.sample_features((count, prompt_length), rng)
+        z = rng.standard_normal((count, prompt_length, self.dim))
         qs = self.sample_features((count,), rng)
-        return xs, np.einsum("bmd,bd->bm", xs, ws), qs, np.einsum("bd,bd->b", qs, ws)
+        p = np.empty((count, self.dim, self.dim + 1))
+        p[:, :, :-1] = self._factor
+        p[:, :, -1] = ws @ self._factor.T
+        gram = p.transpose(0, 2, 1) @ (z.transpose(0, 2, 1) @ z) @ p
+        return gram, qs, (qs * ws).sum(axis=1)
 
 
 @dataclass
@@ -292,31 +300,29 @@ class TrainResult:
     stopped_early: bool
 
 
-def _lsa_batch_grads(u, w_kq, xs, ys, qs, targets):
+def _lsa_batch_grads(u, w_kq, gram, qs, targets, prompt_length):
     """Loss and exact gradients of the mean of 0.5 * (prediction - target)^2.
 
-    xs: (B, m, d), ys: (B, m), qs: (B, d), targets: (B,).  u is the last row
-    of W_PV (the only part of W_PV with nonzero gradient).
+    gram: (B, d+1, d+1), each prompt's C^T C with C = [X, y] its features and
+    labels; qs: (B, d); targets: (B,).  u is the last row of W_PV (the only
+    part of W_PV with nonzero gradient).  A prompt matrix E enters only
+    through E E^T = C^T C + q q^T, q = [x_q, 0].
     """
-    B, m, _ = xs.shape
-    cols = np.concatenate([xs, ys[..., None]], axis=2)      # (B, m, d+1)
+    B = len(qs)
     q = np.concatenate([qs, np.zeros((B, 1))], axis=1)      # (B, d+1)
 
-    def gram(v):
-        """Per item, E E^T v / m = (C^T (C v) + q (q.v)) / m, C = cols:
-        the (d+1)^2 Gram matrix E E^T is never formed."""
-        cv = np.matmul(cols, v[:, :, None])                 # (B, m, 1)
-        return (np.matmul(cv.transpose(0, 2, 1), cols)[:, 0]
-                + q * (q * v).sum(axis=1)[:, None]) / m
+    def attend(v):
+        """Per item, E E^T v / M for the item's row of v (B, d+1)."""
+        return (np.matmul(gram, v[:, :, None])[:, :, 0]
+                + q * (q * v).sum(axis=1)[:, None]) / prompt_length
 
-    hg = gram(q @ w_kq.T)
+    hg = attend(q @ w_kq.T)
     pred = hg @ u
     resid = pred - targets
     with np.errstate(over="ignore"):  # overflow surfaces as Diverged upstream
         loss = 0.5 * float(np.mean(resid ** 2))
     grad_u = (resid[:, None] * hg).mean(axis=0)
-    hu = gram(np.broadcast_to(u, q.shape))
-    grad_w = (resid[:, None] * hu).T @ q / B
+    grad_w = (resid[:, None] * attend(np.broadcast_to(u, q.shape))).T @ q / B
     return loss, grad_u, grad_w
 
 
@@ -340,8 +346,8 @@ def train_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
     def run_epoch(u, w_kq, lr, count):
         total = 0.0
         for _ in range(count):
-            xs, ys, qs, targets = family.sample_batch(batch_size, prompt_length, rng)
-            loss, gu, gw = _lsa_batch_grads(u, w_kq, xs, ys, qs, targets)
+            gram, qs, targets = family.sample_batch(batch_size, prompt_length, rng)
+            loss, gu, gw = _lsa_batch_grads(u, w_kq, gram, qs, targets, prompt_length)
             if not math.isfinite(loss):
                 raise Diverged("non-finite training loss")
             u = u - lr * gu
@@ -379,8 +385,8 @@ def train_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
 def evaluate_lsa(layer: LsaLayer, family: LinearTaskFamily, rng: Rng,
                  prompt_length: int, num_eval: int = 2048) -> dict:
     """Prediction quality on fresh prompts: MSE and RMS relative to target RMS."""
-    xs, ys, qs, targets = family.sample_batch(num_eval, prompt_length, rng)
-    loss, _, _ = _lsa_batch_grads(layer.w_pv[-1], layer.w_kq, xs, ys, qs, targets)
+    gram, qs, targets = family.sample_batch(num_eval, prompt_length, rng)
+    loss, _, _ = _lsa_batch_grads(layer.w_pv[-1], layer.w_kq, gram, qs, targets, prompt_length)
     mse = 2.0 * loss
     target_ms = float(np.mean(targets ** 2))
     return {"mse": mse, "rel_rms": math.sqrt(mse / target_ms)}

@@ -182,10 +182,10 @@ def reference_rollout(task: TabularTask, policy, rng, task_id: str = ""):
     from ``rng.split(1)`` once per period; an oracle acts by its solution's
     ``action`` (on the state, or on the nominal Bayes belief), a qmdp handle
     by ``qmdp_action``, and an external one sends one request per period,
-    encoded by ``json.dumps``, with invalid actions mapped to 0 and counted.  Handles are not checked
-    against the task.  Returns ``rollout``'s ``RolloutResult``.
+    encoded by ``json.dumps``, with out-of-range actions mapped to 0 and
+    counted.  Handles are not checked against the task.  Returns ``rollout``'s ``RolloutResult``.
     """
-    from decisionlab.rollout import InvalidAction, RolloutResult
+    from decisionlab.rollout import RolloutResult
 
     env_rng, policy_rng = rng.split(0), rng.split(1)
     nominal = task.models[0]
@@ -209,10 +209,9 @@ def reference_rollout(task: TabularTask, policy, rng, task_id: str = ""):
                        "history": [{"obs": s.obs, "action": s.action, "reward": s.reward}
                                    for s in traj.steps],
                        "current_obs": int(obs), "num_actions": task.num_actions}
-            try:
-                line = json.dumps(request, separators=(",", ":"))
-                action = policy.client.query(line, task.num_actions)
-            except InvalidAction:
+            line = json.dumps(request, separators=(",", ":"))
+            [action] = policy.client.query([line], task.num_actions)
+            if action < 0:  # out of range
                 action, invalid = 0, invalid + 1
         traj.append(obs, action, float(task.reward[state, action]))
         if t < task.horizon:

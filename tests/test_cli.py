@@ -749,12 +749,13 @@ with open(sys.argv[1], "ab") as log:
 """
 
 # SHA-256 of every byte ``eval --policy external`` sends over the child
-# transport, in order (3 tasks, 4 episodes each).
+# transport, in order (3 tasks, 4 episodes each; within a task, period 1's
+# request of every episode, then period 2's, and so on).
 GOLDEN_REQUEST_STREAM_DIGESTS = {
     "mdp":
-        "45fd8efab0e0566d8532a7a448a5b52d4dbc3f8bb92e5ed4a32248305423e52f",
+        "d18d2edf4189220c78880e45eae3305fc465fcae549338a11ec49d96e4aca73c",
     "pomdp":
-        "5330a1cb85b3fcff6cc775e34f8c772104c53e97c5bd639edb5851232b14a46b",
+        "6ed63d750a3dce4a998ed1693312098aaca440bd2784d28818e57adc1a2b7a7d",
 }
 # SHA-256 of the same request lines sorted: the bytes of each request,
 # whatever order they go out in
@@ -788,9 +789,11 @@ def external_request_logs(tmp_path_factory):
 def test_external_request_stream_golden_digests(external_request_logs):
     digests = {}
     for setting, stream in external_request_logs.items():
-        lines = stream.splitlines()
-        assert len(lines) == 3 * 4 * FAST_CONFIG["env"]["horizon"]
-        assert [json.loads(line)["step"] for line in lines[:4]] == [1, 2, 3, 4]
+        requests = [json.loads(line) for line in stream.splitlines()]
+        horizon = FAST_CONFIG["env"]["horizon"]
+        assert [(r["task_id"], r["step"]) for r in requests] == [
+            (f"task_{i:04d}", t) for i in range(3) for t in range(1, horizon + 1)
+            for _ in range(4)]
         digests[setting] = hashlib.sha256(stream).hexdigest()
     assert digests == GOLDEN_REQUEST_STREAM_DIGESTS
 

@@ -21,7 +21,7 @@ from decisionlab.dataset import (
     write_csv,
     write_jsonl,
 )
-from decisionlab.rollout import InvalidAction, PolicyHandle
+from decisionlab.rollout import PolicyHandle
 from decisionlab.solvers import solve_mdp
 
 from conftest import reference_rollout, tiny_energy_mdp, tiny_energy_pomdp
@@ -201,30 +201,33 @@ def test_sft_corpus_of_zero_trajectories_has_empty_contexts():
 
 class ScriptedClient:
     """Stands in for an external policy: records each request and answers
-    from its period and observation, now and then with an invalid action."""
+    from its period and observation, now and then with an out-of-range
+    action (-1)."""
 
     def __init__(self):
         self.requests = []
 
-    def query(self, line, num_actions):
-        request = json.loads(line)
-        self.requests.append(request)
-        action = (request["step"] + request["current_obs"]) % (num_actions + 1)
-        if action == num_actions:
-            raise InvalidAction(f"action {action} outside range 0..{num_actions - 1}")
-        return action
+    def query(self, lines, num_actions):
+        actions = []
+        for line in lines:
+            request = json.loads(line)
+            self.requests.append(request)
+            action = (request["step"] + request["current_obs"]) % (num_actions + 1)
+            actions.append(-1 if action == num_actions else action)
+        return actions
 
 
-def test_sft_corpus_of_an_external_policy_asks_in_episode_order():
+def test_sft_corpus_of_an_external_policy_asks_in_period_order():
     tasks = [tiny_energy_mdp(p=0.6, horizon=4), tiny_energy_pomdp(horizon=4)]
     contexts = ["TRAJ 1: <O_1> 0, <A_1> 0, <R_1> 0.00", ""]
     client = ScriptedClient()
     records = build_sft_corpus(tasks, [PolicyHandle.external(client, c) for c in contexts],
                                Rng(9), trajectories_per_task=3)
+    # task by task; within a task, period 1 of every episode, then period 2, ...
     assert [(r["task_id"], r["step"]) for r in client.requests] == [
-        (f"task_{i:04d}", t) for i in range(2) for _ in range(3) for t in range(1, 5)]
-    # one episode at a time, in record order: the requests and trajectories
-    # of a replay of every recorded stream, one period at a time
+        (f"task_{i:04d}", t) for i in range(2) for t in range(1, 5) for _ in range(3)]
+    # the requests, regrouped by episode, and the trajectories are those of a
+    # replay of every recorded stream, one episode and one period at a time
     replay_client, invalid = ScriptedClient(), 0
     for task, context, rec in zip(tasks, contexts, records):
         handle = PolicyHandle.external(replay_client, context)
@@ -232,7 +235,9 @@ def test_sft_corpus_of_an_external_policy_asks_in_episode_order():
             replay = reference_rollout(task, handle, Rng(seed, stream), task_id=rec["task_id"])
             assert encode(replay.trajectory) == text
             invalid += replay.invalid_actions
-    assert client.requests == replay_client.requests
+    by_episode = [client.requests[12 * i + 3 * (t - 1) + j]
+                  for i in range(2) for j in range(3) for t in range(1, 5)]
+    assert by_episode == replay_client.requests
     assert invalid > 0
 
 

@@ -27,7 +27,6 @@ from decisionlab.envs import (DarkroomTask, EnergyParams, gen_energy_apomdp, gen
 from decisionlab.envs import AmbiguityConfig
 from decisionlab.rollout import (
     ExternalPolicyClient,
-    InvalidAction,
     PolicyHandle,
     ProtocolError,
     env_draws,
@@ -581,7 +580,7 @@ def test_external_reply_deadline_covers_a_drip_feeding_peer():
                                       timeout=0.3) as client:
             start = time.monotonic()
             with pytest.raises(TimeoutError):
-                client.query('{"x":1}', num_actions=2)
+                client.query(['{"x":1}'], num_actions=2)
             assert time.monotonic() - start < 1.5
     finally:
         stop.set()
@@ -602,7 +601,7 @@ def test_external_oversize_reply_line_raises_protocol_error():
     with ExternalPolicyClient.child_process(
             [sys.executable, "-c", OVERSIZE_CHILD, str(limit)], timeout=10.0) as client:
         with pytest.raises(ProtocolError, match="exceeds"):
-            client.query('{"x":1}', num_actions=2)
+            client.query(['{"x":1}'], num_actions=2)
 
 
 _LINE_LIMIT = 48  # stands in for MAX_REPLY_BYTES, so that lines fall on both sides of it
@@ -613,7 +612,7 @@ _LINE_LIMIT = 48  # stands in for MAX_REPLY_BYTES, so that lines fall on both si
                           st.sampled_from([_LINE_LIMIT, _LINE_LIMIT + 1]).map(lambda n: b"x" * n)),
                 min_size=1, max_size=6),
        st.lists(st.integers(1, 64), min_size=1, max_size=10))
-def test_recv_line_reassembles_arbitrarily_split_replies(lines, sizes):
+def test_replies_are_reassembled_from_arbitrary_splits(lines, sizes):
     # replies come in chunks of the drawn sizes, in turn
     module, limit = importlib.import_module("decisionlab.rollout"), _LINE_LIMIT
     stream = b"".join(line + b"\n" for line in lines)
@@ -623,20 +622,19 @@ def test_recv_line_reassembles_arbitrarily_split_replies(lines, sizes):
         at += len(chunks[-1])
     pending = iter(chunks)
     ready, peer = socket.socketpair()
-    with (ready, peer, selectors.DefaultSelector() as selector,
+    with (ExternalPolicyClient(5.0, sock=ready) as client, peer,
           mock.patch.object(module, "MAX_REPLY_BYTES", limit)):
-        selector.register(ready, selectors.EVENT_READ)
         peer.sendall(b"!")  # keeps ``ready`` readable; ``read`` hands out the chunks
-        buf = bytearray()
+        client._read = lambda n: next(pending, b"")
         for line in lines:
             if len(line) > limit:
                 with pytest.raises(ProtocolError, match="exceeds"):
-                    module._recv_line(selector, lambda n: next(pending, b""), buf, 5.0)
-                assert len(buf) <= limit + max(sizes)  # it stopped reading at the limit
+                    client._exchange(b"", 1)
+                assert len(client._buf) <= limit + max(sizes)  # it stopped reading at the limit
                 break
-            assert module._recv_line(selector, lambda n: next(pending, b""), buf, 5.0) == line
+            assert client._exchange(b"", 1) == [line]
         else:
-            assert not buf and next(pending, None) is None
+            assert not client._buf and next(pending, None) is None
 
 
 def test_external_eof_raises_protocol_error():
@@ -650,9 +648,9 @@ def test_external_eof_raises_protocol_error():
 def test_external_client_query_validates_range_directly():
     port, _ = serve(lambda req: {"action": 2})
     with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0) as client:
-        assert client.query('{"x":1}', num_actions=3) == 2
-        with pytest.raises(InvalidAction):
-            client.query('{"x":1}', num_actions=2)
+        assert client.query(['{"x":1}'], num_actions=3) == [2]
+        assert client.query(['{"x":1}', '{"x":2}'], num_actions=2) == [-1, -1]  # out of range
+        assert client.query([], num_actions=2) == []
 
 
 def test_external_closed_client_refuses_queries():
@@ -660,7 +658,7 @@ def test_external_closed_client_refuses_queries():
     client = ExternalPolicyClient.tcp("127.0.0.1", port, timeout=5.0)
     client.close()
     with pytest.raises(ProtocolError):
-        client.query('{"x":1}', num_actions=2)
+        client.query(['{"x":1}'], num_actions=2)
 
 
 class LineRecorder:
@@ -670,9 +668,12 @@ class LineRecorder:
     def __init__(self):
         self.lines = []
 
-    def query(self, line, num_actions):
-        self.lines.append(line)
-        return len(self.lines) % num_actions
+    def query(self, lines, num_actions):
+        actions = []
+        for line in lines:
+            self.lines.append(line)
+            actions.append(len(self.lines) % num_actions)
+        return actions
 
 
 _AWKWARD_TEXT = st.one_of(
@@ -725,11 +726,11 @@ def test_a_client_keeps_one_selector_until_close(monkeypatch, transport):
             [sys.executable, "-u", "-c", CHILD_POLICY], timeout=10.0)
     with client:
         for t in range(100):
-            assert client.query(f'{{"step":{t},"num_actions":3}}', num_actions=3) == t % 3
+            assert client.query([f'{{"step":{t},"num_actions":3}}'], num_actions=3) == [t % 3]
         # a line with a newline in it would be two requests: refused, nothing sent
         with pytest.raises(ValueError, match="newline"):
-            client.query('{"step":1,"num_actions":3}\n{"step":2,"num_actions":3}', 3)
-        assert client.query('{"step":101,"num_actions":3}', num_actions=3) == 101 % 3
+            client.query(['{"step":1,"num_actions":3}\n{"step":2,"num_actions":3}'], 3)
+        assert client.query(['{"step":101,"num_actions":3}'], num_actions=3) == [101 % 3]
         assert len(built) == 1 and built[0].get_map() is not None
     assert built[0].get_map() is None  # closed with the client
     if transport == "tcp":
@@ -744,7 +745,7 @@ def test_opening_and_closing_clients_leaves_no_descriptor_open():
     for _ in range(50):
         # cat echoes the request line, which is a valid reply
         with ExternalPolicyClient.child_process([cat], timeout=10.0) as client:
-            assert client.query('{"action":1}', num_actions=2) == 1
+            assert client.query(['{"action":1}'], num_actions=2) == [1]
     assert len(os.listdir("/proc/self/fd")) <= before
 
 
@@ -775,7 +776,7 @@ def test_external_child_process_exit_detected():
             [sys.executable, "-c", "pass"], timeout=5.0) as client:
         time.sleep(0.3)
         with pytest.raises(ProtocolError):
-            client.query('{"x":1}', num_actions=2)
+            client.query(['{"x":1}'], num_actions=2)
 
 
 IGNORES_SIGTERM = r"""
@@ -793,15 +794,150 @@ def test_close_kills_a_child_that_ignores_sigterm(monkeypatch):
     monkeypatch.setattr(importlib.import_module("decisionlab.rollout"), "CLOSE_GRACE_S", 0.2)
     client = ExternalPolicyClient.child_process(
         [sys.executable, "-c", IGNORES_SIGTERM], timeout=10.0)
-    assert client.query('{"x":1}', num_actions=2) == 0  # SIGTERM is ignored by now
+    assert client.query(['{"x":1}'], num_actions=2) == [0]  # SIGTERM is ignored by now
     proc = client._proc
     start = time.monotonic()
     client.close()
     assert time.monotonic() - start < 5.0
     assert proc.returncode == -signal.SIGKILL
     with pytest.raises(ProtocolError):
-        client.query('{"x":1}', num_actions=2)
+        client.query(['{"x":1}'], num_actions=2)
     client.close()  # a second close is a no-op
+
+
+# ---------------------------------------------------------------------------
+# a period's requests in one batch
+
+
+ECHO_CHILD = r"""
+import sys
+for line in sys.stdin:
+    sys.stdout.write(line)
+    sys.stdout.flush()
+"""
+
+
+def _padded_requests(count, width):
+    """Request lines that are also valid replies: ``{"action": i % 5}``,
+    padded to about ``width`` bytes, so that an echo peer answers each."""
+    return [json.dumps({"action": i % 5, "pad": "x" * (width - 30 + i % 7)}) for i in range(count)]
+
+
+def _split_tcp_peer(seed, close_after=None):
+    """A TCP peer that reads in chunks of random size and echoes every
+    complete line back in pieces of random size; after ``close_after`` lines
+    it closes the connection instead.  Returns its port."""
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    srv.listen(1)
+    pick = np.random.default_rng(seed)
+
+    def run():
+        conn, _ = srv.accept()
+        srv.close()
+        buf, seen = b"", 0
+        with conn:
+            while chunk := conn.recv(int(pick.integers(1, 70000))):
+                buf += chunk
+                *done, buf = buf.split(b"\n")
+                if close_after is not None and seen + len(done) >= close_after:
+                    return
+                seen += len(done)
+                out = b"".join(line + b"\n" for line in done)
+                while out:
+                    cut = int(pick.integers(1, 4000))
+                    conn.sendall(out[:cut])
+                    out = out[cut:]
+
+    threading.Thread(target=run, daemon=True).start()
+    return srv.getsockname()[1]
+
+
+def _bounded(client, call, seconds):
+    """``[call()]``, or ``[the exception it raised]``, or ``[]`` if it has not
+    returned within ``seconds``: it runs in a thread, so that a call that
+    blocks fails its test instead of hanging it.  A call still running then
+    has ``client``'s transport cut under it (child killed, socket shut)."""
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except Exception as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        if client._proc is not None:
+            client._proc.kill()
+        if client._sock is not None:
+            client._sock.shutdown(socket.SHUT_RDWR)
+        worker.join()
+        out.clear()
+    return out
+
+
+@pytest.mark.parametrize("transport", ["child", "tcp"])
+def test_a_period_larger_than_the_buffers_completes_in_request_order(transport):
+    # 3,000 lines of about 420 bytes: 1.3 MB each way, past any pipe or socket buffer
+    lines = _padded_requests(3000, 420)
+    assert sum(map(len, lines)) > 1 << 20
+    if transport == "child":
+        client = ExternalPolicyClient.child_process(
+            [sys.executable, "-u", "-c", ECHO_CHILD], timeout=10.0)
+    else:
+        client = ExternalPolicyClient.tcp("127.0.0.1", _split_tcp_peer(3), timeout=10.0)
+    with client:
+        batch = _bounded(client, lambda: client.query(lines, num_actions=4), 20.0)
+        one_by_one = _bounded(client, lambda: [client.query([line], num_actions=4)[0]
+                                               for line in lines[:200]], 20.0)
+    assert batch == [[i % 5 if i % 5 < 4 else -1 for i in range(3000)]]
+    assert one_by_one == [batch[0][:200]]
+
+
+@pytest.mark.parametrize("transport", ["child", "tcp", "child-input-closed"])
+def test_a_peer_that_closes_mid_period_raises_protocol_error(transport):
+    lines = _padded_requests(3000, 420)
+    if transport == "child":  # answers three requests, then exits
+        client = ExternalPolicyClient.child_process([sys.executable, "-u", "-c", (
+            "import sys\nfor _ in range(3): sys.stdout.write(sys.stdin.readline())")],
+            timeout=10.0)
+    elif transport == "child-input-closed":  # reads nothing and keeps its output open
+        client = ExternalPolicyClient.child_process([sys.executable, "-c", (
+            "import os, time\nos.close(0)\ntime.sleep(30)")], timeout=10.0)
+        time.sleep(0.5)
+    else:
+        client = ExternalPolicyClient.tcp("127.0.0.1", _split_tcp_peer(4, close_after=3),
+                                          timeout=10.0)
+    with client:
+        outcome = _bounded(client, lambda: client.query(lines, num_actions=4), 20.0)
+    assert len(outcome) == 1 and isinstance(outcome[0], ProtocolError)
+
+
+def test_the_timeout_bounds_each_reply_of_a_period():
+    # six replies 0.25 s apart: 1.5 s in all, each within the 0.6 s timeout
+    def slow(req):
+        time.sleep(0.25)
+        return {"action": req["step"] % 3}
+
+    port, _ = serve(slow)
+    with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=0.6) as client:
+        lines = [f'{{"step":{t},"num_actions":3}}' for t in range(6)]
+        assert client.query(lines, num_actions=3) == [t % 3 for t in range(6)]
+
+
+def test_a_child_that_stops_reading_times_out_while_written_to():
+    sleep = shutil.which("sleep")
+    assert sleep is not None
+    with ExternalPolicyClient.child_process([sleep, "30"], timeout=1.0) as client:
+        start = time.monotonic()
+        outcome = _bounded(client, lambda: client.query(['{"pad":"%s"}' % ("x" * 300_000)], 2),
+                           5.0)
+        elapsed = time.monotonic() - start
+    assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError)
+    assert 1.0 <= elapsed < 3.0
 
 
 # ---------------------------------------------------------------------------

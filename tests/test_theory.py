@@ -54,6 +54,33 @@ def test_family_features_have_requested_covariance():
     np.testing.assert_allclose(emp, cov, atol=0.03)
 
 
+def _correlated_cov(d):
+    """A non-diagonal covariance: unit-diagonal AR(1) correlations times log-spaced scales."""
+    corr = 0.6 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    sd = np.sqrt(np.diag(_log_spaced_cov(d, 50.0)))
+    return corr * np.outer(sd, sd)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("cov", ["identity", "correlated"])
+def test_sample_batch_gram_is_that_of_features_drawn_from_the_same_stream(d, cov):
+    lam = np.eye(d) if cov == "identity" else _correlated_cov(d)
+    family, count, m = LinearTaskFamily(dim=d, feature_cov=lam), 64, 30
+    gram, qs, targets = family.sample_batch(count, m, Rng(17, d))
+    # the features and labels themselves, drawn in the same order from the same stream
+    rng, factor = Rng(17, d), np.linalg.cholesky(lam).T
+    ws = rng.standard_normal((count, d))
+    xs = rng.standard_normal((count, m, d)) @ factor
+    want_qs = rng.standard_normal((count, d)) @ factor
+    cols = np.concatenate([xs, np.einsum("bmd,bd->bm", xs, ws)[..., None]], axis=2)
+    want = np.einsum("bmi,bmj->bij", cols, cols)
+    assert gram.shape == (count, d + 1, d + 1)
+    np.testing.assert_allclose(gram, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(qs, want_qs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(targets, np.einsum("bd,bd->b", want_qs, ws), rtol=1e-12,
+                               atol=1e-12 * np.abs(want_qs).max())
+
+
 def test_prompt_moment_formula():
     xs = np.array([[1.0, 0.0], [0.0, 2.0]])
     ys = np.array([3.0, -1.0])
@@ -207,6 +234,12 @@ def test_initialized_layer_schemes():
         LsaLayer.initialized(3, Rng(0), scheme="xavier")
 
 
+def _gram(xs, ys):
+    """Each prompt's C^T C, C = [xs, ys]."""
+    cols = np.concatenate([xs, ys[..., None]], axis=2)
+    return np.einsum("bmi,bmj->bij", cols, cols)
+
+
 def test_batch_grads_match_finite_differences():
     rng = np.random.default_rng(11)
     B, m, d = 3, 5, 2
@@ -216,10 +249,11 @@ def test_batch_grads_match_finite_differences():
     targets = rng.standard_normal(B)
     u = 0.3 * rng.standard_normal(d + 1)
     w = 0.3 * rng.standard_normal((d + 1, d + 1))
-    _, grad_u, grad_w = _lsa_batch_grads(u, w, xs, ys, qs, targets)
+    gram = _gram(xs, ys)
+    _, grad_u, grad_w = _lsa_batch_grads(u, w, gram, qs, targets, m)
 
     def loss_at(u_, w_):
-        return _lsa_batch_grads(u_, w_, xs, ys, qs, targets)[0]
+        return _lsa_batch_grads(u_, w_, gram, qs, targets, m)[0]
 
     h = 1e-6
     for i in range(d + 1):
@@ -259,7 +293,7 @@ def test_batch_grads_match_the_gram_tensor_formula(d, m):
     targets = rng.standard_normal(B)
     u = rng.standard_normal(d + 1)
     w = rng.standard_normal((d + 1, d + 1))
-    got = _lsa_batch_grads(u, w, xs, ys, qs, targets)
+    got = _lsa_batch_grads(u, w, _gram(xs, ys), qs, targets, m)
     want = _gram_tensor_grads(u, w, xs, ys, qs, targets)
     assert got[0] == pytest.approx(want[0], abs=1e-12, rel=0)
     for a, b in zip(got[1:], want[1:]):
