@@ -874,7 +874,7 @@ def _bounded(client, call, seconds):
             client._proc.kill()
         if client._sock is not None:
             client._sock.shutdown(socket.SHUT_RDWR)
-        worker.join()
+        worker.join(5.0)
         out.clear()
     return out
 
