@@ -119,7 +119,7 @@ class ExternalPolicyClient:
         """Send request lines (JSON text without newlines), without waiting
         for a reply between them, and return the action of each line's
         reply, in request order; an action outside ``0..num_actions - 1``
-        reads -1."""
+        reads -1.  A timeout or a protocol error closes the client."""
         if not lines:
             return []
         text = "\n".join(lines) + "\n"
@@ -130,7 +130,11 @@ class ExternalPolicyClient:
                 raise ProtocolError("external policy process has exited")
             if self._sock is None and self._proc is None:
                 raise ProtocolError("client has no transport (already closed?)")
-            raws = self._exchange(text.encode(), len(lines))
+            try:
+                raws = self._exchange(text.encode(), len(lines))
+            except (TimeoutError, ProtocolError):
+                self.close()  # replies of the failed batch may still arrive
+                raise
         return [_action(raw, num_actions) for raw in raws]
 
     def _exchange(self, data: bytes, count: int) -> list[bytes]:

@@ -20,11 +20,12 @@ worst-case (alpha = 1) and best-case (alpha = 0) planning.
 
 Values are stored at quantized representatives: ``value(t, b)`` returns the
 value of the grid point nearest ``b`` under largest-remainder rounding.  Each
-level is stored once, as the sorted byte view of its keys, and expanded
-once.  Deduplication ranks the keys as packed integers (``_unique_keys``)
-instead of sorting their bytes, and lookups still search the shared byte
-view; a level built from one chunk of parents is that chunk's distinct
-children as ranked, not sorted again.  Actions with equal kernels in
+level is stored once, as the sorted byte view of its keys, and expanded once.
+Rounding ranks fractions by counting pairs (i, i + k), one offset k at a
+time, not by sorting.  Deduplication ranks the keys as packed integers
+(``_unique_keys``) instead of sorting their bytes, and lookups still search
+the shared byte view; a level built from one chunk of parents is that chunk's
+distinct children as ranked, not sorted again.  Actions with equal kernels in
 every model are expanded once, and the node budget is checked while a level
 is built (see ``RobustSolution``).  Queries off the solved tree lazily expand
 the missing subtree and are not held to the budget.
@@ -151,16 +152,21 @@ def quantize_batch(probs: np.ndarray, ticks: int) -> np.ndarray:
     fractional parts (ties toward lower index, stable across platforms).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    scaled = probs * ticks
-    base = np.floor(scaled).astype(np.int32)
-    frac = scaled - base
-    short = ticks - base.sum(axis=1)
-    order = np.argsort(-frac, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(probs.shape[0])[:, None]
-    ranks[rows, order] = np.arange(probs.shape[1])[None, :]
-    base += (ranks < short[:, None]).astype(np.int32)
-    return base
+    n, S = probs.shape
+    keys = np.empty((n, S), dtype=np.int32)
+    for lo in range(0, n, 4096):  # coordinate-major blocks that stay in cache
+        scaled = np.multiply(probs[lo:lo + 4096].T, ticks, order="C")
+        base = np.floor(scaled).astype(np.int32)
+        frac = scaled - base
+        # i's place in a stable descending sort: #{j < i: f_j >= f_i} + #{j > i: f_j > f_i}
+        rank = np.repeat(np.arange(S, dtype=np.min_scalar_type(-S))[:, None], frac.shape[1], 1)
+        for k in range(1, S):
+            beats = frac[k:] > frac[:-k]
+            rank[:-k] += beats
+            rank[k:] -= beats
+        base += rank < ticks - base.sum(axis=0)
+        keys[lo:lo + 4096] = base.T
+    return keys
 
 
 def quantize_belief(belief: Belief, step: float) -> Belief:

@@ -557,6 +557,24 @@ def test_external_timeout_raises():
             rollout(task, PolicyHandle.external(client), Rng(1))
 
 
+def test_a_failed_batch_closes_the_client():
+    # the reply to request 0 comes after the timeout: read by the next query,
+    # it would pass for that query's own reply
+    def late_first(req):
+        if req["n"] == 0:
+            time.sleep(0.5)
+        return {"action": req["n"]}
+
+    port, _ = serve(late_first)
+    with ExternalPolicyClient.tcp("127.0.0.1", port, timeout=0.2) as client:
+        with pytest.raises(TimeoutError):
+            client.query(['{"n":0}'], num_actions=2)
+        time.sleep(0.4)  # the late reply has come in by now
+        with pytest.raises(ProtocolError, match="closed"):
+            client.query(['{"n":1}'], num_actions=2)
+        client.close()  # closing again is a no-op
+
+
 def test_external_reply_deadline_covers_a_drip_feeding_peer():
     # every recv returns within the timeout, but the reply line never ends
     srv = socket.socket()

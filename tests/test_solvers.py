@@ -185,6 +185,73 @@ def test_quantize_sums_and_error_bound(seed, n):
     np.testing.assert_array_equal(quantize_batch(keys / ticks, ticks), keys)
 
 
+def _quantize_by_argsort(probs, ticks):
+    """Largest-remainder rounding by a per-row stable argsort: the reference
+    that ``quantize_batch``'s pairwise rank counts must match bit for bit."""
+    probs = np.asarray(probs, dtype=np.float64)
+    scaled = probs * ticks
+    base = np.floor(scaled).astype(np.int32)
+    frac = scaled - base
+    short = ticks - base.sum(axis=1)
+    order = np.argsort(-frac, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    rows = np.arange(probs.shape[0])[:, None]
+    ranks[rows, order] = np.arange(probs.shape[1])[None, :]
+    base += (ranks < short[:, None]).astype(np.int32)
+    return base
+
+
+QUANTIZE_BLOCK = 4096  # the rows that quantize_batch ranks together
+TICKS = [1, 2, 3, 1000, 10 ** 4]
+
+
+def _tie_heavy_rows(rng, n, S, ticks):
+    """Rows whose fractions tie often: each entry is an exact grid point k /
+    ticks, a grid point one ulp up or down, zero, one of three values
+    repeated within its row, or a Dirichlet draw; half the rows are then
+    normalized (which keeps zeros and repeats), the rest keep sums off 1, so
+    the ticks short range below 0 and above S too."""
+    grid = rng.integers(0, ticks + 1, size=(n, S)) / ticks
+    pool = rng.dirichlet(np.ones(S), size=n)[:, :3] if S >= 3 else rng.random((n, 3))
+    choices = np.stack([
+        grid,
+        np.nextafter(grid, np.inf),
+        np.nextafter(grid, -np.inf),
+        np.zeros((n, S)),
+        np.take_along_axis(pool, rng.integers(0, 3, size=(n, S)), axis=1),
+        rng.dirichlet(np.full(S, 0.5), size=n),
+    ])
+    rows = np.take_along_axis(choices, rng.integers(0, len(choices), size=(1, n, S)), axis=0)[0]
+    half = rng.random(n) < 0.5
+    sums = rows[half].sum(axis=1, keepdims=True)
+    rows[half] = np.divide(rows[half], sums, out=rows[half], where=sums > 0)
+    return rows
+
+
+def _assert_quantize_matches_argsort(rows, ticks):
+    keys = quantize_batch(rows, ticks)
+    want = _quantize_by_argsort(rows, ticks)
+    assert keys.dtype == np.int32 and keys.shape == want.shape
+    np.testing.assert_array_equal(keys, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.one_of(st.integers(1, 12), st.just(300)),
+       st.sampled_from(TICKS), st.integers(0, 40))
+def test_quantize_matches_the_argsort_reference_on_tie_heavy_rows(seed, S, ticks, n):
+    _assert_quantize_matches_argsort(
+        _tie_heavy_rows(np.random.default_rng(seed), n, S, ticks), ticks)
+
+
+@pytest.mark.parametrize("n", [0, 1, QUANTIZE_BLOCK - 1, QUANTIZE_BLOCK, QUANTIZE_BLOCK + 1])
+def test_quantize_matches_the_argsort_reference_across_blocks(n):
+    rng = np.random.default_rng(n)
+    for S, ticks in itertools.product([*range(1, 13)], TICKS):
+        _assert_quantize_matches_argsort(_tie_heavy_rows(rng, n, S, ticks), ticks)
+    # the rank counter must hold S - 1 however large the state space
+    _assert_quantize_matches_argsort(_tie_heavy_rows(rng, n, 300, 1000), 1000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.int32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
                   elements=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1))),
