@@ -19,8 +19,12 @@ the ordinary POMDP recursion, and the weighting interpolates between
 worst-case (alpha = 1) and best-case (alpha = 0) planning.
 
 Values are stored at quantized representatives: ``value(t, b)`` returns the
-value of the grid point nearest ``b`` under largest-remainder rounding.  Each
-level is stored once, as the sorted byte view of its keys, and expanded once.
+value of the grid point nearest ``b`` under largest-remainder rounding.  A
+key's entries are tick counts, held in the narrowest big-endian unsigned
+dtype that holds ``ticks`` (``_key_dtype``: two bytes at the default 1e-3),
+so that byte order is numeric order.  Each level is stored once, as the
+sorted byte view of its keys, and expanded once; each child key is written
+once, straight into that dtype.
 Rounding ranks fractions by counting pairs (i, i + k), one offset k at a
 time, not by sorting.  Deduplication ranks the keys as packed integers
 (``_unique_keys``) instead of sorting their bytes, and lookups still search
@@ -161,7 +165,7 @@ def quantize_batch(probs: np.ndarray, ticks: int) -> np.ndarray:
         # i's place in a stable descending sort: #{j < i: f_j >= f_i} + #{j > i: f_j > f_i}
         rank = np.repeat(np.arange(S, dtype=np.min_scalar_type(-S))[:, None], frac.shape[1], 1)
         for k in range(1, S):
-            beats = frac[k:] > frac[:-k]
+            beats = (frac[k:] > frac[:-k]).view(np.int8)  # rank's own dtype below S = 128
             rank[:-k] += beats
             rank[k:] -= beats
         base += rank < ticks - base.sum(axis=0)
@@ -185,28 +189,38 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def _row_order_view(keys: np.ndarray) -> np.ndarray:
-    """View int32 rows as fixed-width byte scalars whose memcmp order is
-    numeric lexicographic order (big-endian, non-negative entries only)."""
-    be = np.ascontiguousarray(keys.astype(">i4"))
-    return be.view(f"V{4 * keys.shape[1]}").ravel()
+def _key_dtype(ticks: int) -> np.dtype:
+    """The narrowest big-endian unsigned dtype that holds 0..``ticks``: the
+    entries of every belief-tree key (``u1`` up to 255 ticks, ``>u2`` at the
+    default 1000, ``>u4`` for finer grids)."""
+    return np.dtype(np.min_scalar_type(ticks)).newbyteorder(">")
 
 
-def _view_rows(view: np.ndarray) -> np.ndarray:
-    """The (k, S) big-endian int32 rows behind a ``_row_order_view``."""
-    return view.view(">i4").reshape(len(view), view.dtype.itemsize // 4)
+def _row_order_view(keys: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """View rows of non-negative integers as fixed-width byte scalars whose
+    memcmp order is numeric lexicographic order: their entries in ``dtype``,
+    big-endian and unsigned (a ``_key_dtype`` that holds every entry).  No
+    copy is made of C-ordered rows already in ``dtype``."""
+    be = np.ascontiguousarray(keys, dtype=dtype)
+    return be.view(f"V{be.itemsize * keys.shape[1]}").ravel()
 
 
-def _unique_keys(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(view, return_inverse=True)`` of a ``_row_order_view``, with
-    an int32 inverse, by integer ranks instead of a byte sort.
+def _view_rows(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The (k, S) rows of ``dtype`` entries behind a ``_row_order_view``."""
+    return view.view(dtype).reshape(len(view), view.itemsize // np.dtype(dtype).itemsize)
+
+
+def _unique_keys(view: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(view, return_inverse=True)`` of a ``_row_order_view`` of
+    ``dtype`` entries, with an int32 inverse, by integer ranks instead of a
+    byte sort.
 
     With ``radix`` one above the largest entry, each pass packs the rank of
     the columns so far and as many next columns as keep the pack below 2**62
     (always one at least) into one int64, whose rank ``np.unique`` takes as a
     number; two passes cover ten columns of entries up to 1000.  Columns are
     packed one at a time, in place, so no (n, k) int64 copy is made."""
-    rows = _view_rows(view)
+    rows = _view_rows(view, dtype)
     rank = np.zeros(len(view), dtype=np.int64)
     radix, distinct = int(rows.max(initial=0)) + 1, 1
     for col in range(rows.shape[1]):
@@ -234,6 +248,11 @@ class BeliefSolverConfig:
     node_budget: int = 5_000_000
     obs_prune: float = 1e-12
     expansion_chunk: int = 4096
+
+    @property
+    def ticks(self) -> int:
+        """Grid points per unit probability: a key's entries sum to it."""
+        return int(round(1.0 / self.quantization))
 
 
 class RobustSolution:
@@ -263,7 +282,8 @@ class RobustSolution:
     belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once it
     holds more than ``node_budget`` entries (a node's value depends only on
     its period and key, so answers do not change).  ``to_arrays`` and
-    ``from_arrays`` store a solved tree and restore it without solving.
+    ``from_arrays`` store a solved tree and restore it without solving; they
+    widen the keys to big-endian int32 and check and narrow them back.
     """
 
     def __init__(self, task: TabularTask, models: list[KernelPair], alpha: float,
@@ -272,7 +292,8 @@ class RobustSolution:
         self.models = models
         self.alpha = alpha
         self.config = config
-        self.ticks = int(round(1.0 / config.quantization))
+        self.ticks = config.ticks
+        self._key = _key_dtype(self.ticks)
         # one representative action per class of equal kernels; class per action
         kernels = [b"".join(k[:, a].tobytes() for m in models
                             for k in (m.transition, m.observation))
@@ -301,21 +322,28 @@ class RobustSolution:
         ``config`` (planning over ``planning_models(task)``), rebuilt from its
         ``to_arrays()`` and ``level_sizes`` without solving.  Its lazy cache
         starts empty, so every answer is bit-identical to the fresh solve's.
-        Arrays of another shape or dtype raise ``ValueError``."""
-        n, S = sum(level_sizes), task.num_states
+        Arrays of another shape or dtype, and keys with an entry outside
+        0..ticks or a row that does not sum to ticks, raise ``ValueError``;
+        the keys are checked before they are narrowed to the key dtype."""
+        n, S, ticks = sum(level_sizes), task.num_states, config.ticks
         if not (len(level_sizes) == task.horizon and keys.shape == (n, S)
                 and keys.dtype == ">i4" and values.shape == (n,)
                 and values.dtype == np.float64):
             raise ValueError("stored arrays do not fit the task and level sizes")
+        if n and not (keys.min() >= 0 and keys.max() <= ticks
+                      and (keys.sum(axis=1, dtype=np.int64) == ticks).all()):
+            raise ValueError(f"stored keys are not tick counts summing to {ticks}")
         models, alpha = planning_models(task)
         ends = np.cumsum(level_sizes)[:-1]
-        levels = [rows.view(f"V{4 * S}").ravel() for rows in np.split(keys, ends)]
+        levels = np.split(_row_order_view(keys, _key_dtype(ticks)), ends)
         return cls(task, models, alpha, config, (levels, np.split(values, ends)))
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every level's sorted keys, (N, S) big-endian int32 in period order,
-        and their values (N,) float64; ``level_sizes`` splits both."""
-        return _view_rows(np.concatenate(self._levels)), np.concatenate(self._values)
+        """Every level's sorted keys, (N, S) big-endian int32 in period order
+        (widened from the key dtype), and their values (N,) float64;
+        ``level_sizes`` splits both."""
+        keys = _view_rows(np.concatenate(self._levels), self._key)
+        return keys.astype(">i4"), np.concatenate(self._values)
 
     # -- construction -------------------------------------------------------
 
@@ -345,39 +373,47 @@ class RobustSolution:
                            for w, rows, inverse in fresh])
 
     def _beliefs(self, view: np.ndarray) -> np.ndarray:
-        return _view_rows(view).astype(np.float64) / self.ticks
+        return _view_rows(view, self._key).astype(np.float64) / self.ticks
 
     def _expand_chunk(self, beliefs: np.ndarray):
-        """Children of a batch of beliefs for every (action class, model, obs).
+        """Children of a batch of beliefs for every (model, action class, obs).
 
-        Returns quantized child keys (c, C, M, O, S) int32 and observation
-        weights (c, C, M, O) renormalized over unpruned observations; pruned
-        children carry weight exactly 0 and an all-zero key.
+        Returns observation weights (M, c, C, O), renormalized over unpruned
+        observations, and the quantized keys (k, S) of the unpruned children,
+        in the key dtype and in the order of ``weights > 0.0``; pruned
+        children carry weight exactly 0 and no key.  Each key is written once,
+        straight into the returned array, and the posteriors are quantized a
+        block of parents (about 4,096 rows) at a time, so neither is copied
+        whole.
         """
         c, M = beliefs.shape[0], len(self._kernels)
         C, O, S = self._kernels[0][1].shape
-        keys = np.zeros((c, C, M, O, S), dtype=np.int32)
-        weights = np.zeros((c, C, M, O))
-        for mi, (transition, observation) in enumerate(self._kernels):
+        keys = np.empty((M * c * C * O, S), dtype=self._key)
+        weights = np.empty((M, c, C, O))
+        block, n = max(1, 4096 // (C * O)), 0
+        for w, (transition, observation) in zip(weights, self._kernels):
             pred_s = np.einsum("cs,sap->cap", beliefs, transition)
+            # strided like ``observation``: a C-ordered copy would sum ``mass``
+            # in another order
             post = pred_s[:, :, None, :] * observation[None]
             mass = post.sum(axis=3)                      # (c, C, O) predictive probs
             keep = mass > self.config.obs_prune
-            safe = np.where(keep, mass, 1.0)
-            post = post / safe[..., None]
-            k = quantize_batch(post.reshape(-1, S), self.ticks).reshape(c, C, O, S)
-            k[~keep] = 0
-            w = np.where(keep, mass, 0.0)
-            w = w / w.sum(axis=2, keepdims=True)
-            keys[:, :, mi] = k
-            weights[:, :, mi] = w
-        return keys, weights
+            post /= np.where(keep, mass, 1.0)[..., None]
+            w[...] = np.where(keep, mass, 0.0)
+            w /= w.sum(axis=2, keepdims=True)
+            for lo in range(0, c, block):
+                kept = (w[lo:lo + block] > 0.0).ravel()
+                k = quantize_batch(post[lo:lo + block].reshape(-1, S), self.ticks)[kept]
+                keys[n:n + len(k)] = k
+                n += len(k)
+        return keys[:n], weights
 
     def _solve(self):
         cfg, step, T = self.config, self.config.expansion_chunk, self.task.horizon
         self.node_count = 1
         self._check_budget(1, self.node_count)
-        levels = [_row_order_view(quantize_batch(self.task.initial_dist[None, :], self.ticks))]
+        root = quantize_batch(self.task.initial_dist[None, :], self.ticks)
+        levels = [_row_order_view(root, self._key)]
         links = []  # per parent level, per chunk: (weights, child positions)
         # forward pass: discover the distinct beliefs of each period; pending
         # children are merged (and the budget checked) once they could overflow
@@ -388,7 +424,7 @@ class RobustSolution:
             limit = min(4_000_000, cfg.node_budget - self.node_count)
             for start in range(0, len(parents), step):
                 keys, weights = self._expand_chunk(self._beliefs(parents[start:start + step]))
-                rows, inverse = _unique_keys(_row_order_view(keys[weights > 0.0]))
+                rows, inverse = _unique_keys(_row_order_view(keys, self._key), self._key)
                 fresh.append((weights, rows, inverse))
                 pending += len(rows)
                 if pending > max(limit, 1.5 * len(table)) or start + step >= len(parents):
@@ -399,7 +435,7 @@ class RobustSolution:
             links.append(done)
         self._levels = levels
         self.level_sizes = [len(v) for v in levels]
-        # backward pass; pruned children read row 0 and only ever meet weight 0
+        # backward pass
         self._values = [None] * T
         # the last level's rewards, ``step`` rows (two at least) at a time; a
         # one-row remainder joins the block before it, since a one-row product
@@ -411,17 +447,20 @@ class RobustSolution:
         for t in range(T - 2, -1, -1):
             nxt, parts = self._values[t + 1], []
             for i, (weights, pos) in enumerate(links.pop()):
-                child = np.full(weights.shape, nxt[0])
-                child[weights > 0.0] = nxt[pos]
                 now = self._beliefs(levels[t][i * step:(i + 1) * step]) @ self.task.reward
-                parts.append(self._q(now, weights, child).max(axis=1))
+                parts.append(self._q(t, now, weights, nxt[pos]).max(axis=1))
             self._values[t] = np.concatenate(parts)
 
-    def _q(self, now: np.ndarray, weights: np.ndarray, child: np.ndarray) -> np.ndarray:
-        """Action values (c, A) from the immediate rewards (c, A) and the
-        weights and values (c, C, M, O) of the children of each action class."""
-        h = (weights * child).sum(axis=3)  # (c, C, M)
-        robust = self.alpha * h.min(axis=2) + (1.0 - self.alpha) * h.max(axis=2)
+    def _q(self, t: int, now: np.ndarray, weights: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Action values (c, A) at 0-based period t from the immediate rewards
+        (c, A), the weights (M, c, C, O) of the children of each action class
+        and the values of the unpruned children, in the order of ``weights >
+        0.0``.  Pruned children read row 0 of period t + 1 and only ever meet
+        weight 0."""
+        child = np.full(weights.shape, self._values[t + 1][0])
+        child[weights > 0.0] = kept
+        h = (weights * child).sum(axis=3)  # (M, c, C)
+        robust = self.alpha * h.min(axis=0) + (1.0 - self.alpha) * h.max(axis=0)
         return now + self.task.discount * robust[:, self._action_class]
 
     def _backup(self, t: int, beliefs: np.ndarray) -> np.ndarray:
@@ -437,26 +476,25 @@ class RobustSolution:
         if t == self.task.horizon - 1:
             return now
         keys, weights = self._expand_chunk(beliefs)
-        child = self._values_at(t + 1, keys.reshape(-1, keys.shape[-1]))
-        return self._q(now, weights, child.reshape(weights.shape))
+        return self._q(t, now, weights, self._values_at(t + 1, keys))
 
     def _values_at(self, t: int, keys: np.ndarray) -> np.ndarray:
         """Values of quantized ``keys`` (n, S) at 0-based period t.
 
-        Pruned all-zero keys read row 0 and only ever meet weight 0.  Keys
-        missing from the tree are read from the off-tree cache, and the rest
-        are deduplicated and built together, ``expansion_chunk`` at a time, so
-        that the missing subtree is expanded one level (not one node) at a time.
+        Keys missing from the tree are read from the off-tree cache, and the
+        rest are deduplicated and built together, ``expansion_chunk`` at a
+        time, so that the missing subtree is expanded one level (not one node)
+        at a time.
         """
         table = self._levels[t]
-        view = _row_order_view(keys)
+        view = _row_order_view(keys, self._key)
         pos = np.searchsorted(table, view).clip(0, len(table) - 1)
         vals = self._values[t][pos]
-        missing = (table[pos] != view) & keys.any(axis=1)
+        missing = table[pos] != view
         if not missing.any():
             return vals
         cache = self._extra[t]
-        uniq, inverse = _unique_keys(view[missing])
+        uniq, inverse = _unique_keys(view[missing], self._key)
         names = uniq.tolist()
         found = [cache.get(name) for name in names]
         new = [i for i, v in enumerate(found) if v is None]

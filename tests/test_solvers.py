@@ -42,6 +42,7 @@ from decisionlab.solvers import (
     solve_mdp,
     solve_pomdp,
     solve_stacked,
+    _key_dtype,
     _row_order_view,
     _unique_keys,
     _view_rows,
@@ -259,22 +260,24 @@ def test_quantize_matches_the_argsort_reference_across_blocks(n):
 def test_byte_view_dedupe_matches_row_unique(rows, cut):
     # two chunks deduplicated and merged one after the other, as the forward
     # pass does: the table is the row-wise unique, and every child's position,
-    # moved by the second merge, points at its own row
-    view = _row_order_view(rows)
+    # moved by the second merge, points at its own row; entries up to 2**31 - 1
+    # take four bytes
+    view = _row_order_view(rows, ">u4")
     parts = [part for part in (view[:cut], view[cut:]) if len(part)]
     table, done = view[:0], []
     sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
     for part in parts:
-        uniq, inverse = _unique_keys(part)
+        uniq, inverse = _unique_keys(part, ">u4")
         table, done = sol._merge(2, table, done, [(None, uniq, inverse)])
-    np.testing.assert_array_equal(_view_rows(table), np.unique(rows, axis=0))
+    np.testing.assert_array_equal(_view_rows(table, ">u4"), np.unique(rows, axis=0))
     for (_, pos), part in zip(done, parts):
         assert np.array_equal(table[pos], part)
 
 
 def _assert_unique_keys(rows):
-    view = _row_order_view(rows)
-    uniq, inverse = _unique_keys(view)
+    dtype = _key_dtype(int(rows.max(initial=0)))  # the width the rows need
+    view = _row_order_view(rows, dtype)
+    uniq, inverse = _unique_keys(view, dtype)
     want_uniq, want_inverse = np.unique(view, return_inverse=True)
     assert uniq.dtype == view.dtype and uniq.tobytes() == want_uniq.tobytes()
     assert inverse.dtype == np.int32 and np.array_equal(inverse, want_inverse)
@@ -297,7 +300,7 @@ def test_unique_keys_of_zero_rows_one_row_and_one_column():
 def test_a_one_chunk_level_is_the_chunk_as_the_general_merge_builds_it():
     sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
     rows = np.random.default_rng(5).integers(0, 4, size=(300, 3)).astype(np.int32)
-    uniq, inverse = _unique_keys(_row_order_view(rows))
+    uniq, inverse = _unique_keys(_row_order_view(rows, sol._key), sol._key)
     table, done = sol._merge(2, uniq[:0], [], [("w", uniq, inverse)])
     assert table is uniq and done[0][0] == "w" and done[0][1] is inverse
     # a second, empty chunk sends the same rows through the sort and searchsorted
@@ -570,7 +573,7 @@ def test_a_batch_query_answers_as_one_query_per_belief(setting):
     rng = np.random.default_rng(5)
     batches = []  # per period: on-tree and off-tree beliefs, some twice, shuffled
     for t, level in enumerate(solved._levels, start=1):
-        on_tree = _view_rows(level[:4]).astype(float) / solved.ticks
+        on_tree = _view_rows(level[:4], solved._key).astype(float) / solved.ticks
         off_tree = rng.dirichlet(np.full(task.num_states, 0.4), size=5)
         rows = np.concatenate([on_tree, off_tree, off_tree[:2], on_tree[:1]])
         batches.append((t, np.array([Belief(r).probs for r in rng.permutation(rows)])))
@@ -628,14 +631,26 @@ def test_stored_tree_answers_as_the_solved_one(setting):
     loaded = solvers.RobustSolution.from_arrays(task, config, keys, values,
                                                 solved.level_sizes)
     assert _solve_digest(loaded) == _solve_digest(solved)
+
+    def last_row(*row):
+        edited = keys.copy()
+        edited[-1] = row
+        return edited, values
+
+    ticks = solved.ticks
     for bad in ((keys[1:], values), (keys.astype(np.int32), values),
-                (keys, values.astype(np.float32))):
+                (keys, values.astype(np.float32)),
+                # entries outside 0..ticks, checked before the keys are narrowed
+                # to two bytes: the last row would wrap to (0, 1000, 0, 0, 0)
+                last_row(-1, 1, ticks, 0, 0), last_row(ticks + 1, 0, 0, 0, 0),
+                last_row(65_536, ticks - 65_536, 0, 0, 0),
+                last_row(ticks, 1, 0, 0, 0)):  # a row that sums to ticks + 1
         with pytest.raises(ValueError):
             solvers.RobustSolution.from_arrays(task, config, *bad, solved.level_sizes)
     assert (loaded.models, loaded.alpha) == (solved.models, solved.alpha)
     rng = np.random.default_rng(4)
     queries = [(t + 1, Belief(row / solved.ticks)) for t, level in enumerate(solved._levels)
-               for row in _view_rows(level[:3]).astype(float)]
+               for row in _view_rows(level[:3], solved._key).astype(float)]
     queries += [(int(rng.integers(1, 5)), Belief(rng.dirichlet(np.ones(5))))
                 for _ in range(10)]
     for t, belief in queries:
@@ -644,6 +659,42 @@ def test_stored_tree_answers_as_the_solved_one(setting):
         assert loaded.action(t, belief) == solved.action(t, belief)
         assert (loaded.node_count - before[1]) == (solved.node_count - before[0])
     assert loaded.node_count == solved.node_count > sum(solved.level_sizes)
+
+
+@pytest.mark.parametrize("quantization, width", [(0.01, 1), (1e-3, 2), (1e-8, 4)])
+def test_keys_take_the_grids_width_and_are_stored_as_int32(quantization, width):
+    task = tiny_energy_pomdp(p=0.8, obs_prob=0.8, horizon=3)
+    config = BeliefSolverConfig(quantization=quantization)
+    solved = solve_pomdp(task, config)
+    assert solved._key.itemsize == width
+    assert [level.itemsize for level in solved._levels] == [width * task.num_states] * 3
+    keys, values = solved.to_arrays()
+    assert keys.dtype == ">i4" and (keys.sum(axis=1) == solved.ticks).all()
+    loaded = solvers.RobustSolution.from_arrays(task, config, keys, values,
+                                                solved.level_sizes)
+    beliefs = np.random.default_rng(2).dirichlet(np.ones(task.num_states), size=8)
+    for t in range(1, task.horizon + 1):
+        assert loaded.actions(t, beliefs).tolist() == solved.actions(t, beliefs).tolist()
+        assert (np.array([loaded.value(t, Belief(b)) for b in beliefs]).tobytes()
+                == np.array([solved.value(t, Belief(b)) for b in beliefs]).tobytes())
+
+
+def test_a_belief_solve_stays_within_its_memory():
+    # perfbench's apomdp solve at E=9, T=4 with 3 models (209,020 nodes in
+    # its last level): 32 MB of traced peak with int32 keys copied whole in
+    # each expansion, 19 MB with two-byte keys written once per child
+    import tracemalloc
+
+    task = generate_tasks("apomdp", 1, EnergyParams(energy_cap=9, horizon=4),
+                          AmbiguityConfig(num_models=3, alpha=0.5), Rng(0))[0]
+    tracemalloc.start()
+    try:
+        sol = solve_apomdp(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.level_sizes == [1, 60, 3595, 209_020]
+    assert peak < 22 * 2 ** 20
 
 
 def test_budget_exceeded_raises():
