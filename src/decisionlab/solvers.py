@@ -165,7 +165,7 @@ def quantize_batch(probs: np.ndarray, ticks: int) -> np.ndarray:
         # i's place in a stable descending sort: #{j < i: f_j >= f_i} + #{j > i: f_j > f_i}
         rank = np.repeat(np.arange(S, dtype=np.min_scalar_type(-S))[:, None], frac.shape[1], 1)
         for k in range(1, S):
-            beats = (frac[k:] > frac[:-k]).view(np.int8)  # rank's own dtype below S = 128
+            beats = (frac[k:] > frac[:-k]).view(np.int8)  # rank's own dtype up to S = 128
             rank[:-k] += beats
             rank[k:] -= beats
         base += rank < ticks - base.sum(axis=0)
@@ -330,8 +330,8 @@ class RobustSolution:
                 and keys.dtype == ">i4" and values.shape == (n,)
                 and values.dtype == np.float64):
             raise ValueError("stored arrays do not fit the task and level sizes")
-        if n and not (keys.min() >= 0 and keys.max() <= ticks
-                      and (keys.sum(axis=1, dtype=np.int64) == ticks).all()):
+        if not (keys.min(initial=0) >= 0 and keys.max(initial=0) <= ticks
+                and (keys.sum(axis=1, dtype=np.int64) == ticks).all()):
             raise ValueError(f"stored keys are not tick counts summing to {ticks}")
         models, alpha = planning_models(task)
         ends = np.cumsum(level_sizes)[:-1]
