@@ -680,9 +680,10 @@ def test_keys_take_the_grids_width_and_are_stored_as_int32(quantization, width):
 
 
 def test_a_belief_solve_stays_within_its_memory():
-    # perfbench's apomdp solve at E=9, T=4 with 3 models (209,020 nodes in
-    # its last level): 32 MB of traced peak with int32 keys copied whole in
-    # each expansion, 19 MB with two-byte keys written once per child
+    # the config of belief-large's apomdp solve: E=9, T=4, 3 models (209,020
+    # nodes in the last level).  Its traced peak is 19 MB with two-byte keys
+    # written once per child; int32 keys copied whole in each expansion take
+    # 32 MB, which the bound rejects
     import tracemalloc
 
     task = generate_tasks("apomdp", 1, EnergyParams(energy_cap=9, horizon=4),
