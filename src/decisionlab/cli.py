@@ -429,8 +429,7 @@ def cmd_solve(cfg: dict, args) -> int:
             record.update(kind="mdp", expected_return=handle.solution.expected_return())
         elif ref == "exact":
             paths = _tree_paths(sol_dir, i)
-            for path, array in zip(paths, handle.solution.to_arrays()):
-                np.save(path, array)
+            handle.solution.save_arrays(*paths)
             artifacts += [str(path.relative_to(out)) for path in paths]
             record.update(kind="belief", **handle.solution.to_summary(),
                           inputs_sha256=_inputs_sha256(cfg, task),

@@ -26,13 +26,13 @@ so that byte order is numeric order.  Each level is stored once, as the
 sorted byte view of its keys, and expanded once; each child key is written
 once, straight into that dtype.
 Rounding ranks fractions by counting pairs (i, i + k), one offset k at a
-time, not by sorting.  Deduplication ranks the keys as packed integers
-(``_unique_keys``) instead of sorting their bytes, and lookups still search
-the shared byte view; a level built from one chunk of parents is that chunk's
-distinct children as ranked, not sorted again.  Actions with equal kernels in
-every model are expanded once, and the node budget is checked while a level
-is built (see ``RobustSolution``).  Queries off the solved tree lazily expand
-the missing subtree and are not held to the budget.
+time, not by sorting.  A chunk's children are deduplicated, and a level's
+sorted runs merged, by ranking the keys as packed integers (``_rank_rows``),
+not by sorting their bytes; lookups search the shared byte view, and a level
+built from one chunk of parents is that chunk's distinct children as ranked.
+Actions with equal kernels in every model are expanded once, and the node
+budget is checked while a level is built (see ``RobustSolution``).  Queries
+off the solved tree lazily expand the missing subtree, outside the budget.
 """
 
 from __future__ import annotations
@@ -210,30 +210,46 @@ def _view_rows(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return view.view(dtype).reshape(len(view), view.itemsize // np.dtype(dtype).itemsize)
 
 
+def _rank_rows(views: list[np.ndarray], dtype: np.dtype) -> tuple[np.ndarray, int]:
+    """Each row's place among the distinct rows of ``views`` (``_row_order_view``s
+    of ``dtype`` entries) in sorted order, int32 in the order of the views,
+    and the number of distinct rows.  With ``radix`` one above the largest
+    entry, each pass packs the rank of the columns so far and as many next
+    columns as keep the pack below 2**62 (one at least) into one int64 (two
+    passes cover ten columns of entries up to 1000), and ranks the pack by an
+    ``argsort`` and a comparison of neighbours, a block at a time."""
+    runs = [_view_rows(view, dtype) for view in views]
+    n, S = sum(map(len, runs)), views[0].itemsize // np.dtype(dtype).itemsize
+    radix = max(int(rows.max(initial=0)) for rows in runs) + 1
+    pack, distinct = np.zeros(n, dtype=np.int64), 1
+    for col in range(S + 1):
+        if col == S or distinct * radix > 2 ** 62:  # the pack is full, or done: rank it
+            order, new = pack.argsort(), np.zeros(n, dtype=bool)
+            for lo in range(0, n, 1 << 16):
+                run = pack[order[lo:lo + (1 << 16) + 1]]
+                new[lo + 1:lo + len(run)] = run[1:] != run[:-1]
+            del pack  # the peak: the pack, order and new, 17 bytes a row
+            ranks = new.astype(np.int32)  # a cumsum that casts would copy new
+            pack = np.empty(n, dtype=np.int32)  # the places
+            pack[order] = np.cumsum(ranks, out=ranks)
+            distinct = int(ranks[-1]) + 1 if n else 0
+            del order, new, ranks
+            if col == S:
+                return pack, distinct
+            pack = pack.astype(np.int64)
+        pack *= radix
+        pack += np.concatenate([rows[:, col] for rows in runs])
+        distinct *= radix
+
+
 def _unique_keys(view: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(view, return_inverse=True)`` of a ``_row_order_view`` of
-    ``dtype`` entries, with an int32 inverse, by integer ranks instead of a
-    byte sort.
-
-    With ``radix`` one above the largest entry, each pass packs the rank of
-    the columns so far and as many next columns as keep the pack below 2**62
-    (always one at least) into one int64, whose rank ``np.unique`` takes as a
-    number; two passes cover ten columns of entries up to 1000.  Columns are
-    packed one at a time, in place, so no (n, k) int64 copy is made."""
-    rows = _view_rows(view, dtype)
-    rank = np.zeros(len(view), dtype=np.int64)
-    radix, distinct = int(rows.max(initial=0)) + 1, 1
-    for col in range(rows.shape[1]):
-        if distinct * radix > 2 ** 62:  # the pack is full: rank it
-            uniq, rank = np.unique(rank, return_inverse=True)
-            distinct = len(uniq)
-        rank *= radix
-        rank += rows[:, col]
-        distinct *= radix
-    uniq, rank = np.unique(rank, return_inverse=True)
-    first = np.empty(len(uniq), dtype=np.int64)
-    first[rank] = np.arange(len(view))  # equal ranks are equal rows
-    return view[first], rank.astype(np.int32)
+    ``dtype`` entries, with an int32 inverse, by integer ranks
+    (``_rank_rows``) instead of a byte sort."""
+    places, distinct = _rank_rows([view], dtype)
+    first = np.empty(distinct, dtype=np.int64)
+    first[places] = np.arange(len(view))  # equal places are equal rows
+    return view[first], places
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +297,10 @@ class RobustSolution:
     ``node_count``, and their cache is emptied at the start of a query (one
     belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once it
     holds more than ``node_budget`` entries (a node's value depends only on
-    its period and key, so answers do not change).  ``to_arrays`` and
-    ``from_arrays`` store a solved tree and restore it without solving; they
-    widen the keys to big-endian int32 and check and narrow them back.
+    its period and key, so answers do not change).  ``to_arrays`` (or
+    ``save_arrays``, a level at a time) and ``from_arrays`` store a solved
+    tree and restore it without solving; they widen the keys to big-endian
+    int32 and check and narrow them back.
     """
 
     def __init__(self, task: TabularTask, models: list[KernelPair], alpha: float,
@@ -345,6 +362,19 @@ class RobustSolution:
         keys = _view_rows(np.concatenate(self._levels), self._key)
         return keys.astype(">i4"), np.concatenate(self._values)
 
+    def save_arrays(self, keys_path, values_path):
+        """``np.save`` of each of ``to_arrays()``, byte for byte, written a
+        level and at most 2**20 rows at a time, never widened whole."""
+        for path, parts, dtype in ((keys_path, [_view_rows(v, self._key) for v in self._levels],
+                                    ">i4"), (values_path, self._values, "<f8")):
+            with open(path, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": dtype, "fortran_order": False,
+                    "shape": (sum(map(len, parts)),) + parts[0].shape[1:]})
+                for part in parts:
+                    for lo in range(0, len(part), 1 << 20):
+                        part[lo:lo + (1 << 20)].astype(dtype).tofile(fh)
+
     # -- construction -------------------------------------------------------
 
     def _check_budget(self, period: int, nodes: int):
@@ -356,21 +386,22 @@ class RobustSolution:
         the sorted view ``table``, checking the budget; returns the merged table
         and every chunk's (weights, positions of its unpruned children in that
         table).  One chunk into an empty table is the table as it stands, its
-        inverse the positions; two or more runs are sorted together in place
-        and located by ``searchsorted``."""
+        inverse the positions; two or more runs are ranked together
+        (``_rank_rows``), the budget checked on their distinct count before
+        the table is built, and each run scattered to its places."""
         if not len(table) and len(fresh) == 1:
             weights, rows, inverse = fresh[0]
             self._check_budget(period, self.node_count + len(rows))
             return rows, [(weights, inverse)]
-        merged = np.concatenate([table] + [rows for _, rows, _ in fresh])
-        merged.sort()  # np.unique would sort a copy
-        first = np.concatenate(([True], merged[1:] != merged[:-1]))
-        self._check_budget(period, self.node_count + int(first.sum()))
-        merged = merged[first]
-        moved = np.searchsorted(merged, table).astype(np.int32)
-        return merged, ([(w, moved[pos]) for w, pos in done]
-                        + [(w, np.searchsorted(merged, rows).astype(np.int32)[inverse])
-                           for w, rows, inverse in fresh])
+        runs = [table] + [rows for _, rows, _ in fresh]
+        places, distinct = _rank_rows(runs, self._key)
+        self._check_budget(period, self.node_count + distinct)
+        merged = np.empty(distinct, dtype=table.dtype)
+        at = np.split(places, np.cumsum([len(rows) for rows in runs])[:-1])
+        for rows, pos in zip(runs, at):
+            merged[pos] = rows
+        return merged, ([(w, at[0][pos]) for w, pos in done]
+                        + [(w, pos[inverse]) for (w, _, inverse), pos in zip(fresh, at[1:])])
 
     def _beliefs(self, view: np.ndarray) -> np.ndarray:
         return _view_rows(view, self._key).astype(np.float64) / self.ticks

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ from decisionlab.envs import (
     noisy_level_observation,
 )
 from decisionlab import solvers
+from decisionlab.cli import STREAM_TASKS
 from decisionlab.evaluation import generate_tasks
 from decisionlab.solvers import (
     BeliefSolverConfig,
@@ -256,22 +258,84 @@ def test_quantize_matches_the_argsort_reference_across_blocks(n):
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.int32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
                   elements=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 31 - 1))),
-       st.integers(0, 24))
-def test_byte_view_dedupe_matches_row_unique(rows, cut):
-    # two chunks deduplicated and merged one after the other, as the forward
-    # pass does: the table is the row-wise unique, and every child's position,
-    # moved by the second merge, points at its own row; entries up to 2**31 - 1
-    # take four bytes
+       st.integers(0, 24), st.integers(1, 4))
+def test_byte_view_dedupe_matches_row_unique(rows, cut, pending):
+    # chunks deduplicated and merged as the forward pass does, the first alone
+    # and then ``pending`` more at once into the non-empty table: the table is
+    # the row-wise unique, and every child's position, moved by the later
+    # merge, points at its own row; entries up to 2**31 - 1 take four bytes
     view = _row_order_view(rows, ">u4")
-    parts = [part for part in (view[:cut], view[cut:]) if len(part)]
+    parts = [part for part in [view[:cut], *np.array_split(view[cut:], pending)] if len(part)]
     table, done = view[:0], []
-    sol = solve_pomdp(tiny_energy_pomdp(horizon=1))
-    for part in parts:
-        uniq, inverse = _unique_keys(part, ">u4")
-        table, done = sol._merge(2, table, done, [(None, uniq, inverse)])
+    sol = solve_pomdp(tiny_energy_pomdp(horizon=1), FINE)  # keys of four bytes
+    for batch in (parts[:1], parts[1:]):
+        if batch:
+            fresh = [(None, *_unique_keys(part, ">u4")) for part in batch]
+            table, done = sol._merge(2, table, done, fresh)
     np.testing.assert_array_equal(_view_rows(table, ">u4"), np.unique(rows, axis=0))
+    assert len(done) == len(parts)
     for (_, pos), part in zip(done, parts):
         assert np.array_equal(table[pos], part)
+
+
+def _merge_by_byte_sort(self, period, table, done, fresh):
+    """``RobustSolution._merge`` by a byte sort of the runs and
+    ``searchsorted``: the reference that the ranked merge must match."""
+    if not len(table) and len(fresh) == 1:
+        weights, rows, inverse = fresh[0]
+        self._check_budget(period, self.node_count + len(rows))
+        return rows, [(weights, inverse)]
+    merged = np.concatenate([table] + [rows for _, rows, _ in fresh])
+    merged.sort()  # np.unique would sort a copy
+    first = np.concatenate(([True], merged[1:] != merged[:-1]))
+    self._check_budget(period, self.node_count + int(first.sum()))
+    merged = merged[first]
+    moved = np.searchsorted(merged, table).astype(np.int32)
+    return merged, ([(w, moved[pos]) for w, pos in done]
+                    + [(w, np.searchsorted(merged, rows).astype(np.int32)[inverse])
+                       for w, rows, inverse in fresh])
+
+
+def _sorted_run(rng, pool, dtype, n):
+    """The distinct rows (a sorted view) of n rows drawn from ``pool``, and
+    each drawn row's index among them."""
+    rows, inverse = np.unique(_row_order_view(pool[rng.integers(0, len(pool), n)], dtype),
+                              return_inverse=True)
+    return rows, inverse.astype(np.int32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.one_of(st.integers(1, 12), st.just(300)),
+       st.sampled_from([255, 1000, 10 ** 8]), st.integers(1, 40), st.booleans())
+def test_merge_matches_the_byte_sort_reference(seed, S, ticks, runs, with_table):
+    # runs drawn from one pool of rows overlap, some have zero rows, and their
+    # entries reach ticks or stay below 4: at 1e8 ticks (four bytes) a pass
+    # packs one or two columns, below 4 many
+    rng = np.random.default_rng(seed)
+    sol = solve_pomdp(tiny_energy_pomdp(horizon=1), BeliefSolverConfig(quantization=1 / ticks))
+    dtype = sol._key
+    pool = rng.integers(0, rng.choice([2, 4, ticks + 1]), size=(rng.integers(1, 50), S))
+    pool[rng.random(pool.shape) < 0.05] = ticks
+    table, done = _row_order_view(pool[:0], dtype), []
+    if with_table:
+        table, inverse = _sorted_run(rng, pool, dtype, rng.integers(1, 60))
+        done = [(f"done {i}", inverse[rng.permutation(len(inverse))]) for i in range(3)]
+    # zero-row runs after the first: the reference cannot merge only empty runs
+    fresh = [(f"fresh {i}", *_sorted_run(rng, pool, dtype, rng.choice([0, rng.integers(1, 40)])
+                                         if i else rng.integers(1, 40)))
+             for i in range(runs)]
+    want, want_links = _merge_by_byte_sort(sol, 2, table, done, fresh)
+    merged, links = sol._merge(2, table, done, fresh)
+    assert merged.dtype == table.dtype and merged.tobytes() == want.tobytes()
+    assert [w for w, _ in links] == [w for w, _ in want_links]
+    for (_, pos), (_, want_pos) in zip(links, want_links):
+        assert pos.dtype == np.int32 and np.array_equal(pos, want_pos)
+    # one node short of the merged level, both raise at its distinct count
+    sol.config = dataclasses.replace(sol.config, node_budget=sol.node_count + len(want) - 1)
+    for merge in (_merge_by_byte_sort, solvers.RobustSolution._merge):
+        with pytest.raises(BudgetExceeded) as info:
+            merge(sol, 2, table, done, fresh)
+        assert info.value.nodes == sol.node_count + len(want)
 
 
 def _assert_unique_keys(rows):
@@ -303,7 +367,7 @@ def test_a_one_chunk_level_is_the_chunk_as_the_general_merge_builds_it():
     uniq, inverse = _unique_keys(_row_order_view(rows, sol._key), sol._key)
     table, done = sol._merge(2, uniq[:0], [], [("w", uniq, inverse)])
     assert table is uniq and done[0][0] == "w" and done[0][1] is inverse
-    # a second, empty chunk sends the same rows through the sort and searchsorted
+    # a second, empty chunk sends the same rows through the ranked merge
     empty = (None, uniq[:0], inverse[:0])
     general, moved = sol._merge(2, uniq[:0], [], [("w", uniq, inverse), empty])
     assert general.tobytes() == table.tobytes()
@@ -679,23 +743,50 @@ def test_keys_take_the_grids_width_and_are_stored_as_int32(quantization, width):
                 == np.array([solved.value(t, Belief(b)) for b in beliefs]).tobytes())
 
 
+def test_saved_arrays_are_the_np_saves_of_to_arrays(tmp_path):
+    # a solved tree, then levels of 0, 5 and 2**20 + 1 rows (a block and a row)
+    sol = solve_pomdp(tiny_energy_pomdp(p=0.8, obs_prob=0.8, horizon=4))
+    rng = np.random.default_rng(0)
+    for sizes in (None, [1, 0, 5, 2 ** 20 + 1]):
+        if sizes:
+            sol._levels = [_row_order_view(rng.integers(0, sol.ticks + 1, (n, 3)), sol._key)
+                           for n in sizes]
+            sol._values = [rng.random(n) for n in sizes]
+        paths = [tmp_path / "keys.npy", tmp_path / "values.npy"]
+        sol.save_arrays(*paths)
+        for path, array in zip(paths, sol.to_arrays()):
+            want = io.BytesIO()
+            np.save(want, array)
+            assert path.read_bytes() == want.getvalue()
+
+
 def test_a_belief_solve_stays_within_its_memory():
-    # the config of belief-large's apomdp solve: E=9, T=4, 3 models (209,020
-    # nodes in the last level).  Its traced peak is 19 MB with two-byte keys
-    # written once per child; int32 keys copied whole in each expansion take
-    # 32 MB, which the bound rejects
+    # belief-large's apomdp solve, E=9, T=4, 3 models (209,020 nodes in the
+    # last level): its traced peak is 19 MB with two-byte keys written once
+    # per child; int32 keys copied whole in each expansion take 32 MB.  Its
+    # pomdp solve (a), E=9, T=5, in chunks of 512 parents, merges many runs
+    # into a growing table: 8.9 MB by ranks, 10.6 MB by a byte sort of the
+    # runs and searchsorted
     import tracemalloc
 
-    task = generate_tasks("apomdp", 1, EnergyParams(energy_cap=9, horizon=4),
-                          AmbiguityConfig(num_models=3, alpha=0.5), Rng(0))[0]
-    tracemalloc.start()
-    try:
-        sol = solve_apomdp(task)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sol.level_sizes == [1, 60, 3595, 209_020]
-    assert peak < 22 * 2 ** 20
+    cases = [
+        (solve_apomdp, ("apomdp", EnergyParams(energy_cap=9, horizon=4),
+                        AmbiguityConfig(num_models=3, alpha=0.5), Rng(0)),
+         BeliefSolverConfig(), [1, 60, 3595, 209_020], 22),
+        (solve_pomdp, ("pomdp", EnergyParams(energy_cap=9, horizon=5), AmbiguityConfig(),
+                       Rng(0).split(STREAM_TASKS)),
+         BeliefSolverConfig(expansion_chunk=512), [1, 20, 400, 7820, 143_707], 9.75),
+    ]
+    for solve, (setting, env, ambiguity, rng), config, sizes, mib in cases:
+        task = generate_tasks(setting, 1, env, ambiguity, rng)[0]
+        tracemalloc.start()
+        try:
+            sol = solve(task, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.level_sizes == sizes
+        assert peak < mib * 2 ** 20, (setting, peak)
 
 
 def test_budget_exceeded_raises():
