@@ -364,7 +364,7 @@ class RobustSolution:
 
     def save_arrays(self, keys_path, values_path):
         """``np.save`` of each of ``to_arrays()``, byte for byte, written a
-        level and at most 2**20 rows at a time, never widened whole."""
+        level and at most 2**16 rows at a time, never widened whole."""
         for path, parts, dtype in ((keys_path, [_view_rows(v, self._key) for v in self._levels],
                                     ">i4"), (values_path, self._values, "<f8")):
             with open(path, "wb") as fh:
@@ -372,8 +372,8 @@ class RobustSolution:
                     "descr": dtype, "fortran_order": False,
                     "shape": (sum(map(len, parts)),) + parts[0].shape[1:]})
                 for part in parts:
-                    for lo in range(0, len(part), 1 << 20):
-                        part[lo:lo + (1 << 20)].astype(dtype).tofile(fh)
+                    for lo in range(0, len(part), 1 << 16):
+                        part[lo:lo + (1 << 16)].astype(dtype).tofile(fh)
 
     # -- construction -------------------------------------------------------
 
@@ -412,29 +412,29 @@ class RobustSolution:
         Returns observation weights (M, c, C, O), renormalized over unpruned
         observations, and the quantized keys (k, S) of the unpruned children,
         in the key dtype and in the order of ``weights > 0.0``; pruned
-        children carry weight exactly 0 and no key.  Each key is written once,
-        straight into the returned array, and the posteriors are quantized a
-        block of parents (about 4,096 rows) at a time, so neither is copied
-        whole.
+        children carry weight exactly 0 and no key.  Each model's posteriors
+        are built, weighed and quantized a block of parents (about 4,096
+        children) at a time, and each key is written once, straight into the
+        returned array, so no child array of the whole batch is made.
         """
         c, M = beliefs.shape[0], len(self._kernels)
         C, O, S = self._kernels[0][1].shape
         keys = np.empty((M * c * C * O, S), dtype=self._key)
         weights = np.empty((M, c, C, O))
         block, n = max(1, 4096 // (C * O)), 0
-        for w, (transition, observation) in zip(weights, self._kernels):
-            pred_s = np.einsum("cs,sap->cap", beliefs, transition)
-            # strided like ``observation``: a C-ordered copy would sum ``mass``
-            # in another order
-            post = pred_s[:, :, None, :] * observation[None]
-            mass = post.sum(axis=3)                      # (c, C, O) predictive probs
-            keep = mass > self.config.obs_prune
-            post /= np.where(keep, mass, 1.0)[..., None]
-            w[...] = np.where(keep, mass, 0.0)
-            w /= w.sum(axis=2, keepdims=True)
+        for w_all, (transition, observation) in zip(weights, self._kernels):
             for lo in range(0, c, block):
-                kept = (w[lo:lo + block] > 0.0).ravel()
-                k = quantize_batch(post[lo:lo + block].reshape(-1, S), self.ticks)[kept]
+                w = w_all[lo:lo + block]
+                pred_s = np.einsum("cs,sap->cap", beliefs[lo:lo + block], transition)
+                # strided like ``observation``: a C-ordered copy would sum
+                # ``mass`` in another order
+                post = pred_s[:, :, None, :] * observation[None]
+                mass = post.sum(axis=3)                  # (b, C, O) predictive probs
+                keep = mass > self.config.obs_prune
+                post /= np.where(keep, mass, 1.0)[..., None]
+                w[...] = np.where(keep, mass, 0.0)
+                w /= w.sum(axis=2, keepdims=True)
+                k = quantize_batch(post.reshape(-1, S), self.ticks)[(w > 0.0).ravel()]
                 keys[n:n + len(k)] = k
                 n += len(k)
         return keys[:n], weights
@@ -456,6 +456,7 @@ class RobustSolution:
             for start in range(0, len(parents), step):
                 keys, weights = self._expand_chunk(self._beliefs(parents[start:start + step]))
                 rows, inverse = _unique_keys(_row_order_view(keys, self._key), self._key)
+                del keys  # else the last chunk's keys outlive the backward pass
                 fresh.append((weights, rows, inverse))
                 pending += len(rows)
                 if pending > max(limit, 1.5 * len(table)) or start + step >= len(parents):

@@ -404,23 +404,29 @@ import decisionlab, decisionlab.cli
 def scipy_modules():
     return sorted(key for key in sys.modules if key.startswith("scipy"))[:5]
 assert not scipy_modules(), ("import", scipy_modules())
-for command in ("gen", "solve", "export", "eval"):
-    assert decisionlab.cli.main([command, "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
-    if command != "eval":
-        assert not scipy_modules(), (command, scipy_modules())
-assert "scipy.stats" not in sys.modules, scipy_modules()
+for command in (["gen"], ["solve"], ["export"], ["eval"], ["eval", "--grid"],
+                ["darkroom", "--check", "--policy", "oracle"]):
+    args = command + ["--config", sys.argv[2], "--out", sys.argv[3]]
+    assert decisionlab.cli.main(args) == 0
+    assert not scipy_modules(), (command, scipy_modules())
 """
 
 
 def test_pipeline_before_eval_never_loads_scipy(tmp_path):
-    """A fresh interpreter imports only numpy for the package and the CLI;
-    gen, solve and export load no scipy module, and eval not scipy.stats."""
-    cfg = write_config(tmp_path, setting="pomdp", num_tasks=2)
+    """A fresh interpreter imports only numpy for the package and the CLI,
+    and gen, solve, export, eval, eval --grid and darkroom load no scipy
+    module: the grid's 129 tasks read the last stored t quantile (df 128)."""
+    cfg = write_config(tmp_path, setting="pomdp", num_tasks=2,
+                       grid={"settings": ["mdp"], "horizons": [3], "policies": ["random"],
+                             "num_tasks": 129},
+                       darkroom={"size": 3, "horizon": 6, "subset": "all"})
     src = str(Path(decisionlab.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-c", SCIPY_FREE_PIPELINE, src, cfg,
                           str(tmp_path / "run")], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert (tmp_path / "run" / "reports" / "eval.json").exists()
+    reports = tmp_path / "run" / "reports"
+    assert (reports / "eval.json").exists() and (reports / "darkroom.json").exists()
+    assert len((reports / "grid.csv").read_text().splitlines()) == 2
 
 
 def test_rerun_is_byte_identical(tmp_path):

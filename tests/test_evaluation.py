@@ -27,6 +27,7 @@ from decisionlab.evaluation import (
     optimality_gap,
     reference_policy,
     run_experiment_grid,
+    T975,
     _t_interval,
 )
 from decisionlab.rollout import PolicyHandle, rollout
@@ -290,6 +291,13 @@ def test_t_interval_matches_direct_formula():
         assert _t_interval(head) == (mean - half, mean + half), n
     # a single value gives a collapsed interval
     assert _t_interval(np.array([0.3])) == (pytest.approx(0.3), pytest.approx(0.3))
+
+
+def test_stored_t_quantiles_are_scipys_bit_for_bit():
+    # the table covers df 1..128; _t_interval computes the rest
+    assert len(T975) == 128
+    for df, t in enumerate(T975, start=1):
+        assert t == float(stats.t.ppf(0.975, df)), df
 
 
 # ---------------------------------------------------------------------------

@@ -762,20 +762,25 @@ def test_saved_arrays_are_the_np_saves_of_to_arrays(tmp_path):
 
 def test_a_belief_solve_stays_within_its_memory():
     # belief-large's apomdp solve, E=9, T=4, 3 models (209,020 nodes in the
-    # last level): its traced peak is 19 MB with two-byte keys written once
-    # per child; int32 keys copied whole in each expansion take 32 MB.  Its
-    # pomdp solve (a), E=9, T=5, in chunks of 512 parents, merges many runs
-    # into a growing table: 8.9 MB by ranks, 10.6 MB by a byte sort of the
-    # runs and searchsorted
+    # last level): its traced peak is 13.4 MiB with each model's posteriors
+    # built a block of parents at a time, 18.6 MiB with them built for a
+    # whole chunk, and 32 MB with int32 keys copied whole in each expansion.
+    # Its pomdp solve (a), E=9, T=5, in chunks of 512 parents, merges many
+    # runs into a growing table: 8.9 MB by ranks, 10.6 MB by a byte sort of
+    # the runs and searchsorted.  At the default chunk, (a) peaks at 9.5 MiB
+    # by blocks, 15.0 MiB with whole-chunk posteriors
     import tracemalloc
 
     cases = [
         (solve_apomdp, ("apomdp", EnergyParams(energy_cap=9, horizon=4),
                         AmbiguityConfig(num_models=3, alpha=0.5), Rng(0)),
-         BeliefSolverConfig(), [1, 60, 3595, 209_020], 22),
+         BeliefSolverConfig(), [1, 60, 3595, 209_020], 15.5),
         (solve_pomdp, ("pomdp", EnergyParams(energy_cap=9, horizon=5), AmbiguityConfig(),
                        Rng(0).split(STREAM_TASKS)),
          BeliefSolverConfig(expansion_chunk=512), [1, 20, 400, 7820, 143_707], 9.75),
+        (solve_pomdp, ("pomdp", EnergyParams(energy_cap=9, horizon=5), AmbiguityConfig(),
+                       Rng(0).split(STREAM_TASKS)),
+         BeliefSolverConfig(), [1, 20, 400, 7820, 143_707], 12),
     ]
     for solve, (setting, env, ambiguity, rng), config, sizes, mib in cases:
         task = generate_tasks(setting, 1, env, ambiguity, rng)[0]
