@@ -1038,6 +1038,23 @@ def test_solve_decodes_at_most_a_chunk_and_a_row_at_a_time(monkeypatch):
     assert max(decoded) <= 16 + 1
 
 
+def test_a_batch_expands_as_its_beliefs_one_at_a_time():
+    # posteriors are built a block of 4096 // (C * O) = 204 parents at a time
+    # here: 450 beliefs make blocks of 204, 204 and 42 in each of 3 models,
+    # and the keys come model by model
+    task = generate_tasks("apomdp", 1, EnergyParams(energy_cap=9, horizon=3),
+                          AmbiguityConfig(num_models=3), Rng(0))[0]
+    sol = solve_apomdp(task)
+    beliefs = np.random.default_rng(5).dirichlet(np.full(task.num_states, 0.3), size=450)
+    keys, weights = sol._expand_chunk(beliefs)
+    ones = [sol._expand_chunk(b[None]) for b in beliefs]
+    assert weights.tobytes() == np.concatenate([w for _, w in ones], axis=1).tobytes()
+    parts = [np.split(k, np.cumsum((w > 0.0).sum(axis=(1, 2, 3)))[:-1]) for k, w in ones]
+    want = np.concatenate([part[m] for m in range(len(sol.models)) for part in parts])
+    assert keys.dtype == sol._key
+    np.testing.assert_array_equal(keys, want)
+
+
 def test_last_level_values_do_not_depend_on_the_chunk():
     task = tiny_energy_pomdp(horizon=4)
     whole = solve_pomdp(task)  # 210 rows at the last level, one 4096-row chunk
