@@ -37,6 +37,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import resource
 import sys
@@ -317,16 +318,6 @@ def _tree_paths(sol_dir: Path, index: int) -> list[Path]:
     return [sol_dir / f"solution_{index:04d}.{name}.npy" for name in ("keys", "values")]
 
 
-def _arrays_sha256(paths: list[Path]) -> str:
-    """SHA-256 of the files' bytes, one after the other, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    for path in paths:
-        with path.open("rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _stored_reference(cfg: dict, sol_dir: Path, index: int, task):
     """The reference ``solve`` stored for a belief task, as ``reference_policy``
     returns it, or None unless the record's digests match the task, the solver
@@ -341,12 +332,18 @@ def _stored_reference(cfg: dict, sol_dir: Path, index: int, task):
         return None
     if record.get("reference") == "qmdp-fallback":
         return PolicyHandle.qmdp(solve_mdp(task)), "qmdp-fallback"
-    paths = _tree_paths(sol_dir, index)
     try:
-        if _arrays_sha256(paths) != record.get("arrays_sha256"):
+        digest, arrays = hashlib.sha256(), []
+        for path in _tree_paths(sol_dir, index):  # hashed and parsed from one read
+            data = path.read_bytes()
+            digest.update(data)
+            head = io.BytesIO(data)
+            np.lib.format.read_magic(head)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(head)
+            arrays.append(np.frombuffer(data, dtype, offset=head.tell()).reshape(shape))
+        if digest.hexdigest() != record.get("arrays_sha256"):
             return None
-        keys, values = (np.load(path) for path in paths)
-        solution = RobustSolution.from_arrays(task, _solver(cfg), keys, values,
+        solution = RobustSolution.from_arrays(task, _solver(cfg), *arrays,
                                               record["level_sizes"])
     except (OSError, ValueError):
         return None
@@ -429,11 +426,10 @@ def cmd_solve(cfg: dict, args) -> int:
             record.update(kind="mdp", expected_return=handle.solution.expected_return())
         elif ref == "exact":
             paths = _tree_paths(sol_dir, i)
-            handle.solution.save_arrays(*paths)
+            digest = handle.solution.save_arrays(*paths)
             artifacts += [str(path.relative_to(out)) for path in paths]
             record.update(kind="belief", **handle.solution.to_summary(),
-                          inputs_sha256=_inputs_sha256(cfg, task),
-                          arrays_sha256=_arrays_sha256(paths))
+                          inputs_sha256=_inputs_sha256(cfg, task), arrays_sha256=digest)
         else:
             record.update(reason="node_budget", period=handle.fallback.period,
                           nodes=handle.fallback.nodes,

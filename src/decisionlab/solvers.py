@@ -37,6 +37,9 @@ off the solved tree lazily expand the missing subtree, outside the budget.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,18 +365,25 @@ class RobustSolution:
         keys = _view_rows(np.concatenate(self._levels), self._key)
         return keys.astype(">i4"), np.concatenate(self._values)
 
-    def save_arrays(self, keys_path, values_path):
+    def save_arrays(self, keys_path, values_path) -> str:
         """``np.save`` of each of ``to_arrays()``, byte for byte, written a
-        level and at most 2**16 rows at a time, never widened whole."""
+        level and at most 2**16 rows at a time, never widened whole.  Returns
+        the SHA-256 of the two files' bytes, one after the other, fed each
+        block as it is written."""
+        digest = hashlib.sha256()
         for path, parts, dtype in ((keys_path, [_view_rows(v, self._key) for v in self._levels],
                                     ">i4"), (values_path, self._values, "<f8")):
+            head = io.BytesIO()
+            np.lib.format.write_array_header_1_0(head, {
+                "descr": dtype, "fortran_order": False,
+                "shape": (sum(map(len, parts)),) + parts[0].shape[1:]})
+            blocks = (part[lo:lo + (1 << 16)].astype(dtype)
+                      for part in parts for lo in range(0, len(part), 1 << 16))
             with open(path, "wb") as fh:
-                np.lib.format.write_array_header_1_0(fh, {
-                    "descr": dtype, "fortran_order": False,
-                    "shape": (sum(map(len, parts)),) + parts[0].shape[1:]})
-                for part in parts:
-                    for lo in range(0, len(part), 1 << 16):
-                        part[lo:lo + (1 << 16)].astype(dtype).tofile(fh)
+                for block in itertools.chain([head.getvalue()], blocks):
+                    digest.update(block)
+                    fh.write(block)
+        return digest.hexdigest()
 
     # -- construction -------------------------------------------------------
 

@@ -64,9 +64,8 @@ class LinearTaskFamily:
     def __post_init__(self):
         self.feature_cov = np.asarray(self.feature_cov, dtype=np.float64).reshape(
             self.dim, self.dim)
-        from scipy.linalg import cholesky
         # upper-triangular factor: x = z @ factor gives cov = factor^T factor
-        self._factor = cholesky(self.feature_cov)
+        self._factor = np.linalg.cholesky(self.feature_cov).T
 
     def sample_task(self, rng: Rng) -> LinearTask:
         return LinearTask(self.dim, rng.standard_normal(self.dim), self.feature_cov)
@@ -117,8 +116,7 @@ class Prompt:
 
 def sample_prompt(task: LinearTask, length: int, rng: Rng) -> Prompt:
     """Noiseless realizable prompt: labels equal the task's linear reward exactly."""
-    from scipy.linalg import cholesky
-    factor = cholesky(task.feature_cov)
+    factor = np.linalg.cholesky(task.feature_cov).T
     xs = rng.standard_normal((length, task.dim)) @ factor
     query = rng.standard_normal(task.dim) @ factor
     return Prompt(xs, xs @ task.weight, query)
@@ -148,17 +146,29 @@ class LsaPredictor:
         if kappa > COND_LIMIT:
             raise IllConditioned(
                 f"gamma_matrix condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}")
-        from scipy.linalg import cho_factor
-        self._cho = cho_factor(self.gamma_matrix)
+        self._lower = np.linalg.cholesky(self.gamma_matrix)
 
     @classmethod
     def from_covariance(cls, feature_cov: np.ndarray, train_length: int) -> "LsaPredictor":
         return cls(gamma_matrix(feature_cov, train_length), train_length)
 
     def coefficients(self, prompt: Prompt) -> np.ndarray:
-        """Gamma^{-1} (1/M) sum_i y_i x_i, via an SPD solve (never an inverse)."""
-        from scipy.linalg import cho_solve
-        return cho_solve(self._cho, prompt.moment())
+        """Gamma^{-1} (1/M) sum_i y_i x_i, by two triangular solves against the
+        Cholesky factor of Gamma (``_cho_solve``), never an inverse."""
+        return _cho_solve(self._lower, prompt.moment())
+
+
+def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for b of shape (d,) or (d, n): forward, then back
+    substitution, each row multiplied by the reciprocal of its pivot as LAPACK's
+    potrs does under OpenBLAS, so on a diagonal L the bits are scipy's cho_solve's."""
+    inv = 1.0 / np.diag(lower)
+    x = np.array(b, dtype=np.float64)
+    for i in range(len(x)):
+        x[i] = (x[i] - lower[i, :i] @ x[:i]) * inv[i]
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - lower[i + 1:, i] @ x[i + 1:]) * inv[i]
+    return x
 
 
 def lsa_predict(predictor: LsaPredictor, prompt: Prompt) -> float:
@@ -460,13 +470,12 @@ def _e2_cell(args) -> dict:
     d, T, A, n = cfg.dim, cfg.horizon, cfg.num_actions, cfg.tasks_per_cell
     lam = _log_spaced_cov(d, kappa)
     sd = np.sqrt(np.diag(lam))
-    from scipy.linalg import cho_factor, cho_solve
-    cho = cho_factor(gamma_matrix(lam, train_length))
+    lower = np.linalg.cholesky(gamma_matrix(lam, train_length))
     w = rng.standard_normal((n, d))
     r = _gram_factor(rng, n, prompt_length, d)
     rv = np.einsum("nkd,nd->nk", r, sd * w)
     moment = sd * np.einsum("nkd,nk->nd", r, rv) / prompt_length
-    coef = cho_solve(cho, moment.T).T
+    coef = _cho_solve(lower, moment.T).T
     # per period, the two projections of each action's candidate features
     a, b, c = (x[:, None, None] for x in _projection_factor(sd, w, coef))
     z1, z2 = rng.standard_normal((2, n, T, A))

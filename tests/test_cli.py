@@ -405,21 +405,34 @@ def scipy_modules():
     return sorted(key for key in sys.modules if key.startswith("scipy"))[:5]
 assert not scipy_modules(), ("import", scipy_modules())
 for command in (["gen"], ["solve"], ["export"], ["eval"], ["eval", "--grid"],
-                ["darkroom", "--check", "--policy", "oracle"]):
+                ["darkroom", "--check", "--policy", "oracle"], ["theory-sim", "--check"]):
     args = command + ["--config", sys.argv[2], "--out", sys.argv[3]]
     assert decisionlab.cli.main(args) == 0
     assert not scipy_modules(), (command, scipy_modules())
+from decisionlab import (LinearTaskFamily, LsaLayer, LsaPredictor, Rng, lsa_predict,
+                         sample_prompt, train_lsa)
+cov = [[2.0, 0.6], [0.6, 1.0]]
+family, rng = LinearTaskFamily(dim=2, feature_cov=cov), Rng(0)
+train_lsa(LsaLayer.initialized(2, rng.split(0)), family, rng.split(1), prompt_length=10,
+          steps=20, batch_size=16)
+lsa_predict(LsaPredictor.from_covariance(cov, 50),
+            sample_prompt(family.sample_task(rng), 10, rng.split(2)))
+assert not scipy_modules(), ("train_lsa", scipy_modules())
 """
 
 
 def test_pipeline_before_eval_never_loads_scipy(tmp_path):
     """A fresh interpreter imports only numpy for the package and the CLI,
-    and gen, solve, export, eval, eval --grid and darkroom load no scipy
-    module: the grid's 129 tasks read the last stored t quantile (df 128)."""
+    and gen, solve, export, eval, eval --grid, darkroom and theory-sim load no
+    scipy module (the grid's 129 tasks read the last stored t quantile, df
+    128), nor do train_lsa, sample_prompt and the closed-form predictor."""
     cfg = write_config(tmp_path, setting="pomdp", num_tasks=2,
                        grid={"settings": ["mdp"], "horizons": [3], "policies": ["random"],
                              "num_tasks": 129},
-                       darkroom={"size": 3, "horizon": 6, "subset": "all"})
+                       darkroom={"size": 3, "horizon": 6, "subset": "all"},
+                       theory={"dim": 3, "num_actions": 2, "horizon": 3,
+                               "prompt_lengths": [10], "train_lengths": [100],
+                               "condition_numbers": [1, 5], "tasks_per_cell": 20})
     src = str(Path(decisionlab.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-c", SCIPY_FREE_PIPELINE, src, cfg,
                           str(tmp_path / "run")], capture_output=True, text=True)
@@ -427,6 +440,7 @@ def test_pipeline_before_eval_never_loads_scipy(tmp_path):
     reports = tmp_path / "run" / "reports"
     assert (reports / "eval.json").exists() and (reports / "darkroom.json").exists()
     assert len((reports / "grid.csv").read_text().splitlines()) == 2
+    assert len((reports / "theory_e2.csv").read_text().splitlines()) == 3
 
 
 def test_rerun_is_byte_identical(tmp_path):

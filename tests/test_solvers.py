@@ -753,11 +753,14 @@ def test_saved_arrays_are_the_np_saves_of_to_arrays(tmp_path):
                            for n in sizes]
             sol._values = [rng.random(n) for n in sizes]
         paths = [tmp_path / "keys.npy", tmp_path / "values.npy"]
-        sol.save_arrays(*paths)
+        digest = sol.save_arrays(*paths)
         for path, array in zip(paths, sol.to_arrays()):
             want = io.BytesIO()
             np.save(want, array)
             assert path.read_bytes() == want.getvalue()
+        # the digest fed while writing is the hash of the files written
+        both = paths[0].read_bytes() + paths[1].read_bytes()
+        assert digest == hashlib.sha256(both).hexdigest()
 
 
 def test_a_belief_solve_stays_within_its_memory():

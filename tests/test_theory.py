@@ -13,6 +13,7 @@ from decisionlab.theory import (
     E2Config,
     E2_CSV_COLUMNS,
     IllConditioned,
+    LinearTask,
     LinearTaskFamily,
     LsaLayer,
     LsaPredictor,
@@ -29,8 +30,8 @@ from decisionlab.theory import (
     sample_prompt,
     train_lsa,
 )
-from decisionlab.theory import (_e2_cell, _gram_factor, _log_spaced_cov, _lsa_batch_grads,
-                               _projection_factor)
+from decisionlab.theory import (_cho_solve, _e2_cell, _gram_factor, _log_spaced_cov,
+                               _lsa_batch_grads, _projection_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,56 @@ def test_ill_conditioned_gamma_rejected():
         LsaPredictor(np.diag([1.0, -1.0]), 10)
     with pytest.raises(IllConditioned):
         covariance_condition(np.diag([1.0, 0.0]))
+
+
+# The tests below compare against scipy, which the package itself never loads
+# for these solves: numpy's factor and the substitution in ``_cho_solve``
+# reproduce scipy.linalg's bits on the diagonal covariances E2 and the trainer
+# use, so no pinned value moved when scipy left theory.py.
+
+
+@pytest.mark.parametrize("kappa", [1, 5, 25])
+def test_cho_solve_is_scipys_bit_for_bit_on_the_grids_gamma(kappa):
+    from scipy.linalg import cho_factor, cho_solve
+    rng = np.random.default_rng(kappa)
+    for train_length in E2Config().train_lengths:
+        gamma = gamma_matrix(_log_spaced_cov(10, kappa), train_length)
+        lower = np.linalg.cholesky(gamma)
+        for b in (rng.standard_normal(10), rng.standard_normal((10, 500))):
+            want = cho_solve(cho_factor(gamma), b)
+            assert _cho_solve(lower, b).tobytes() == want.tobytes()
+
+
+def test_cho_solve_solves_a_dense_spd_system():
+    from scipy.linalg import cho_factor, cho_solve
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((10, 10))
+    spd = a @ a.T + np.eye(10)
+    for b in (rng.standard_normal(10), rng.standard_normal((10, 4))):
+        got = _cho_solve(np.linalg.cholesky(spd), b)
+        want = cho_solve(cho_factor(spd), b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(spd @ got, b, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("cov", [np.eye(4), np.diag([0.5, 1.0, 2.0]), _log_spaced_cov(10, 25)])
+def test_feature_factor_is_scipys_upper_factor(cov):
+    from scipy.linalg import cholesky
+    d = len(cov)
+    assert LinearTaskFamily(dim=d, feature_cov=cov)._factor.tobytes() == cholesky(cov).tobytes()
+    task = LinearTask(d, np.ones(d), cov)
+    want = Rng(3).standard_normal((5, d)) @ cholesky(cov)
+    assert sample_prompt(task, 5, Rng(3)).xs.tobytes() == want.tobytes()
+
+
+def test_a_covariance_that_is_not_positive_definite_raises_linalg_error():
+    import scipy.linalg
+    cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        LinearTaskFamily(dim=2, feature_cov=cov)
+    with pytest.raises(np.linalg.LinAlgError):
+        sample_prompt(LinearTask(2, np.ones(2), cov), 5, Rng(0))
+    assert scipy.linalg.LinAlgError is np.linalg.LinAlgError  # the class scipy raised
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +558,6 @@ def test_projection_factor_of_degenerate_coefficients(kappa):
 def test_e2_cell_memory_does_not_grow_with_prompt_length():
     import tracemalloc
 
-    import scipy.linalg  # noqa: F401 -- its import is not the cell's memory
     cfg = E2Config()
     tracemalloc.start()
     try:
