@@ -5,7 +5,7 @@ text schema, oracle-relative policy evaluation, and numerical validation of
 the in-context learning theory for linear self-attention.
 
 Importing the package loads numpy and the standard library only; scipy is
-imported inside the functions that use it.
+imported only for the confidence intervals of more than 129 tasks.
 """
 
 __version__ = "0.1.0"

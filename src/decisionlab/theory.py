@@ -153,8 +153,7 @@ class LsaPredictor:
         return cls(gamma_matrix(feature_cov, train_length), train_length)
 
     def coefficients(self, prompt: Prompt) -> np.ndarray:
-        """Gamma^{-1} (1/M) sum_i y_i x_i, by two triangular solves against the
-        Cholesky factor of Gamma (``_cho_solve``), never an inverse."""
+        """Gamma^{-1} (1/M) sum_i y_i x_i, by Cholesky substitution (``_cho_solve``)."""
         return _cho_solve(self._lower, prompt.moment())
 
 

@@ -138,10 +138,10 @@ def test_ill_conditioned_gamma_rejected():
         covariance_condition(np.diag([1.0, 0.0]))
 
 
-# The tests below compare against scipy, which the package itself never loads
-# for these solves: numpy's factor and the substitution in ``_cho_solve``
-# reproduce scipy.linalg's bits on the diagonal covariances E2 and the trainer
-# use, so no pinned value moved when scipy left theory.py.
+# The tests below compare against scipy, which the package never loads for
+# these solves.  On the diagonal covariances that E2 and the trainer use,
+# numpy's factor and ``_cho_solve`` must give scipy.linalg's bits: the pinned
+# E2 digest and training losses were recorded with scipy's.
 
 
 @pytest.mark.parametrize("kappa", [1, 5, 25])
