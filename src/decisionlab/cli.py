@@ -152,8 +152,7 @@ def _validate_config(cfg: dict):
     require(cfg["setting"] in _SETTINGS, "setting", f"must be one of {_SETTINGS}")
     for low, paths in ((0, ("dataset.context_trajectories",)),
                        (1, ("num_tasks", "env.energy_cap", "env.horizon",
-                            "ambiguity.num_models", "solver.node_budget",
-                            "solver.expansion_chunk", "dataset.trajectories_per_task",
+                            "ambiguity.num_models", "dataset.trajectories_per_task",
                             "dataset.records_per_task", "grid.num_tasks", "theory.dim",
                             "theory.num_actions", "theory.horizon", "darkroom.size",
                             "darkroom.horizon", "darkroom.rollouts_per_goal")),
@@ -172,8 +171,6 @@ def _validate_config(cfg: dict):
     amb = cfg["ambiguity"]
     require(amb["kl_radius"] > 0.0, "ambiguity.kl_radius", "must be a positive number")
     require(0.0 <= amb["alpha"] <= 1.0, "ambiguity.alpha", "must be a number in [0, 1]")
-    require(0.0 < cfg["solver"]["quantization"] <= 0.5,
-            "solver.quantization", "must be a number in (0, 0.5]")
     require(cfg["dataset"]["format"] in ("sft", "dpt"), "dataset.format", "must be sft or dpt")
     ev = cfg["eval"]
     require(ev["policy"] in _POLICIES, "eval.policy", f"must be one of {_POLICIES}")
@@ -222,6 +219,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
             else:
                 cfg[key] = value
     _validate_config(cfg)
+    try:
+        _solver(cfg)
+    except ValueError as exc:  # "field '<name>': ..." of the solver section
+        raise ConfigError(str(exc).replace("field '", "field 'solver.", 1)) from None
     return cfg
 
 

@@ -255,6 +255,28 @@ def _unique_keys(view: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndar
     return view[first], places
 
 
+def _insert_sorted(run: tuple[np.ndarray, np.ndarray], keys: np.ndarray,
+                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted run (``_row_order_view``, values) with sorted ``keys`` that it
+    does not hold, and their ``values``, put in place: each at the position
+    ``searchsorted`` gives it, shifted by the keys before it, so that no row
+    is compared or ranked again."""
+    at = np.searchsorted(run[0], keys) + np.arange(len(keys))
+    kept = np.ones(len(run[0]) + len(keys), dtype=bool)
+    kept[at] = False
+    merged = []
+    for old, new in zip(run, (keys, values)):
+        out = np.empty(len(kept), dtype=old.dtype)
+        out[at], out[kept] = new, old
+        merged.append(out)
+    return merged[0], merged[1]
+
+
+# rows a period's recent run of lazily built nodes may hold before it is
+# folded into the period's main table
+_FOLD_ROWS = 1 << 16
+
+
 # ---------------------------------------------------------------------------
 # belief-tree engine
 
@@ -267,6 +289,21 @@ class BeliefSolverConfig:
     node_budget: int = 5_000_000
     obs_prune: float = 1e-12
     expansion_chunk: int = 4096
+
+    def __post_init__(self):
+        """Raise ``ValueError`` naming the first field out of range."""
+        def integer(value):  # >= 1; bools are ints to Python, not here
+            return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value >= 1)
+
+        q = self.quantization
+        for name, ok, why in (
+                ("quantization", isinstance(q, (int, float)) and not isinstance(q, bool)
+                 and 0.0 < q <= 0.5, "must be a number in (0, 0.5]"),
+                ("node_budget", integer(self.node_budget), "must be an integer >= 1"),
+                ("expansion_chunk", integer(self.expansion_chunk), "must be an integer >= 1")):
+            if not ok:
+                raise ValueError(f"field {name!r}: {why}")
 
     @property
     def ticks(self) -> int:
@@ -326,8 +363,11 @@ class RobustSolution:
         # per period t (index t-1): sorted _row_order_view of its keys, values
         self._levels: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
-        # lazily added off-tree nodes: per period dict key-bytes -> value
-        self._extra: list[dict[bytes, float]] = [dict() for _ in range(task.horizon)]
+        # lazily built off-tree nodes, per period: a main table and a recent
+        # run, disjoint, each a sorted _row_order_view and its values
+        self._no_rows = (_row_order_view(np.empty((0, task.num_states), self._key), self._key),
+                         np.empty(0))
+        self._extra = [[self._no_rows] * 2 for _ in range(task.horizon)]
         if tree is None:
             self._solve()
         else:  # (levels, values) of an earlier solve, as from_arrays splits them
@@ -451,8 +491,7 @@ class RobustSolution:
 
     def _solve(self):
         cfg, step, T = self.config, self.config.expansion_chunk, self.task.horizon
-        self.node_count = 1
-        self._check_budget(1, self.node_count)
+        self.node_count = 1  # the root, within any budget
         root = quantize_batch(self.task.initial_dist[None, :], self.ticks)
         levels = [_row_order_view(root, self._key)]
         links = []  # per parent level, per chunk: (weights, child positions)
@@ -523,10 +562,12 @@ class RobustSolution:
     def _values_at(self, t: int, keys: np.ndarray) -> np.ndarray:
         """Values of quantized ``keys`` (n, S) at 0-based period t.
 
-        Keys missing from the tree are read from the off-tree cache, and the
-        rest are deduplicated and built together, ``expansion_chunk`` at a
-        time, so that the missing subtree is expanded one level (not one node)
-        at a time.
+        Keys missing from the tree are deduplicated and searched in the
+        period's recent run, then in its main table; the rest are built
+        together, ``expansion_chunk`` at a time, so that the missing subtree
+        is expanded one level (not one node) at a time, and inserted into the
+        recent run, which is folded into the main table once it holds more
+        than ``_FOLD_ROWS`` rows.
         """
         table = self._levels[t]
         view = _row_order_view(keys, self._key)
@@ -535,28 +576,34 @@ class RobustSolution:
         missing = table[pos] != view
         if not missing.any():
             return vals
-        cache = self._extra[t]
         uniq, inverse = _unique_keys(view[missing], self._key)
-        names = uniq.tolist()
-        found = [cache.get(name) for name in names]
-        new = [i for i, v in enumerate(found) if v is None]
-        if new:
+        found, new = np.empty(len(uniq)), np.arange(len(uniq))
+        runs = self._extra[t]
+        for run, run_values in reversed(runs):  # the recent run, then the main table
+            if len(run) and len(new):
+                want = uniq[new]
+                at = np.searchsorted(run, want).clip(0, len(run) - 1)
+                hit = run[at] == want
+                found[new[hit]] = run_values[at[hit]]
+                new = new[~hit]
+        if len(new):
             self.node_count += len(new)
-            beliefs, step = self._beliefs(uniq[new]), self.config.expansion_chunk
-            built = np.concatenate([self._backup(t, beliefs[i:i + step]).max(axis=1)
-                                    for i in range(0, len(beliefs), step)])
-            for i, v in zip(new, built.tolist()):
-                cache[names[i]] = found[i] = v
-        vals[missing] = np.array(found)[inverse]
+            todo, step = uniq[new], self.config.expansion_chunk
+            beliefs = self._beliefs(todo)
+            found[new] = np.concatenate([self._backup(t, beliefs[i:i + step]).max(axis=1)
+                                         for i in range(0, len(beliefs), step)])
+            runs[1] = _insert_sorted(runs[1], todo, found[new])
+            if len(runs[1][0]) > _FOLD_ROWS:
+                runs[:] = [_insert_sorted(runs[0], *runs[1]), self._no_rows]
+        vals[missing] = found[inverse]
         return vals
 
     # -- queries -------------------------------------------------------------
 
     def _start_query(self, t: int):
         _check_period(t, self.task.horizon)
-        if sum(map(len, self._extra)) > self.config.node_budget:
-            for cache in self._extra:
-                cache.clear()
+        if sum(len(run) for runs in self._extra for run, _ in runs) > self.config.node_budget:
+            self._extra = [[self._no_rows] * 2 for _ in self._extra]
 
     @property
     def root_value(self) -> float:

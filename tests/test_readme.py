@@ -41,6 +41,21 @@ def test_quick_start_prints_what_its_comments_show():
     assert printed[1].startswith(shown[1].removesuffix("..."))
 
 
+def test_quick_start_gap_builds_its_pinned_lazy_nodes():
+    # the quick start's optimality_gap queries its oracles mostly off their
+    # solved trees; the nodes it builds there depend only on the beliefs
+    # queried, not on how the lazy cache holds them
+    code = _block("## Quick start", "python")
+    setup, _, rest = code.partition("report = ")
+    scope = {}
+    exec(compile(setup, "README quick start", "exec"), scope)
+    solutions = [oracle.solution for oracle in scope["oracles"]]
+    before = sum(sol.node_count for sol in solutions)
+    exec(compile("report = " + rest.partition("\nprint(")[0], "README quick start", "exec"),
+         scope)
+    assert sum(sol.node_count for sol in solutions) - before == 31_018
+
+
 def test_every_command_line_parses():
     lines = [line for line in _block("## Command line", "bash").splitlines()
              if line.startswith("decisionlab ")]

@@ -542,6 +542,18 @@ def test_off_tree_query_expands_lazily_within_budget():
     assert sol.node_count == count
 
 
+def _off_tree(sol):
+    """Per period, the sorted union of the main table and the recent run of
+    lazily built nodes: (key bytes, value bytes, rows)."""
+    out = []
+    for runs in sol._extra:
+        keys = np.concatenate([run for run, _ in runs])
+        _, first = np.unique(keys, return_index=True)
+        values = np.concatenate([values for _, values in runs])
+        out.append((keys[first].tobytes(), values[first].tobytes(), len(keys)))
+    return out
+
+
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
 def test_off_tree_answers_do_not_depend_on_query_order(setting):
     task = generate_tasks(setting, 1, EnergyParams(energy_cap=5, horizon=4),
@@ -572,12 +584,15 @@ def test_off_tree_answers_do_not_depend_on_query_order(setting):
     fwd, grown, answers = ask(range(len(queries)))
     rev, grown_rev, answers_rev = ask(reversed(range(len(queries))))
     assert answers_rev == answers
-    # every distinct off-tree key was built, and counted, exactly once
-    distinct = sum(map(len, fwd._extra))
-    assert grown == grown_rev == distinct > 0
-    for t in range(task.horizon):
-        assert rev._extra[t].keys() == fwd._extra[t].keys()
-        assert set(fwd._levels[t].tolist()).isdisjoint(fwd._extra[t])
+    # every distinct off-tree key was built, and counted, exactly once, with
+    # the same value whichever query built it
+    built = _off_tree(fwd)
+    assert grown == grown_rev == sum(rows for _, _, rows in built) > 0
+    assert _off_tree(rev) == built
+    for t, (keys, _, rows) in enumerate(built):
+        off = np.frombuffer(keys, dtype=fwd._levels[t].dtype)
+        assert len(off) == rows  # the main table and the recent run are disjoint
+        assert set(fwd._levels[t].tolist()).isdisjoint(off.tolist())
     # a lazy cache emptied whenever it outgrows the budget gives the same answers
     tight = BeliefSolverConfig(node_budget=fwd.node_count - grown)
     small, grown_small, answers_small = ask(range(len(queries)), tight)
@@ -646,7 +661,7 @@ def test_a_batch_query_answers_as_one_query_per_belief(setting):
         sol = solve(task, config)
         answers = [sol.actions(t, rows).tolist() if batched else
                    [sol.action(t, Belief(row)) for row in rows] for t, rows in batches]
-        return sol.node_count, answers, sol._extra
+        return sol.node_count, answers, _off_tree(sol)
 
     count, answers, built = ask(BeliefSolverConfig(), batched=False)
     # the same lazily built nodes, with the same values bit for bit
@@ -678,8 +693,66 @@ def test_a_batch_query_checks_the_cache_budget_before_each_chunk(setting):
     singles = np.array([one_by_one.action(2, Belief(row)) for row in distinct])
     assert answers.tolist() == singles[np.concatenate([inverse, inverse[:3]])].tolist()
     assert batched.node_count == one_by_one.node_count > budget + len(beliefs)
-    assert batched._extra == one_by_one._extra
-    assert sum(map(len, batched._extra)) < batched.node_count - budget
+    left = _off_tree(batched)
+    assert left == _off_tree(one_by_one)
+    assert sum(rows for _, _, rows in left) < batched.node_count - budget
+
+
+def _stress_queries(task, n, seed):
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(2, task.horizon + 1)),
+             Belief(rng.dirichlet(np.full(task.num_states, 0.4)))) for _ in range(n)]
+
+
+def test_folded_runs_answer_as_one_run(monkeypatch):
+    # with a fold at 8 rows, the recent runs are folded into the main tables
+    # over and over; the answers and nodes are those of runs never folded,
+    # and each period's two runs stay sorted, distinct and disjoint
+    task = generate_tasks("pomdp", 1, EnergyParams(energy_cap=5, horizon=4),
+                          AmbiguityConfig(), Rng(8))[0]
+    queries = _stress_queries(task, 30, 4)
+
+    def ask():
+        sol = solve_pomdp(task)
+        answers = [(sol.value(t, b), sol.action(t, b)) for t, b in queries]
+        return sol, answers
+
+    whole, answers = ask()
+    assert all(not len(main) for (main, _), _ in whole._extra)
+    monkeypatch.setattr(solvers, "_FOLD_ROWS", 8)
+    folded, folded_answers = ask()
+    assert folded_answers == answers
+    assert folded.node_count == whole.node_count
+    assert _off_tree(folded) == _off_tree(whole)
+    for (main, _), (recent, _) in folded._extra:
+        assert len(recent) <= 8
+        for run in (main, recent):
+            assert np.array_equal(np.unique(run), run)  # sorted and distinct
+        assert not set(main.tolist()) & set(recent.tolist())
+    assert sum(len(main) for (main, _), _ in folded._extra) > 8
+
+
+def test_lazily_built_nodes_keep_at_most_48_bytes_each():
+    # an off-tree node keeps its key (ten two-byte entries here) and its
+    # value in its period's sorted runs: 28 bytes, where a dict keyed by the
+    # key's bytes kept about 120 (30,000 nodes built here)
+    import tracemalloc
+
+    task = generate_tasks("pomdp", 1, EnergyParams(energy_cap=9, horizon=4),
+                          AmbiguityConfig(), Rng(2))[0]
+    sol = solve_pomdp(task)
+    queries = _stress_queries(task, 200, 6)
+    before = sol.node_count
+    tracemalloc.start()
+    try:
+        for t, b in queries:
+            sol.action(t, b)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    built = sol.node_count - before
+    assert built > 20_000
+    assert kept <= 48 * built, kept / built
 
 
 @pytest.mark.parametrize("setting", ["pomdp", "apomdp"])
@@ -797,6 +870,17 @@ def test_a_belief_solve_stays_within_its_memory():
         assert peak < mib * 2 ** 20, (setting, peak)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("quantization", 0.7), ("quantization", 0.0), ("quantization", True),
+    ("node_budget", 0), ("node_budget", 1.5), ("node_budget", None),
+    ("expansion_chunk", 0), ("expansion_chunk", 10.5), ("expansion_chunk", True),
+])
+def test_solver_config_names_the_field_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"field '{field}': must be"):
+        BeliefSolverConfig(**{field: value})
+    BeliefSolverConfig(quantization=0.5, node_budget=1, expansion_chunk=1)
+
+
 def test_budget_exceeded_raises():
     # level sizes 1/6/36/210; with 4-belief chunks the third level stops after
     # its first chunk, whose 24 distinct children already overflow the budget
@@ -821,7 +905,7 @@ def test_budget_trips_exactly_when_the_tree_exceeds_it():
         ends = np.cumsum(sizes)
         budgets = {b for end in ends for b in (end - 1, end, end + 1)}
         budgets |= {int(end - size // 2) for end, size in zip(ends, sizes)}
-        for budget in sorted(budgets):
+        for budget in sorted(budgets - {0}):  # the config refuses a budget of 0
             config = BeliefSolverConfig(node_budget=int(budget), expansion_chunk=3)
             if ends[-1] <= budget:
                 assert solve(task, config).level_sizes == sizes
