@@ -32,7 +32,8 @@ not by sorting their bytes; lookups search the shared byte view, and a level
 built from one chunk of parents is that chunk's distinct children as ranked.
 Actions with equal kernels in every model are expanded once, and the node
 budget is checked while a level is built (see ``RobustSolution``).  Queries
-off the solved tree lazily expand the missing subtree, outside the budget.
+off the solved tree lazily expand the missing subtree, outside the budget,
+and keep its nodes in sorted runs searched as the levels are.
 """
 
 from __future__ import annotations
@@ -283,7 +284,10 @@ _FOLD_ROWS = 1 << 16
 
 @dataclass
 class BeliefSolverConfig:
-    """Grid resolution, pruning, and resource limits for the belief-tree solver."""
+    """Grid resolution, pruning, and resource limits for the belief-tree solver.
+    ``quantization`` lies in (0, 0.5], and ``node_budget`` and
+    ``expansion_chunk`` are integers >= 1; any other value raises
+    ``ValueError`` naming its field."""
 
     quantization: float = 1e-3
     node_budget: int = 5_000_000
@@ -291,7 +295,6 @@ class BeliefSolverConfig:
     expansion_chunk: int = 4096
 
     def __post_init__(self):
-        """Raise ``ValueError`` naming the first field out of range."""
         def integer(value):  # >= 1; bools are ints to Python, not here
             return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                     and value >= 1)
@@ -332,11 +335,15 @@ class RobustSolution:
     tree are handled by lazily solving the missing subtree.  ``actions(t,
     beliefs)`` answers a batch of beliefs as one query, each as ``action``
     would; ``action`` and ``value`` are queries of one belief, and a query at
-    a period outside 1..T raises ``ValueError``.  Only the solve
-    is held to ``node_budget``; lazily built nodes still count in
-    ``node_count``, and their cache is emptied at the start of a query (one
-    belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once it
-    holds more than ``node_budget`` entries (a node's value depends only on
+    a period outside 1..T raises ``ValueError``.  Each period keeps its
+    lazily built nodes as its level is kept, a sorted ``_row_order_view``
+    and a values array, in two disjoint runs: a main table and a recent run
+    that takes each batch of built nodes by a sorted insert and is folded
+    into the main table past ``_FOLD_ROWS`` rows.  Only the solve is held to
+    ``node_budget``; lazily built nodes still count in ``node_count``, and
+    both runs of every period are emptied at the start of a query (one
+    belief, or one ``expansion_chunk`` of a batch's distinct beliefs) once
+    they hold more than ``node_budget`` rows (a node's value depends only on
     its period and key, so answers do not change).  ``to_arrays`` (or
     ``save_arrays``, a level at a time) and ``from_arrays`` store a solved
     tree and restore it without solving; they widen the keys to big-endian

@@ -730,6 +730,12 @@ def test_folded_runs_answer_as_one_run(monkeypatch):
             assert np.array_equal(np.unique(run), run)  # sorted and distinct
         assert not set(main.tolist()) & set(recent.tolist())
     assert sum(len(main) for (main, _), _ in folded._extra) > 8
+    # a budget the runs outgrow empties the main tables as well as the recent
+    # runs: afterwards they hold just the nodes the next query builds
+    folded.config = dataclasses.replace(folded.config, node_budget=1)
+    before = folded.node_count
+    folded.action(*next(q for q in queries if q[0] < task.horizon))
+    assert sum(rows for _, _, rows in _off_tree(folded)) == folded.node_count - before > 0
 
 
 def test_lazily_built_nodes_keep_at_most_48_bytes_each():
